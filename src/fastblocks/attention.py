@@ -114,26 +114,12 @@ def nam_channel(x: Tensor4, params: NAMChannelParams, training: bool = True) -> 
 
     out[n,c,h,w] = x[n,c,h,w] * sigmoid(w_c * BN(x)[n,c,h,w]).
     """
-    x = as_tensor4(x)
-    if x.shape[1] != params.bn.channels:
-        raise ValidationError(
-            f"input channel dim {x.shape[1]} does not match NAM channels {params.bn.channels}"
-        )
-    out, _ = _nam_forward(x, params.bn, training)
-    return out
+    return nam_channel_forward(x, params, training)[0]
 
 
 def nam_spatial(x: Tensor4, params: NAMSpatialParams, training: bool = True) -> Tensor4:
     """Spatial attention: per-position gates, statistics over batch x channel."""
-    x = as_tensor4(x)
-    n, c, h, w = x.shape
-    if (h, w) != (params.h, params.w):
-        raise ValidationError(
-            f"input spatial dims {(h, w)} do not match NAMSpatialParams {(params.h, params.w)}"
-        )
-    xt = x.reshape(n * c, h * w, 1, 1)
-    out, _ = _nam_forward(xt, params.bn, training)
-    return out.reshape(n, c, h, w)
+    return nam_spatial_forward(x, params, training)[0]
 
 
 def nam_channel_forward(x: Tensor4, params: NAMChannelParams, training: bool = True):

@@ -1,43 +1,21 @@
 """Static parameter and FLOP accounting for model graphs.
 
-Counting conventions (one multiply-accumulate = one FLOP):
-
-    conv         params cout*cin*k^2 + cout     flops cin*cout*k^2*h_out*w_out
-    pwconv       params cout*cin + cout         flops cin*cout*h*w
-    pconv        params cp^2*k^2 (no bias)      flops cp^2*k^2*h*w
-    bn           params 2c                      flops 2 per element
-    relu         params 0                       flops 1 per element
-    nam_channel  params 2c                      flops 8 per element (BN 2 + 2 muls + sigmoid 4)
-    nam_spatial  params 2*h*w                   flops 8 per element
-    fasternet    sum of constituents            + residual add (1 per element)
-    residual_add params 0                       flops 1 per element
-    gap_head     params classes*c + classes     flops c*h*w + c*classes
-
-Bias adds are excluded from conv flops. These closed forms are the static
-side of the two-route cost check; `tensor_ops.count_macs` measures the other
-route at execution time and the two must agree exactly.
+The closed-form cost of each layer kind, and the counting conventions, are
+declared with the kind in `kinds.KINDS`; this module walks a graph and sums
+them into a report.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .config import GraphSpec, LayerNode, propagate_shapes
+from .blocks import PConvSpec
+from .config import GraphSpec, walk_graph
 from .errors import DegenerateInputError, ValidationError
+from .kinds import KINDS
 from .tensor_ops import ConvSpec
 
-LAYER_KINDS = (
-    "conv",
-    "pwconv",
-    "pconv",
-    "bn",
-    "relu",
-    "nam_channel",
-    "nam_spatial",
-    "fasternet_block",
-    "residual_add",
-    "gap_head",
-)
+LAYER_KINDS = tuple(kind.row for kind in KINDS.values() if kind.row is not None)
 
 
 @dataclass(frozen=True)
@@ -91,7 +69,7 @@ def conv_flops(spec: ConvSpec, out_h: int, out_w: int) -> int:
     """Multiply-accumulates of a conv producing an out_h x out_w map."""
     if out_h < 1 or out_w < 1:
         raise ValidationError(f"output dims must be >= 1, got {(out_h, out_w)}")
-    return spec.c_in * spec.c_out * spec.k * spec.k * out_h * out_w
+    return KINDS["conv"].cost(spec, None, (spec.c_out, out_h, out_w))[1]
 
 
 def pconv_cost(c: int, c_p: int, k: int, h: int, w: int) -> tuple[int, float]:
@@ -99,70 +77,8 @@ def pconv_cost(c: int, c_p: int, k: int, h: int, w: int) -> tuple[int, float]:
 
     The reduction factor is exactly (c_p / c)^2.
     """
-    from .blocks import PConvSpec
-
-    spec = PConvSpec(c, c_p, k)
-    flops = spec.c_p * spec.c_p * k * k * h * w
+    _, flops = KINDS["pconv"].cost(PConvSpec(c, c_p, k), None, (c, h, w))
     return flops, (c_p / c) ** 2
-
-
-def _bn_cost(c: int, h: int, w: int) -> tuple[int, int]:
-    return 2 * c, 2 * c * h * w
-
-
-def _nam_flops(c: int, h: int, w: int) -> int:
-    # BN (2) + weight multiply (1) + sigmoid (4) + gate multiply (1) per element.
-    return 8 * c * h * w
-
-
-def _node_cost(node: LayerNode, in_shape, out_shape) -> tuple[str, int, int]:
-    """(row kind, params, flops) for one node given its in/out shapes."""
-    c, h, w = in_shape
-    a = node.attrs
-    kind = node.kind
-    if kind == "conv":
-        spec = ConvSpec(a["cin"], a["cout"], a["k"], a["s"], a["p"])
-        _, oh, ow = out_shape
-        return "conv", a["cout"] * a["cin"] * a["k"] ** 2 + a["cout"], conv_flops(spec, oh, ow)
-    if kind == "pwconv":
-        return "pwconv", a["cout"] * a["cin"] + a["cout"], a["cin"] * a["cout"] * h * w
-    if kind == "pconv":
-        flops, _ = pconv_cost(a["c"], a["cp"], a["k"], h, w)
-        return "pconv", a["cp"] * a["cp"] * a["k"] ** 2, flops
-    if kind == "bn":
-        p, f = _bn_cost(a["c"], h, w)
-        return "bn", p, f
-    if kind == "relu":
-        return "relu", 0, c * h * w
-    if kind == "nam_channel":
-        return "nam_channel", 2 * a["c"], _nam_flops(a["c"], h, w)
-    if kind == "nam_spatial":
-        return "nam_spatial", 2 * a["h"] * a["w"], _nam_flops(a["c"], h, w)
-    if kind == "fasternet":
-        cc, cp, k, e = a["c"], a["cp"], a["k"], a["e"]
-        hidden = e * cc
-        pconv_flops, _ = pconv_cost(cc, cp, k, h, w)
-        params = (
-            cp * cp * k * k            # pconv, no bias
-            + hidden * cc + hidden     # pw1 + bias
-            + 2 * hidden               # bn1
-            + cc * hidden + cc         # pw2 + bias
-        )
-        flops = (
-            pconv_flops
-            + cc * hidden * h * w      # pw1
-            + 2 * hidden * h * w       # bn1
-            + hidden * h * w           # relu
-            + hidden * cc * h * w      # pw2
-            + cc * h * w               # residual add
-        )
-        return "fasternet_block", params, flops
-    if kind == "residual_end":
-        return "residual_add", 0, c * h * w
-    if kind == "gap_head":
-        classes = a["classes"]
-        return "gap_head", classes * c + classes, c * h * w + c * classes
-    raise ValidationError(f"no cost rule for layer kind '{kind}'")
 
 
 def analyze_graph(graph: GraphSpec, input_shape: tuple[int, int, int] | None = None) -> ComplexityReport:
@@ -171,24 +87,13 @@ def analyze_graph(graph: GraphSpec, input_shape: tuple[int, int, int] | None = N
     residual_begin emits no row; residual_end emits the join's add as a
     `residual_add` row, so rows cover exactly the cost-bearing operations.
     """
-    shapes = propagate_shapes(graph, input_shape)
-    shape = tuple(input_shape if input_shape is not None else graph.input_shape)
     rows = []
-    for idx, (node, out_shape) in enumerate(zip(graph.layers, shapes)):
-        if node.kind == "residual_begin":
-            shape = out_shape
+    for idx, (node, spec, in_shape, out_shape) in enumerate(walk_graph(graph, input_shape)):
+        kind = KINDS[node.kind]
+        if kind.row is None:
             continue
-        kind, params, flops = _node_cost(node, shape, out_shape)
-        rows.append(
-            LayerCost(
-                layer_id=f"{idx:03d}:{node.kind}",
-                layer_kind=kind,
-                params=params,
-                flops=flops,
-                out_shape=tuple(out_shape),
-            )
-        )
-        shape = out_shape
+        params, flops = kind.cost(spec, in_shape, out_shape)
+        rows.append(LayerCost(f"{idx:03d}:{node.kind}", kind.row, params, flops, out_shape))
     return ComplexityReport.from_rows(rows)
 
 

@@ -2,48 +2,23 @@
 
 A config is a header line `input <c> <h> <w>` followed by one layer per line.
 `#` starts a comment; blank lines are skipped. Layers take `key=value`
-integer attributes with per-kind required/optional sets:
+integer attributes; `kinds.KINDS` declares each kind's required and optional
+attributes and every rule that checks them.
 
-    conv cin= cout= k= [s=1] [p=0]
-    pconv c= cp= [k=3]
-    pwconv cin= cout=
-    bn c=
-    relu
-    fasternet c= cp= [k=3] [e=2]
-    nam_channel c=
-    nam_spatial c= h= w=
-    residual_begin / residual_end
-    gap_head classes=
-
-Parsing validates everything it can statically: attribute sets, channel
-continuity from layer to layer, exact integral conv output sizes, matched
-residual markers with equal shapes at the join, and nam_spatial dims against
-the propagated map. Errors carry 1-based line numbers.
+Parsing validates everything it can statically: attribute sets and ranges,
+channel continuity from layer to layer, exact integral conv output sizes,
+matched residual markers with equal shapes at the join, and nam_spatial dims
+against the propagated map. Errors carry 1-based line numbers.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
+from typing import Any
 
 from .errors import ParseError, ValidationError
-
-# kind -> (required attrs, {optional attr: default})
-LAYER_SCHEMA: dict[str, tuple[tuple[str, ...], dict[str, int]]] = {
-    "conv": (("cin", "cout", "k"), {"s": 1, "p": 0}),
-    "pconv": (("c", "cp"), {"k": 3}),
-    "pwconv": (("cin", "cout"), {}),
-    "bn": (("c",), {}),
-    "relu": ((), {}),
-    "fasternet": (("c", "cp"), {"k": 3, "e": 2}),
-    "nam_channel": (("c",), {}),
-    "nam_spatial": (("c", "h", "w"), {}),
-    "residual_begin": ((), {}),
-    "residual_end": ((), {}),
-    "gap_head": (("classes",), {}),
-}
-
-# Canonical attribute order used by the serializer.
-_ATTR_ORDER = ("cin", "cout", "c", "cp", "k", "s", "p", "e", "h", "w", "classes")
+from .kinds import KINDS, Shape
 
 
 @dataclass
@@ -59,11 +34,8 @@ class LayerNode:
     line: int = field(default=-1, compare=False)
 
     def attr_text(self) -> str:
-        parts = [self.kind]
-        for key in _ATTR_ORDER:
-            if key in self.attrs:
-                parts.append(f"{key}={self.attrs[key]}")
-        return " ".join(parts)
+        parts = [f"{key}={self.attrs[key]}" for key in KINDS[self.kind].attrs if key in self.attrs]
+        return " ".join([self.kind, *parts])
 
 
 @dataclass
@@ -97,24 +69,24 @@ def parse_model_config(text: str, name: str = "model") -> GraphSpec:
             continue
         if head == "input":
             raise ParseError("duplicate input header", lineno)
-        if head not in LAYER_SCHEMA:
+        if head not in KINDS:
             raise ParseError(f"unknown layer kind '{head}'", lineno)
-        required, optional = LAYER_SCHEMA[head]
+        kind = KINDS[head]
         attrs: dict[str, int] = {}
         for token in fields[1:]:
             if "=" not in token:
                 raise ParseError(f"expected key=value attribute, got '{token}'", lineno)
             key, _, value = token.partition("=")
-            if key not in required and key not in optional:
+            if key not in kind.attrs:
                 raise ParseError(f"unknown attribute '{key}' for layer '{head}'", lineno)
             if key in attrs:
                 raise ParseError(f"duplicate attribute '{key}'", lineno)
             attrs[key] = _parse_int(value, f"attribute '{key}'", lineno)
-        for key in required:
+        for key, default in kind.defaults.items():
+            attrs.setdefault(key, default)
+        for key in kind.attrs:
             if key not in attrs:
                 raise ParseError(f"layer '{head}' is missing required attribute '{key}'", lineno)
-        for key, default in optional.items():
-            attrs.setdefault(key, default)
         nodes.append(LayerNode(head, attrs, lineno))
     if input_shape is None:
         raise ParseError("config has no 'input' header", len(text.splitlines()) or 1)
@@ -139,8 +111,6 @@ def serialize_model_config(graph: GraphSpec) -> str:
 
 def load_model_config(path, name: str | None = None) -> GraphSpec:
     """Read a config file; the graph is named after the file stem by default."""
-    import os
-
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     stem = os.path.splitext(os.path.basename(str(path)))[0]
@@ -152,73 +122,38 @@ def _node_error(node: LayerNode, message: str) -> ValidationError:
     return ValidationError(f"{where}layer '{node.kind}': {message}")
 
 
-def propagate_shapes(
-    graph: GraphSpec, input_shape: tuple[int, int, int] | None = None
-) -> list[tuple[int, int, int]]:
-    """Walk the graph, checking continuity; returns each layer's output shape.
+def walk_graph(
+    graph: GraphSpec, input_shape: Shape | None = None
+) -> list[tuple[LayerNode, Any, Shape, Shape]]:
+    """Check the whole graph against `KINDS`; one (node, spec, in, out) per layer.
 
-    Residual markers appear in the result with their pass-through shape.
+    Every check runs before anything is returned, so callers that build or
+    cost the graph see only valid layers. Residual markers pass their shape
+    through.
     """
     shape = tuple(input_shape if input_shape is not None else graph.input_shape)
     if len(shape) != 3 or min(shape) < 1:
         raise ValidationError(f"input shape must be (c, h, w) of positive ints, got {shape}")
-    shapes: list[tuple[int, int, int]] = []
-    stack: list[tuple[tuple[int, int, int], LayerNode]] = []
+    steps = []
+    stack: list[tuple[Shape, LayerNode]] = []
     for node in graph.layers:
-        c, h, w = shape
         a = node.attrs
-        kind = node.kind
-        if kind == "conv":
-            if a["cin"] != c:
-                raise _node_error(node, f"declared cin={a['cin']} but incoming channels are {c}")
-            from .tensor_ops import ConvSpec
-
-            try:
-                spec = ConvSpec(a["cin"], a["cout"], a["k"], a["s"], a["p"])
-                oh, ow = spec.out_hw(h, w)
-            except ValidationError as exc:
-                raise _node_error(node, str(exc)) from None
-            shape = (a["cout"], oh, ow)
-        elif kind == "pwconv":
-            if a["cin"] != c:
-                raise _node_error(node, f"declared cin={a['cin']} but incoming channels are {c}")
-            shape = (a["cout"], h, w)
-        elif kind == "pconv":
-            if a["c"] != c:
-                raise _node_error(node, f"declared c={a['c']} but incoming channels are {c}")
-            from .blocks import PConvSpec
-
-            try:
-                PConvSpec(a["c"], a["cp"], a["k"])
-            except ValidationError as exc:
-                raise _node_error(node, str(exc)) from None
-        elif kind == "bn":
-            if a["c"] != c:
-                raise _node_error(node, f"declared c={a['c']} but incoming channels are {c}")
-        elif kind == "relu":
-            pass
-        elif kind == "fasternet":
-            if a["c"] != c:
-                raise _node_error(node, f"declared c={a['c']} but incoming channels are {c}")
-            from .blocks import FasterNetBlockSpec
-
-            try:
-                FasterNetBlockSpec(a["c"], a["cp"], a["k"], a["e"])
-            except ValidationError as exc:
-                raise _node_error(node, str(exc)) from None
-        elif kind == "nam_channel":
-            if a["c"] != c:
-                raise _node_error(node, f"declared c={a['c']} but incoming channels are {c}")
-        elif kind == "nam_spatial":
-            if a["c"] != c:
-                raise _node_error(node, f"declared c={a['c']} but incoming channels are {c}")
-            if (a["h"], a["w"]) != (h, w):
-                raise _node_error(
-                    node, f"declared map {a['h']}x{a['w']} but incoming map is {h}x{w}"
-                )
-        elif kind == "residual_begin":
+        kind = KINDS.get(node.kind)
+        if kind is None:
+            raise _node_error(node, "unknown layer kind")
+        channel_attr = "cin" if "cin" in kind.attrs else "c" if "c" in kind.attrs else None
+        if channel_attr is not None and a[channel_attr] != shape[0]:
+            raise _node_error(
+                node, f"declared {channel_attr}={a[channel_attr]} but incoming channels are {shape[0]}"
+            )
+        try:
+            spec = kind.spec(a)
+            out = kind.shape(spec, shape)
+        except ValidationError as exc:
+            raise _node_error(node, str(exc)) from None
+        if node.kind == "residual_begin":
             stack.append((shape, node))
-        elif kind == "residual_end":
+        elif node.kind == "residual_end":
             if not stack:
                 raise _node_error(node, "residual_end without matching residual_begin")
             saved, _ = stack.pop()
@@ -226,13 +161,16 @@ def propagate_shapes(
                 raise _node_error(
                     node, f"branch output shape {shape} != skip shape {saved} at the join"
                 )
-        elif kind == "gap_head":
-            if a["classes"] < 1:
-                raise _node_error(node, f"classes must be >= 1, got {a['classes']}")
-            shape = (a["classes"], 1, 1)
-        else:  # pragma: no cover - schema and dispatch are kept in sync
-            raise _node_error(node, "unhandled kind")
-        shapes.append(shape)
+        steps.append((node, spec, shape, out))
+        shape = out
     if stack:
         raise _node_error(stack[-1][1], "residual_begin without matching residual_end")
-    return shapes
+    return steps
+
+
+def propagate_shapes(graph: GraphSpec, input_shape: Shape | None = None) -> list[Shape]:
+    """Walk the graph, checking continuity; returns each layer's output shape.
+
+    Residual markers appear in the result with their pass-through shape.
+    """
+    return [out for _, _, _, out in walk_graph(graph, input_shape)]

@@ -84,7 +84,6 @@ class BatchNorm(Layer):
     """Batch norm layer; training forwards update the running stats in place."""
 
     kind = "bn"
-    momentum = 0.1
 
     def __init__(self, channels: int, params: BNParams | None = None, name: str = "bn"):
         super().__init__(name)
@@ -94,11 +93,7 @@ class BatchNorm(Layer):
     def forward(self, x, training=True):
         out, mean, var = batchnorm(x, self.bn, training)
         if training:
-            m = self.momentum
-            self.bn.running_mean *= 1.0 - m
-            self.bn.running_mean += m * mean
-            self.bn.running_var *= 1.0 - m
-            self.bn.running_var += m * var
+            self.bn.update_running(mean, var)
         self._cache = (x, mean, var, training)
         return out
 
@@ -198,6 +193,8 @@ class FasterNetBlock(Layer):
 
     def forward(self, x, training=True):
         out, self._cache = blocks.fasternet_block_forward(x, self.block, self.spec, training)
+        if training:
+            self.block.bn1.update_running(*self._cache[5:7])  # the cache's batch mean, var
         return out
 
     def backward(self, grad_out):
@@ -228,6 +225,8 @@ class NAMChannel(Layer):
 
     def forward(self, x, training=True):
         out, self._cache = attention.nam_channel_forward(x, self.nam, training)
+        if training:
+            self.nam.bn.update_running(*self._cache[4:6])  # the cache's batch mean, var
         return out
 
     def backward(self, grad_out):
@@ -249,6 +248,8 @@ class NAMSpatial(Layer):
 
     def forward(self, x, training=True):
         out, self._cache = attention.nam_spatial_forward(x, self.nam, training)
+        if training:
+            self.nam.bn.update_running(*self._cache[0][4:6])  # the cache's batch mean, var
         return out
 
     def backward(self, grad_out):

@@ -17,18 +17,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import layers as L
-from .blocks import FasterNetBlockSpec, PConvSpec, PWConvSpec
-from .config import GraphSpec, propagate_shapes
+from .config import GraphSpec, walk_graph
 from .errors import TrainingDiverged, ValidationError
-from .tensor_ops import ConvSpec, Tensor4, residual_add
-
-
-class _ResidualBegin:
-    kind = "residual_begin"
-
-
-class _ResidualEnd:
-    kind = "residual_end"
+from .kinds import KINDS, ResidualBegin, ResidualEnd
+from .tensor_ops import Tensor4, residual_add
 
 
 @dataclass(frozen=True)
@@ -56,9 +48,9 @@ class Model:
     def forward(self, x: Tensor4, training: bool = True) -> Tensor4:
         stack = []
         for item in self.items:
-            if isinstance(item, _ResidualBegin):
+            if isinstance(item, ResidualBegin):
                 stack.append(x)
-            elif isinstance(item, _ResidualEnd):
+            elif isinstance(item, ResidualEnd):
                 x = residual_add(stack.pop(), x)
             else:
                 x = item.forward(x, training)
@@ -68,9 +60,9 @@ class Model:
         g = grad_out
         stack = []
         for item in reversed(self.items):
-            if isinstance(item, _ResidualEnd):
+            if isinstance(item, ResidualEnd):
                 stack.append(g)
-            elif isinstance(item, _ResidualBegin):
+            elif isinstance(item, ResidualBegin):
                 g = g + stack.pop()
             else:
                 g = item.backward(g)
@@ -100,39 +92,9 @@ class Model:
 
 def build_model(graph: GraphSpec, seed: int = 0) -> Model:
     """Instantiate a graph with deterministic seeded initialization."""
-    shapes = propagate_shapes(graph)  # re-validate even pre-parsed graphs
     rng = np.random.default_rng(seed)
-    items: list = []
-    shape = graph.input_shape
-    for node, out_shape in zip(graph.layers, shapes):
-        a = node.attrs
-        kind = node.kind
-        if kind == "conv":
-            spec = ConvSpec(a["cin"], a["cout"], a["k"], a["s"], a["p"])
-            items.append(L.Conv2d(spec, rng=rng))
-        elif kind == "pwconv":
-            items.append(L.PWConv(PWConvSpec(a["cin"], a["cout"]), rng=rng))
-        elif kind == "pconv":
-            items.append(L.PConv(PConvSpec(a["c"], a["cp"], a["k"]), rng=rng))
-        elif kind == "bn":
-            items.append(L.BatchNorm(a["c"]))
-        elif kind == "relu":
-            items.append(L.ReLU())
-        elif kind == "fasternet":
-            items.append(L.FasterNetBlock(FasterNetBlockSpec(a["c"], a["cp"], a["k"], a["e"]), rng=rng))
-        elif kind == "nam_channel":
-            items.append(L.NAMChannel(a["c"]))
-        elif kind == "nam_spatial":
-            items.append(L.NAMSpatial(a["h"], a["w"]))
-        elif kind == "residual_begin":
-            items.append(_ResidualBegin())
-        elif kind == "residual_end":
-            items.append(_ResidualEnd())
-        elif kind == "gap_head":
-            items.append(L.GapHead(shape[0], a["classes"], rng=rng))
-        else:  # pragma: no cover - parser rejects unknown kinds
-            raise ValidationError(f"cannot build layer kind '{kind}'")
-        shape = out_shape
+    steps = walk_graph(graph)  # re-validate even pre-parsed graphs
+    items = [KINDS[node.kind].build(spec, in_shape, rng) for node, spec, in_shape, _ in steps]
     return Model(graph, items)
 
 

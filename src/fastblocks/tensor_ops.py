@@ -129,6 +129,9 @@ class BNParams:
     running_var: np.ndarray
     eps: float = 1e-5
 
+    # Weight of the newest training batch in the running statistics.
+    momentum = 0.1
+
     def __post_init__(self):
         self.gamma = np.asarray(self.gamma, dtype=np.float64)
         self.beta = np.asarray(self.beta, dtype=np.float64)
@@ -148,6 +151,14 @@ class BNParams:
     @property
     def channels(self) -> int:
         return self.gamma.shape[0]
+
+    def update_running(self, mean: np.ndarray, var: np.ndarray) -> None:
+        """Fold one training batch's mean and variance into the running stats."""
+        m = self.momentum
+        self.running_mean *= 1.0 - m
+        self.running_mean += m * mean
+        self.running_var *= 1.0 - m
+        self.running_var += m * var
 
     @classmethod
     def identity(cls, channels: int, eps: float = 1e-5) -> "BNParams":

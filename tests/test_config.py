@@ -73,6 +73,8 @@ class TestParsing:
             parse_model_config("input 4 4 4\nconv cin=5 cout=4 k=1\n")
         with pytest.raises(ValidationError, match="not a positive integer"):
             parse_model_config("input 4 5 5\nconv cin=4 cout=4 k=2 s=2\n")
+        with pytest.raises(ValidationError, match="line 2"):
+            parse_model_config("input 3 4 4\npwconv cin=3 cout=0\n")
 
 
 class TestSerialization:

@@ -72,6 +72,21 @@ class TestBuildModel:
         }
 
 
+class TestRunningStatistics:
+    def test_eval_forward_matches_train_forward_after_warm_up(self):
+        # Training forwards must update the running statistics that eval mode
+        # reads in every layer that normalizes, not only in bn layers.
+        graph = parse_model_config(
+            "input 2 6 6\nfasternet c=2 cp=1\nnam_channel c=2\nnam_spatial c=2 h=6 w=6\n"
+        )
+        model = build_model(graph, seed=0)
+        x = np.random.default_rng(0).normal(1.0, 2.0, size=(8, 2, 6, 6))
+        for _ in range(200):
+            train_out = model.forward(x, training=True)
+        eval_out = model.forward(x, training=False)
+        assert np.max(np.abs(eval_out - train_out)) <= 1e-6
+
+
 class TestModelBackward:
     def test_gradcheck_through_residual_graph(self):
         graph = parse_model_config(
