@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from importlib import resources
 from pathlib import Path
 
@@ -59,16 +60,7 @@ def _cmd_analyze(args) -> int:
             "name": graph.name,
             "total_params": report.total_params,
             "total_flops": report.total_flops,
-            "rows": [
-                {
-                    "layer_id": r.layer_id,
-                    "layer_kind": r.layer_kind,
-                    "params": r.params,
-                    "flops": r.flops,
-                    "out_shape": list(r.out_shape),
-                }
-                for r in report.rows
-            ],
+            "rows": [asdict(r) for r in report.rows],
         }
         print(json.dumps(payload, indent=2))
     else:
@@ -81,21 +73,8 @@ def _cmd_compare(args) -> int:
     new_graph = load_model_config(_resolve_config(args.new))
     diff = compare_reports(analyze_graph(base_graph), analyze_graph(new_graph))
     if args.json:
-        print(
-            json.dumps(
-                {
-                    "base": base_graph.name,
-                    "new": new_graph.name,
-                    "base_params": diff.base_params,
-                    "new_params": diff.new_params,
-                    "base_flops": diff.base_flops,
-                    "new_flops": diff.new_flops,
-                    "param_delta_pct": diff.param_delta_pct,
-                    "flops_delta_pct": diff.flops_delta_pct,
-                },
-                indent=2,
-            )
-        )
+        payload = {"base": base_graph.name, "new": new_graph.name, **asdict(diff)}
+        print(json.dumps(payload, indent=2))
         return 0
     def direction(pct: float) -> str:
         return "reduction" if pct >= 0 else "increase"

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from .errors import ParseError, ValidationError
-from .kinds import KINDS, Shape
+from .kinds import KINDS, Shape, check_attrs
 
 
 @dataclass
@@ -71,22 +71,22 @@ def parse_model_config(text: str, name: str = "model") -> GraphSpec:
             raise ParseError("duplicate input header", lineno)
         if head not in KINDS:
             raise ParseError(f"unknown layer kind '{head}'", lineno)
-        kind = KINDS[head]
-        attrs: dict[str, int] = {}
+        given: dict[str, str] = {}
         for token in fields[1:]:
             if "=" not in token:
                 raise ParseError(f"expected key=value attribute, got '{token}'", lineno)
             key, _, value = token.partition("=")
-            if key not in kind.attrs:
-                raise ParseError(f"unknown attribute '{key}' for layer '{head}'", lineno)
-            if key in attrs:
+            if key in given:
                 raise ParseError(f"duplicate attribute '{key}'", lineno)
-            attrs[key] = _parse_int(value, f"attribute '{key}'", lineno)
-        for key, default in kind.defaults.items():
+            given[key] = value
+        defaults = KINDS[head].defaults
+        try:
+            check_attrs(head, [*given, *defaults])
+        except ValidationError as exc:
+            raise ParseError(str(exc), lineno) from None
+        attrs = {key: _parse_int(value, f"attribute '{key}'", lineno) for key, value in given.items()}
+        for key, default in defaults.items():
             attrs.setdefault(key, default)
-        for key in kind.attrs:
-            if key not in attrs:
-                raise ParseError(f"layer '{head}' is missing required attribute '{key}'", lineno)
         nodes.append(LayerNode(head, attrs, lineno))
     if input_shape is None:
         raise ParseError("config has no 'input' header", len(text.splitlines()) or 1)
@@ -117,9 +117,12 @@ def load_model_config(path, name: str | None = None) -> GraphSpec:
     return parse_model_config(text, name=name if name is not None else stem)
 
 
+def _located(node: LayerNode, message: str) -> ValidationError:
+    return ValidationError(f"line {node.line}: {message}" if node.line > 0 else message)
+
+
 def _node_error(node: LayerNode, message: str) -> ValidationError:
-    where = f"line {node.line}: " if node.line > 0 else ""
-    return ValidationError(f"{where}layer '{node.kind}': {message}")
+    return _located(node, f"layer '{node.kind}': {message}")
 
 
 def walk_graph(
@@ -141,6 +144,10 @@ def walk_graph(
         kind = KINDS.get(node.kind)
         if kind is None:
             raise _node_error(node, "unknown layer kind")
+        try:
+            check_attrs(node.kind, a)
+        except ValidationError as exc:
+            raise _located(node, str(exc)) from None
         channel_attr = "cin" if "cin" in kind.attrs else "c" if "c" in kind.attrs else None
         if channel_attr is not None and a[channel_attr] != shape[0]:
             raise _node_error(

@@ -78,12 +78,8 @@ def gradcheck(unit, input_seed: int = 0, tolerance: float = 1e-4, step: float = 
         return float(np.sum(v * out))
 
     total = sum(t.size for _, t, _ in analytic)
-    plan: list[tuple[int, np.ndarray]] = []  # (flat index, tensor) per probe
-    if total <= max_elements:
-        for _, t, _ in analytic:
-            plan.extend((i, t) for i in range(t.size))
-        per_tensor = None
-    else:
+    per_tensor = None  # None probes every element
+    if total > max_elements:
         budget = max(max_elements, 100)
         per_tensor = {}
         for name, t, _ in analytic:

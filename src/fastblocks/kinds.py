@@ -27,6 +27,7 @@ route at execution time and the two must agree exactly.
 
 from __future__ import annotations
 
+from collections.abc import Collection
 from dataclasses import dataclass, field
 from math import prod
 from typing import Any, Callable
@@ -184,3 +185,18 @@ KINDS: dict[str, LayerKind] = {
         build=lambda classes, shape, rng: L.GapHead(shape[0], classes, rng=rng),
     ),
 }
+
+
+def check_attrs(kind: str, keys: Collection[str]) -> None:
+    """Raise ValidationError unless `keys` is exactly the attribute set of `kind`.
+
+    The first unknown key is reported, in the order given, before the first
+    missing attribute, in declared order.
+    """
+    declared = KINDS[kind].attrs
+    for key in keys:
+        if key not in declared:
+            raise ValidationError(f"unknown attribute '{key}' for layer '{kind}'")
+    for key in declared:
+        if key not in keys:
+            raise ValidationError(f"layer '{kind}' is missing required attribute '{key}'")

@@ -158,10 +158,11 @@ class EvalResult:
 
     per_category_ap maps category -> {iou threshold -> AP}. map50 is the
     category-mean AP at threshold 0.5 (or at the first requested threshold if
-    0.5 was not evaluated); map5095 is the mean over all requested
+    0.5 was not evaluated); map5095 is the mean over the distinct requested
     thresholds, which under the standard 0.50:0.05:0.95 range is mAP@.5:.95.
-    dataset precision/recall pool every category at IoU 0.5; a dataset with
-    zero detections reports precision 0 with `no_detections` set.
+    dataset precision/recall pool every category's matches at the same
+    threshold as map50; a dataset with zero detections reports precision 0
+    with `no_detections` set.
     """
 
     per_category_ap: dict[int, dict[float, float]]
@@ -179,9 +180,10 @@ def evaluate(
 ) -> EvalResult:
     """Category-partitioned AP evaluation plus pooled precision/recall.
 
-    Categories with zero ground truths and zero detections are excluded from
-    the means; a dataset whose every category lacks ground truth is rejected
-    as degenerate.
+    Each category is matched once per distinct threshold; the matches at the
+    map50 threshold also give the pooled TP/FP/FN. Categories with zero
+    ground truths and zero detections are excluded from the means; a dataset
+    whose every category lacks ground truth is rejected as degenerate.
     """
     thresholds = tuple(iou_thresholds)
     if not thresholds:
@@ -200,28 +202,23 @@ def evaluate(
         gt_by_cat.setdefault(gt.category, []).append(gt)
 
     categories = sorted(set(det_by_cat) | set(gt_by_cat))
+    primary = 0.5 if 0.5 in thresholds else thresholds[0]
     per_category: dict[int, dict[float, float]] = {}
+    tp = fp = fn = 0
     for cat in categories:
         dets = det_by_cat.get(cat, [])
         gts = gt_by_cat.get(cat, [])
         per_category[cat] = {}
-        for t in thresholds:
-            labels, _ = match_detections(dets, gts, t)
+        for t in dict.fromkeys(thresholds):
+            labels, unmatched = match_detections(dets, gts, t)
             per_category[cat][t] = average_precision(pr_curve(labels, len(gts)))
+            if t == primary:
+                tp += sum(labels)
+                fp += len(labels) - sum(labels)
+                fn += unmatched
 
-    primary = 0.5 if 0.5 in thresholds else thresholds[0]
     map50 = sum(per_category[c][primary] for c in categories) / len(categories)
-    map5095 = sum(
-        sum(per_category[c].values()) / len(thresholds) for c in categories
-    ) / len(categories)
-
-    tp = fp = fn = 0
-    for cat in categories:
-        labels, unmatched = match_detections(det_by_cat.get(cat, []), gt_by_cat.get(cat, []), 0.5)
-        tp += sum(labels)
-        fp += len(labels) - sum(labels)
-        fn += unmatched
-    no_detections = not detections
+    map5095 = sum(sum(aps.values()) / len(aps) for aps in per_category.values()) / len(categories)
     precision = tp / (tp + fp) if (tp + fp) > 0 else 0.0
     recall = tp / (tp + fn) if (tp + fn) > 0 else 0.0
     return EvalResult(
@@ -230,64 +227,58 @@ def evaluate(
         map5095=map5095,
         dataset_precision=precision,
         dataset_recall=recall,
-        no_detections=no_detections,
+        no_detections=not detections,
     )
 
 
-def _parse_box_line(fields: list[str], lineno: int) -> tuple[str, int, BBox]:
-    image_id = fields[0]
-    try:
-        category = int(fields[1])
-    except ValueError:
-        raise ParseError(f"category must be an integer, got '{fields[1]}'", lineno) from None
-    try:
-        coords = [float(v) for v in fields[2:6]]
-    except ValueError:
-        raise ParseError(f"box coordinates must be numbers: {fields[2:6]}", lineno) from None
-    try:
-        box = BBox(*coords)
-    except ValidationError as exc:
-        raise ParseError(str(exc), lineno) from None
-    return image_id, category, box
+_BOX_FIELDS = ("image_id", "category", "x1", "y1", "x2", "y2")
+
+
+def _read_records(text: str, extra: tuple[str, ...] = ()):
+    """Yield (lineno, image_id, category, box, extra fields) per annotation line.
+
+    '#' comments and blank lines are skipped; each remaining line must hold
+    the box fields followed by the `extra` ones.
+    """
+    names = _BOX_FIELDS + extra
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        fields = raw.split("#", 1)[0].split()
+        if not fields:
+            continue
+        if len(fields) != len(names):
+            raise ParseError(f"expected {len(names)} fields ({' '.join(names)}), got {len(fields)}", lineno)
+        try:
+            category = int(fields[1])
+        except ValueError:
+            raise ParseError(f"category must be an integer, got '{fields[1]}'", lineno) from None
+        try:
+            coords = [float(v) for v in fields[2:6]]
+        except ValueError:
+            raise ParseError(f"box coordinates must be numbers: {fields[2:6]}", lineno) from None
+        try:
+            box = BBox(*coords)
+        except ValidationError as exc:
+            raise ParseError(str(exc), lineno) from None
+        yield lineno, fields[0], category, box, fields[6:]
 
 
 def parse_ground_truth_lines(text: str) -> list[GroundTruth]:
     """`image_id category x1 y1 x2 y2`; '#' comments and blank lines skipped."""
-    out = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        fields = line.split()
-        if len(fields) != 6:
-            raise ParseError(f"expected 6 fields (image_id category x1 y1 x2 y2), got {len(fields)}", lineno)
-        image_id, category, box = _parse_box_line(fields, lineno)
-        out.append(GroundTruth(image_id, category, box))
-    return out
+    return [GroundTruth(image_id, cat, box) for _, image_id, cat, box, _ in _read_records(text)]
 
 
 def parse_detection_lines(text: str) -> list[Detection]:
     """`image_id category x1 y1 x2 y2 confidence`; same comment rules."""
     out = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        fields = line.split()
-        if len(fields) != 7:
-            raise ParseError(
-                f"expected 7 fields (image_id category x1 y1 x2 y2 confidence), got {len(fields)}", lineno
-            )
-        image_id, category, box = _parse_box_line(fields, lineno)
+    for lineno, image_id, category, box, (conf,) in _read_records(text, ("confidence",)):
         try:
-            confidence = float(fields[6])
+            confidence = float(conf)
         except ValueError:
-            raise ParseError(f"confidence must be a number, got '{fields[6]}'", lineno) from None
+            raise ParseError(f"confidence must be a number, got '{conf}'", lineno) from None
         try:
-            det = Detection(image_id, category, box, confidence)
+            out.append(Detection(image_id, category, box, confidence))
         except ValidationError as exc:
             raise ParseError(str(exc), lineno) from None
-        out.append(det)
     return out
 
 

@@ -202,6 +202,16 @@ class TestEvaluate:
         code, _, _ = run(capsys, "evaluate", "--gt", str(empty), "--det", det)
         assert code == 1
 
+    def test_pooled_precision_is_at_the_printed_threshold(self, capsys, tmp_path):
+        gt = tmp_path / "gt.txt"
+        det = tmp_path / "det.txt"
+        gt.write_text("a 0 0 0 10 10\n")
+        det.write_text("a 0 0 0 10 7.69 0.9\n")  # IoU 0.769
+        code, out, _ = run(capsys, "evaluate", "--gt", str(gt), "--det", str(det), "--iou", "0.8")
+        assert code == 0
+        assert "dataset precision @0.80: 0.0000" in out
+        assert "dataset recall    @0.80: 0.0000" in out
+
 
 # ---------------------------------------------------------------- train-demo
 

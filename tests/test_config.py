@@ -155,6 +155,28 @@ gap_head classes=5
             propagate_shapes(graph, (0, 6, 6))
 
 
+class TestHandBuiltGraphs:
+    """A GraphSpec built in code gets the parser's attribute-set check."""
+
+    @pytest.mark.parametrize(
+        "node, fragment",
+        [
+            (LayerNode("bn", {"c": 2, "momentum": 1}), "unknown attribute 'momentum'"),
+            (LayerNode("conv", {"cin": 2, "cout": 2, "k": 1, "p": 0}), "missing required attribute 's'"),
+            (LayerNode("relu", {"c": 2}, line=7), "line 7: unknown attribute 'c'"),
+        ],
+    )
+    def test_attribute_set_is_checked(self, node, fragment):
+        from fastblocks.complexity import analyze_graph
+        from fastblocks.model import build_model
+
+        graph = GraphSpec("hand-built", (2, 4, 4), [node])
+        for consumer in (propagate_shapes, analyze_graph, build_model):
+            with pytest.raises(ValidationError) as err:
+                consumer(graph)
+            assert fragment in str(err.value)
+
+
 class TestLoading:
     def test_file_stem_names_the_graph(self, tmp_path):
         path = tmp_path / "my-net.cfg"

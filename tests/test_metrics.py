@@ -351,6 +351,65 @@ class TestEvaluate:
         assert result.per_category_ap[0][RANGE_THRESHOLDS[-1]] == 0.0
 
 
+class TestSingleMatchingPass:
+    """evaluate matches each category once per distinct threshold, and the
+    pooled precision/recall come from the matches at the map50 threshold."""
+
+    @pytest.fixture()
+    def calls(self, monkeypatch):
+        seen = []
+
+        def counting(dets, gts, iou_thresh):
+            seen.append(iou_thresh)
+            return match_detections(dets, gts, iou_thresh)
+
+        monkeypatch.setattr("fastblocks.metrics.match_detections", counting)
+        return seen
+
+    def test_one_call_per_category_and_distinct_threshold(self, calls):
+        evaluate([det("a", 0.9, UNIT)], [gt("a", UNIT)], (0.5,))
+        assert calls == [0.5]
+        calls.clear()
+        two_categories = [gt("a", UNIT), gt("a", UNIT, category=1)]
+        evaluate([det("a", 0.9, UNIT)], two_categories, RANGE_THRESHOLDS)
+        assert calls == list(RANGE_THRESHOLDS) * 2
+        calls.clear()
+        evaluate([det("a", 0.9, UNIT)], two_categories, (0.7, 0.5, 0.7))
+        assert calls == [0.7, 0.5] * 2
+
+    def test_pooled_counts_use_the_requested_threshold(self):
+        gts = [gt("a", UNIT)]
+        dets = [det("a", 0.9, (0.0, 0.0, 1.0, 0.769))]  # IoU 0.769
+        strict = evaluate(dets, gts, (0.8,))
+        assert strict.map50 == 0.0
+        assert strict.dataset_precision == 0.0
+        assert strict.dataset_recall == 0.0
+        loose = evaluate(dets, gts, (0.7,))
+        assert loose.dataset_precision == 1.0
+        assert loose.dataset_recall == 1.0
+
+    def test_pooled_counts_use_the_first_threshold_without_half(self):
+        gts = [gt("a", UNIT), gt("a", (3, 3, 4, 4))]
+        dets = [det("a", 0.9, (0.0, 0.0, 1.0, 0.769)), det("a", 0.8, (3, 3, 4, 4))]
+        result = evaluate(dets, gts, (0.8, 0.6))
+        assert result.dataset_precision == 0.5
+        assert result.dataset_recall == 0.5
+        assert evaluate(dets, gts, (0.6, 0.8)).dataset_precision == 1.0
+
+    def test_duplicate_thresholds_change_nothing(self):
+        gts = [gt("a", UNIT), gt("a", (3, 3, 4, 4)), gt("b", UNIT, category=1)]
+        dets = [
+            det("a", 0.9, UNIT),
+            det("a", 0.8, UNIT),
+            det("a", 0.7, (3, 3, 4, 3.8)),
+            det("b", 0.6, (5, 5, 6, 6), category=1),
+        ]
+        once = evaluate(dets, gts, (0.5,))
+        assert evaluate(dets, gts, (0.5, 0.5)) == once
+        assert once.dataset_precision == 0.5  # TP 2, FP 2
+        assert once.dataset_recall == 2 / 3
+
+
 # ---------------------------------------------------------------- files
 
 
