@@ -27,7 +27,6 @@ from .tensor_ops import (
     as_tensor4,
     batchnorm,
     batchnorm_grad,
-    batchnorm_grad_eval,
     elementwise_mul,
     sigmoid,
 )
@@ -81,27 +80,23 @@ def nam_weights(scales: np.ndarray) -> np.ndarray:
 
 
 def _nam_forward(x: Tensor4, bn: BNParams, training: bool):
-    """Shared gating pipeline on an (n, units, h, w) tensor."""
+    """Shared gating pipeline on an (n, units, h, w) tensor; no cache when not training."""
     y, mean, var = batchnorm(x, bn, training)
     w = nam_weights(bn.gamma)
     g = elementwise_mul(y, w[None, :, None, None])
     s = sigmoid(g)
     out = elementwise_mul(x, s)
-    cache = (x, y, w, s, mean, var, training)
-    return out, cache
+    return out, (x, y, w, s, mean, var) if training else None
 
 
 def _nam_backward(cache, bn: BNParams, grad_out: Tensor4):
     """Backward of _nam_forward. Returns (grad_x, grad_gamma, grad_beta)."""
-    x, y, w, s, mean, var, training = cache
+    x, y, w, s, mean, var = cache
     ds = grad_out * x
     dg = ds * s * (1.0 - s)
     dy = dg * w[None, :, None, None]
     dw = (dg * y).sum(axis=(0, 2, 3))
-    if training:
-        dx_bn, dgamma, dbeta = batchnorm_grad(x, bn, mean, var, dy)
-    else:
-        dx_bn, dgamma, dbeta = batchnorm_grad_eval(x, bn, dy)
+    dx_bn, dgamma, dbeta = batchnorm_grad(x, bn, mean, var, dy)
     # w_i = |gamma_i| / S differentiates to sign(gamma_j) * (delta_ij - w_i) / S.
     total = np.abs(bn.gamma).sum()
     dgamma_w = np.sign(bn.gamma) * (dw - np.dot(w, dw)) / total
@@ -123,7 +118,7 @@ def nam_spatial(x: Tensor4, params: NAMSpatialParams, training: bool = True) -> 
 
 
 def nam_channel_forward(x: Tensor4, params: NAMChannelParams, training: bool = True):
-    """nam_channel returning the backward cache."""
+    """nam_channel returning the backward cache; None when not training."""
     x = as_tensor4(x)
     if x.shape[1] != params.bn.channels:
         raise ValidationError(
@@ -133,6 +128,8 @@ def nam_channel_forward(x: Tensor4, params: NAMChannelParams, training: bool = T
 
 
 def nam_channel_grad(cache, params: NAMChannelParams, grad_out: Tensor4):
+    if cache is None:
+        raise ValidationError("nam_channel_grad needs the cache of a training-mode forward")
     return _nam_backward(cache, params.bn, grad_out)
 
 
@@ -145,10 +142,12 @@ def nam_spatial_forward(x: Tensor4, params: NAMSpatialParams, training: bool = T
         )
     xt = x.reshape(n * c, h * w, 1, 1)
     out, cache = _nam_forward(xt, params.bn, training)
-    return out.reshape(n, c, h, w), (cache, (n, c, h, w))
+    return out.reshape(n, c, h, w), (cache, (n, c, h, w)) if training else None
 
 
 def nam_spatial_grad(cache, params: NAMSpatialParams, grad_out: Tensor4):
+    if cache is None:
+        raise ValidationError("nam_spatial_grad needs the cache of a training-mode forward")
     inner, (n, c, h, w) = cache
     gt = grad_out.reshape(n * c, h * w, 1, 1)
     gx, dgamma, dbeta = _nam_backward(inner, params.bn, gt)

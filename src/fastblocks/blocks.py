@@ -27,7 +27,6 @@ from .tensor_ops import (
     as_tensor4,
     batchnorm,
     batchnorm_grad,
-    batchnorm_grad_eval,
     conv2d,
     conv2d_grad,
     record_macs,
@@ -185,29 +184,27 @@ def fasternet_block(
 def fasternet_block_forward(
     x: Tensor4, params: FasterNetBlockParams, spec: FasterNetBlockSpec, training: bool = True
 ):
-    """Forward returning the cache needed by fasternet_block_grad."""
+    """Forward returning the cache needed by fasternet_block_grad; None when not training."""
     t0 = pconv(x, params.pconv_w, spec.pconv_spec())
     t1 = pwconv(t0, params.pw1_w, params.pw1_b)
     t2, mean, var = batchnorm(t1, params.bn1, training)
     t3 = relu(t2)
     t4 = pwconv(t3, params.pw2_w, params.pw2_b)
     out = residual_add(x, t4)
-    cache = (x, t0, t1, t2, t3, mean, var, training)
-    return out, cache
+    return out, (x, t0, t1, t2, t3, mean, var) if training else None
 
 
 def fasternet_block_grad(
     cache, params: FasterNetBlockParams, spec: FasterNetBlockSpec, grad_out: Tensor4
 ):
     """Backward of the block. Returns (grad_x, grads dict keyed like the params)."""
-    x, t0, t1, t2, t3, mean, var, training = cache
+    if cache is None:
+        raise ValidationError("fasternet_block_grad needs the cache of a training-mode forward")
+    x, t0, t1, t2, t3, mean, var = cache
     d4 = grad_out
     d3, gw2, gb2 = pwconv_grad(t3, params.pw2_w, d4)
     d2 = relu_grad(t2, d3)
-    if training:
-        d1, ggamma, gbeta = batchnorm_grad(t1, params.bn1, mean, var, d2)
-    else:
-        d1, ggamma, gbeta = batchnorm_grad_eval(t1, params.bn1, d2)
+    d1, ggamma, gbeta = batchnorm_grad(t1, params.bn1, mean, var, d2)
     d0, gw1, gb1 = pwconv_grad(t0, params.pw1_w, d1)
     dx_branch, gpc = pconv_grad(x, params.pconv_w, spec.pconv_spec(), d0)
     grad_x = grad_out + dx_branch

@@ -3,7 +3,7 @@
     fastblocks analyze <model.cfg> [--json]
     fastblocks compare <base.cfg> <new.cfg> [--json]
     fastblocks gradcheck [--seed N] [--tol T]
-    fastblocks evaluate --gt <file> --det <file> [--iou T] [--range] [--json]
+    fastblocks evaluate --gt <file> --det <file> [--iou T | --range] [--json]
     fastblocks train-demo <model.cfg> [--steps N] [--lr X] [--seed N]
 
 Config arguments are resolved first against the filesystem, then against the
@@ -169,8 +169,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evaluate", help="AP/mAP evaluation of detections against ground truth")
     p.add_argument("--gt", required=True, help="ground-truth file")
     p.add_argument("--det", required=True, help="detections file")
-    p.add_argument("--iou", type=float, default=0.5, help="IoU threshold (default 0.5)")
-    p.add_argument("--range", action="store_true", help="evaluate the 0.50:0.05:0.95 range")
+    thresholds = p.add_mutually_exclusive_group()
+    thresholds.add_argument("--iou", type=float, default=0.5, help="IoU threshold (default 0.5)")
+    thresholds.add_argument("--range", action="store_true", help="evaluate the 0.50:0.05:0.95 range")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_evaluate)
 

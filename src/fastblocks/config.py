@@ -103,7 +103,8 @@ def _parse_int(token: str, what: str, lineno: int) -> int:
 
 
 def serialize_model_config(graph: GraphSpec) -> str:
-    """Canonical text form; parse(serialize(g), name=g.name) == g."""
+    """Canonical text of a graph, checked first; parse(serialize(g), name=g.name) == g."""
+    walk_graph(graph)
     lines = ["input {} {} {}".format(*graph.input_shape)]
     lines.extend(node.attr_text() for node in graph.layers)
     return "\n".join(lines) + "\n"

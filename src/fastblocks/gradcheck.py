@@ -19,6 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+_STEP = 1e-5  # central-difference step h
+_MAX_ELEMENTS = 256  # units with more elements are probed on a random subset
+
 
 class GradCheckFailure(RuntimeError):
     """A non-finite value appeared during gradient checking."""
@@ -47,13 +50,12 @@ def _require_finite(arr: np.ndarray, where: str) -> None:
         raise GradCheckFailure(f"non-finite value in {where} at index {tuple(bad)}")
 
 
-def gradcheck(unit, input_seed: int = 0, tolerance: float = 1e-4, step: float = 1e-5,
-              max_elements: int = 256) -> GradReport:
+def gradcheck(unit, input_seed: int = 0, tolerance: float = 1e-4) -> GradReport:
     """Compare unit.backward against central finite differences.
 
     Perturbs input elements and every parameter tensor; checks all elements
-    when the unit has at most `max_elements` of them, otherwise a seeded
-    random subset of at least 100.
+    when the unit has at most _MAX_ELEMENTS of them, otherwise a seeded
+    random subset of about that many.
     """
     rng = np.random.default_rng(input_seed)
     x = rng.standard_normal(unit.input_shape)
@@ -79,11 +81,10 @@ def gradcheck(unit, input_seed: int = 0, tolerance: float = 1e-4, step: float = 
 
     total = sum(t.size for _, t, _ in analytic)
     per_tensor = None  # None probes every element
-    if total > max_elements:
-        budget = max(max_elements, 100)
+    if total > _MAX_ELEMENTS:
         per_tensor = {}
         for name, t, _ in analytic:
-            n = max(1, round(budget * t.size / total))
+            n = max(1, round(_MAX_ELEMENTS * t.size / total))
             per_tensor[name] = rng.choice(t.size, size=min(n, t.size), replace=False)
 
     max_err = 0.0
@@ -94,12 +95,12 @@ def gradcheck(unit, input_seed: int = 0, tolerance: float = 1e-4, step: float = 
         indices = range(t.size) if per_tensor is None else per_tensor[name]
         for i in indices:
             orig = flat[i]
-            flat[i] = orig + step
+            flat[i] = orig + _STEP
             lp = loss()
-            flat[i] = orig - step
+            flat[i] = orig - _STEP
             lm = loss()
             flat[i] = orig
-            numeric = (lp - lm) / (2.0 * step)
+            numeric = (lp - lm) / (2.0 * _STEP)
             if not np.isfinite(numeric):
                 raise GradCheckFailure(f"non-finite finite-difference for {unit.name} {name}[{i}]")
             ana = gflat[i]

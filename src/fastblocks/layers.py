@@ -1,10 +1,11 @@
 """Stateful layer objects wrapping the functional kernels.
 
-Each layer caches what its forward pass needs for an exact backward pass,
-exposes its learnable arrays through params()/param_grads(), and knows how to
-apply a plain gradient-descent update. These objects are what the gradient
-checker and the model runner operate on; the math itself lives in
-tensor_ops / blocks / attention.
+A training forward caches what an exact backward pass needs; an eval forward
+(training=False) is the inference path and keeps nothing, so backward needs a
+training forward first. Each layer exposes its learnable arrays through
+params()/param_grads() and knows how to apply a plain gradient-descent
+update. These objects are what the gradient checker and the model runner
+operate on; the math itself lives in tensor_ops / blocks / attention.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from .tensor_ops import (
     Tensor4,
     batchnorm,
     batchnorm_grad,
-    batchnorm_grad_eval,
     conv2d,
     conv2d_grad,
     record_macs,
@@ -29,9 +29,10 @@ from .tensor_ops import (
 
 
 class Layer:
-    """Base: forward caches, backward consumes the cache and fills grads."""
+    """Base: a training forward caches, backward consumes the cache and fills grads."""
 
     kind = "?"
+    _cache = None  # what the last forward kept for backward; None after an eval forward
 
     def __init__(self, name: str):
         self.name = name
@@ -49,6 +50,11 @@ class Layer:
     def param_grads(self) -> dict[str, np.ndarray]:
         return self._grads
 
+    def _cached(self):
+        if self._cache is None:
+            raise ValidationError(f"layer '{self.name}': backward needs a training-mode forward first")
+        return self._cache
+
     def apply_gradients(self, lr: float) -> None:
         grads = self.param_grads()
         for key, value in self.params().items():
@@ -65,14 +71,13 @@ class Conv2d(Layer):
             weight, bias = blocks.init_params(spec, rng if rng is not None else 0)
         self.weight = np.asarray(weight, dtype=np.float64)
         self.bias = np.asarray(bias, dtype=np.float64) if bias is not None else np.zeros(spec.c_out)
-        self._x = None
 
     def forward(self, x, training=True):
-        self._x = x
+        self._cache = x if training else None
         return conv2d(x, self.weight, self.bias, self.spec)
 
     def backward(self, grad_out):
-        gx, gw, gb = conv2d_grad(self._x, self.weight, self.spec, grad_out)
+        gx, gw, gb = conv2d_grad(self._cached(), self.weight, self.spec, grad_out)
         self._grads = {"weight": gw, "bias": gb}
         return gx
 
@@ -88,21 +93,17 @@ class BatchNorm(Layer):
     def __init__(self, channels: int, params: BNParams | None = None, name: str = "bn"):
         super().__init__(name)
         self.bn = params if params is not None else BNParams.identity(channels)
-        self._cache = None
 
     def forward(self, x, training=True):
         out, mean, var = batchnorm(x, self.bn, training)
         if training:
             self.bn.update_running(mean, var)
-        self._cache = (x, mean, var, training)
+        self._cache = (x, mean, var) if training else None
         return out
 
     def backward(self, grad_out):
-        x, mean, var, training = self._cache
-        if training:
-            gx, ggamma, gbeta = batchnorm_grad(x, self.bn, mean, var, grad_out)
-        else:
-            gx, ggamma, gbeta = batchnorm_grad_eval(x, self.bn, grad_out)
+        x, mean, var = self._cached()
+        gx, ggamma, gbeta = batchnorm_grad(x, self.bn, mean, var, grad_out)
         self._grads = {"gamma": ggamma, "beta": gbeta}
         return gx
 
@@ -115,14 +116,13 @@ class ReLU(Layer):
 
     def __init__(self, name: str = "relu"):
         super().__init__(name)
-        self._x = None
 
     def forward(self, x, training=True):
-        self._x = x
+        self._cache = x if training else None
         return relu(x)
 
     def backward(self, grad_out):
-        return relu_grad(self._x, grad_out)
+        return relu_grad(self._cached(), grad_out)
 
 
 class PConv(Layer):
@@ -134,14 +134,13 @@ class PConv(Layer):
         if weight is None:
             weight = blocks.init_params(spec, rng if rng is not None else 0)
         self.weight = np.asarray(weight, dtype=np.float64)
-        self._x = None
 
     def forward(self, x, training=True):
-        self._x = x
+        self._cache = x if training else None
         return blocks.pconv(x, self.weight, self.spec)
 
     def backward(self, grad_out):
-        gx, gw = blocks.pconv_grad(self._x, self.weight, self.spec, grad_out)
+        gx, gw = blocks.pconv_grad(self._cached(), self.weight, self.spec, grad_out)
         self._grads = {"weight": gw}
         return gx
 
@@ -159,14 +158,13 @@ class PWConv(Layer):
             weight, bias = blocks.init_params(spec, rng if rng is not None else 0)
         self.weight = np.asarray(weight, dtype=np.float64)
         self.bias = np.asarray(bias, dtype=np.float64) if bias is not None else np.zeros(spec.c_out)
-        self._x = None
 
     def forward(self, x, training=True):
-        self._x = x
+        self._cache = x if training else None
         return blocks.pwconv(x, self.weight, self.bias)
 
     def backward(self, grad_out):
-        gx, gw, gb = blocks.pwconv_grad(self._x, self.weight, grad_out)
+        gx, gw, gb = blocks.pwconv_grad(self._cached(), self.weight, grad_out)
         self._grads = {"weight": gw, "bias": gb}
         return gx
 
@@ -189,7 +187,6 @@ class FasterNetBlock(Layer):
         self.block = (
             params if params is not None else blocks.init_params(spec, rng if rng is not None else 0)
         )
-        self._cache = None
 
     def forward(self, x, training=True):
         out, self._cache = blocks.fasternet_block_forward(x, self.block, self.spec, training)
@@ -198,7 +195,7 @@ class FasterNetBlock(Layer):
         return out
 
     def backward(self, grad_out):
-        gx, grads = blocks.fasternet_block_grad(self._cache, self.block, self.spec, grad_out)
+        gx, grads = blocks.fasternet_block_grad(self._cached(), self.block, self.spec, grad_out)
         self._grads = grads
         return gx
 
@@ -221,7 +218,6 @@ class NAMChannel(Layer):
     def __init__(self, channels: int, params: attention.NAMChannelParams | None = None, name: str = "nam_channel"):
         super().__init__(name)
         self.nam = params if params is not None else attention.NAMChannelParams.identity(channels)
-        self._cache = None
 
     def forward(self, x, training=True):
         out, self._cache = attention.nam_channel_forward(x, self.nam, training)
@@ -230,7 +226,7 @@ class NAMChannel(Layer):
         return out
 
     def backward(self, grad_out):
-        gx, ggamma, gbeta = attention.nam_channel_grad(self._cache, self.nam, grad_out)
+        gx, ggamma, gbeta = attention.nam_channel_grad(self._cached(), self.nam, grad_out)
         self._grads = {"gamma": ggamma, "beta": gbeta}
         return gx
 
@@ -244,7 +240,6 @@ class NAMSpatial(Layer):
     def __init__(self, h: int, w: int, params: attention.NAMSpatialParams | None = None, name: str = "nam_spatial"):
         super().__init__(name)
         self.nam = params if params is not None else attention.NAMSpatialParams.identity(h, w)
-        self._cache = None
 
     def forward(self, x, training=True):
         out, self._cache = attention.nam_spatial_forward(x, self.nam, training)
@@ -253,7 +248,7 @@ class NAMSpatial(Layer):
         return out
 
     def backward(self, grad_out):
-        gx, ggamma, gbeta = attention.nam_spatial_grad(self._cache, self.nam, grad_out)
+        gx, ggamma, gbeta = attention.nam_spatial_grad(self._cached(), self.nam, grad_out)
         self._grads = {"gamma": ggamma, "beta": gbeta}
         return gx
 
@@ -279,7 +274,6 @@ class GapHead(Layer):
             weight, bias = blocks.init_params(blocks.PWConvSpec(c_in, classes), rng if rng is not None else 0)
         self.weight = np.asarray(weight, dtype=np.float64)
         self.bias = np.asarray(bias, dtype=np.float64) if bias is not None else np.zeros(classes)
-        self._cache = None
 
     def forward(self, x, training=True):
         n, c, h, w = x.shape
@@ -289,11 +283,11 @@ class GapHead(Layer):
         record_macs(x.size)  # pooling adds, 1 per element
         logits = pooled @ self.weight.T + self.bias
         record_macs(n * self.weight.size)
-        self._cache = (x.shape, pooled)
+        self._cache = (x.shape, pooled) if training else None
         return logits[:, :, None, None]
 
     def backward(self, grad_out):
-        (n, c, h, w), pooled = self._cache
+        (n, c, h, w), pooled = self._cached()
         g = grad_out[:, :, 0, 0]
         self._grads = {"weight": g.T @ pooled, "bias": g.sum(axis=0)}
         dpool = g @ self.weight

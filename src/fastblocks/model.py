@@ -43,7 +43,6 @@ class Model:
         self.name = graph.name
         c, h, w = graph.input_shape
         self.input_shape = (2, c, h, w)  # default batch for gradient checking
-        self._skip_grads: list[Tensor4] = []
 
     def forward(self, x: Tensor4, training: bool = True) -> Tensor4:
         stack = []

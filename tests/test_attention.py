@@ -148,6 +148,13 @@ class TestNamChannel:
         assert max_rel_err(ggamma, fd_grad(loss, params.bn.gamma)) < 1e-4
         assert max_rel_err(gbeta, fd_grad(loss, params.bn.beta)) < 1e-4
 
+    def test_grad_rejects_an_eval_mode_cache(self):
+        params = NAMChannelParams(random_bn(np.random.default_rng(10), 4))
+        out, cache = nam_channel_forward(np.ones((2, 4, 3, 3)), params, training=False)
+        assert cache is None
+        with pytest.raises(ValidationError, match="training-mode forward"):
+            nam_channel_grad(cache, params, np.ones_like(out))
+
 
 # ---------------------------------------------------------------- spatial gate
 
@@ -208,3 +215,10 @@ class TestNamSpatial:
         assert max_rel_err(gx, fd_grad(loss, x)) < 1e-4
         assert max_rel_err(ggamma, fd_grad(loss, params.bn.gamma)) < 1e-4
         assert max_rel_err(gbeta, fd_grad(loss, params.bn.beta)) < 1e-4
+
+    def test_grad_rejects_an_eval_mode_cache(self):
+        params = NAMSpatialParams(random_bn(np.random.default_rng(11), 6), 2, 3)
+        out, cache = nam_spatial_forward(np.ones((2, 2, 2, 3)), params, training=False)
+        assert cache is None
+        with pytest.raises(ValidationError, match="training-mode forward"):
+            nam_spatial_grad(cache, params, np.ones_like(out))

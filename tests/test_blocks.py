@@ -200,6 +200,15 @@ class TestFasterNetBlock:
         # fresh running stats (0, 1) differ from the batch statistics
         assert not np.allclose(train_out, eval_out)
 
+    def test_grad_rejects_an_eval_mode_cache(self):
+        spec = FasterNetBlockSpec(c=4, c_p=2)
+        params = init_params(spec, 0)
+        x = np.random.default_rng(12).standard_normal((2, 4, 3, 3))
+        out, cache = fasternet_block_forward(x, params, spec, training=False)
+        assert cache is None
+        with pytest.raises(ValidationError, match="training-mode forward"):
+            fasternet_block_grad(cache, params, spec, np.ones_like(out))
+
     def test_spec_validation(self):
         with pytest.raises(ValidationError):
             FasterNetBlockSpec(c=4, c_p=8)

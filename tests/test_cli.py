@@ -212,6 +212,13 @@ class TestEvaluate:
         assert "dataset precision @0.80: 0.0000" in out
         assert "dataset recall    @0.80: 0.0000" in out
 
+    def test_iou_and_range_are_exclusive(self, capsys, files):
+        gt, det = files
+        code, out, err = run(capsys, "evaluate", "--gt", gt, "--det", det, "--iou", "0.9", "--range")
+        assert code == 2
+        assert out == ""
+        assert "argument --range: not allowed with argument --iou" in err
+
 
 # ---------------------------------------------------------------- train-demo
 

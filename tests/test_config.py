@@ -176,6 +176,19 @@ class TestHandBuiltGraphs:
                 consumer(graph)
             assert fragment in str(err.value)
 
+    @pytest.mark.parametrize(
+        "node, fragment",
+        [
+            (LayerNode("bn", {"c": 2, "momentum": 1}), "unknown attribute 'momentum'"),
+            (LayerNode("nope", {}), "layer 'nope': unknown layer kind"),
+            (LayerNode("conv", {"cin": 2, "cout": 2, "k": 1}), "missing required attribute 's'"),
+        ],
+    )
+    def test_serialize_checks_the_graph(self, node, fragment):
+        # each would be written as text that fails to parse, or parses to another graph
+        with pytest.raises(ValidationError, match=fragment):
+            serialize_model_config(GraphSpec("hand-built", (2, 4, 4), [node]))
+
 
 class TestLoading:
     def test_file_stem_names_the_graph(self, tmp_path):

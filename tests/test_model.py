@@ -1,11 +1,14 @@
 """Tests for graph instantiation, end-to-end backprop, and the demo trainer."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from fastblocks.config import parse_model_config, propagate_shapes
 from fastblocks.errors import TrainingDiverged, ValidationError
 from fastblocks.gradcheck import gradcheck
+from fastblocks.kinds import KINDS
 from fastblocks.model import (
     build_model,
     run_demo_train,
@@ -85,6 +88,67 @@ class TestRunningStatistics:
             train_out = model.forward(x, training=True)
         eval_out = model.forward(x, training=False)
         assert np.max(np.abs(eval_out - train_out)) <= 1e-6
+
+
+EVERY_KIND = """input 2 6 6
+conv cin=2 cout=4 k=3 s=1 p=1
+bn c=4
+relu
+residual_begin
+pconv c=4 cp=2
+pwconv cin=4 cout=4
+residual_end
+fasternet c=4 cp=2
+nam_channel c=4
+nam_spatial c=4 h=6 w=6
+gap_head classes=2
+"""
+
+
+class TestEvalModeKeepsNoState:
+    """An eval forward is the inference path: it keeps nothing for backward."""
+
+    @pytest.fixture()
+    def model(self):
+        graph = parse_model_config(EVERY_KIND)
+        assert {node.kind for node in graph.layers} == set(KINDS)
+        return build_model(graph, seed=0)
+
+    @pytest.fixture()
+    def x(self):
+        return np.random.default_rng(0).standard_normal((64, 2, 6, 6))
+
+    def test_eval_forward_drops_every_cache(self, model, x):
+        model.forward(x, training=True)
+        model.forward(x, training=False)
+        assert [layer.name for layer in model.layer_objects() if layer._cache is not None] == []
+
+    def test_eval_forward_retains_no_activation(self, model, x):
+        model.forward(x, training=False)  # first calls allocate numpy's own caches
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            out = model.forward(x, training=False)
+            held = tracemalloc.get_traced_memory()[0] - before - out.nbytes
+        finally:
+            tracemalloc.stop()
+        assert held < x.nbytes  # each feature map this model computes is at least as large as x
+
+    def test_backward_after_eval_forward_names_the_layer(self, model, x):
+        model.forward(x, training=True)
+        out = model.forward(x, training=False)
+        with pytest.raises(ValidationError, match="layer 'gap_head'.*training-mode forward"):
+            model.backward(np.ones_like(out))
+        for layer in model.layer_objects():
+            with pytest.raises(ValidationError, match=f"layer '{layer.name}'"):
+                layer.backward(np.ones_like(out))
+
+    def test_backward_before_any_forward_names_the_layer(self, model):
+        with pytest.raises(ValidationError, match="layer 'gap_head'"):
+            model.backward(np.ones((64, 2, 1, 1)))
+        for layer in model.layer_objects():
+            with pytest.raises(ValidationError, match=f"layer '{layer.name}'"):
+                layer.backward(np.ones((64, 2, 1, 1)))
 
 
 class TestModelBackward:
