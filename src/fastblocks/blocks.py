@@ -88,7 +88,7 @@ def pconv(x: Tensor4, weights: np.ndarray, spec: PConvSpec) -> Tensor4:
     expect = (spec.c_p, spec.c_p, spec.k, spec.k)
     if weights.shape != expect:
         raise ValidationError(f"pconv weights shape {weights.shape} != expected {expect}")
-    out = x.copy()
+    out = x.astype(np.result_type(x, weights))  # conv2d's dtype for this input
     out[:, : spec.c_p] = conv2d(x[:, : spec.c_p], weights, None, spec.conv_spec())
     return out
 

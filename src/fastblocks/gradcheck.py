@@ -6,7 +6,8 @@ Model composite qualify. The check fixes a random cotangent v, defines the
 scalar loss L = sum(v * forward(x)), takes the analytic dL/d(element) from one
 backward pass, and compares it against central differences (h = 1e-5, 64-bit)
 element by element. Large units are probed on a seeded random subset of at
-least 100 elements; small units exhaustively.
+least 100 elements; small units exhaustively. Probes are training forwards,
+which move BN running statistics, so they run on a deep copy of the unit.
 
 Error metric: |analytic - numeric| / max(|analytic|, |numeric|), falling back
 to the absolute difference when that denominator is below 1e-8. Any
@@ -15,6 +16,7 @@ non-finite value encountered anywhere is a hard failure naming the location.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,6 +59,7 @@ def gradcheck(unit, input_seed: int = 0, tolerance: float = 1e-4) -> GradReport:
     when the unit has at most _MAX_ELEMENTS of them, otherwise a seeded
     random subset of about that many.
     """
+    unit = copy.deepcopy(unit)  # the caller's unit comes back untouched
     rng = np.random.default_rng(input_seed)
     x = rng.standard_normal(unit.input_shape)
     # Keep clear of the relu/abs kinks so the finite difference sees one branch.
@@ -110,8 +113,6 @@ def gradcheck(unit, input_seed: int = 0, tolerance: float = 1e-4) -> GradReport:
                 max_err = err
             checked += 1
 
-    # Restore the unit's cached state to match the unperturbed input.
-    unit.forward(x)
     return GradReport(
         unit_name=unit.name,
         max_rel_error=float(max_err),

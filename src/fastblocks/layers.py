@@ -18,6 +18,7 @@ from .tensor_ops import (
     BNParams,
     ConvSpec,
     Tensor4,
+    as_tensor4,
     batchnorm,
     batchnorm_grad,
     conv2d,
@@ -58,17 +59,19 @@ class Layer:
     def apply_gradients(self, lr: float) -> None:
         grads = self.param_grads()
         for key, value in self.params().items():
+            if key not in grads:
+                raise ValidationError(f"layer '{self.name}': apply_gradients needs a backward first")
             value -= lr * grads[key]
 
 
 class Conv2d(Layer):
     kind = "conv"
 
-    def __init__(self, spec: ConvSpec, weight=None, bias=None, rng=None, name: str = "conv"):
+    def __init__(self, spec: ConvSpec, weight=None, bias=None, rng=0, name: str = "conv"):
         super().__init__(name)
         self.spec = spec
         if weight is None:
-            weight, bias = blocks.init_params(spec, rng if rng is not None else 0)
+            weight, bias = blocks.init_params(spec, rng)
         self.weight = np.asarray(weight, dtype=np.float64)
         self.bias = np.asarray(bias, dtype=np.float64) if bias is not None else np.zeros(spec.c_out)
 
@@ -86,7 +89,7 @@ class Conv2d(Layer):
 
 
 class BatchNorm(Layer):
-    """Batch norm layer; training forwards update the running stats in place."""
+    """Batch norm layer; a training forward updates the running stats (in `batchnorm`)."""
 
     kind = "bn"
 
@@ -96,8 +99,6 @@ class BatchNorm(Layer):
 
     def forward(self, x, training=True):
         out, mean, var = batchnorm(x, self.bn, training)
-        if training:
-            self.bn.update_running(mean, var)
         self._cache = (x, mean, var) if training else None
         return out
 
@@ -128,11 +129,11 @@ class ReLU(Layer):
 class PConv(Layer):
     kind = "pconv"
 
-    def __init__(self, spec: blocks.PConvSpec, weight=None, rng=None, name: str = "pconv"):
+    def __init__(self, spec: blocks.PConvSpec, weight=None, rng=0, name: str = "pconv"):
         super().__init__(name)
         self.spec = spec
         if weight is None:
-            weight = blocks.init_params(spec, rng if rng is not None else 0)
+            weight = blocks.init_params(spec, rng)
         self.weight = np.asarray(weight, dtype=np.float64)
 
     def forward(self, x, training=True):
@@ -151,11 +152,11 @@ class PConv(Layer):
 class PWConv(Layer):
     kind = "pwconv"
 
-    def __init__(self, spec: blocks.PWConvSpec, weight=None, bias=None, rng=None, name: str = "pwconv"):
+    def __init__(self, spec: blocks.PWConvSpec, weight=None, bias=None, rng=0, name: str = "pwconv"):
         super().__init__(name)
         self.spec = spec
         if weight is None:
-            weight, bias = blocks.init_params(spec, rng if rng is not None else 0)
+            weight, bias = blocks.init_params(spec, rng)
         self.weight = np.asarray(weight, dtype=np.float64)
         self.bias = np.asarray(bias, dtype=np.float64) if bias is not None else np.zeros(spec.c_out)
 
@@ -179,19 +180,15 @@ class FasterNetBlock(Layer):
         self,
         spec: blocks.FasterNetBlockSpec,
         params: blocks.FasterNetBlockParams | None = None,
-        rng=None,
+        rng=0,
         name: str = "fasternet",
     ):
         super().__init__(name)
         self.spec = spec
-        self.block = (
-            params if params is not None else blocks.init_params(spec, rng if rng is not None else 0)
-        )
+        self.block = params if params is not None else blocks.init_params(spec, rng)
 
     def forward(self, x, training=True):
         out, self._cache = blocks.fasternet_block_forward(x, self.block, self.spec, training)
-        if training:
-            self.block.bn1.update_running(*self._cache[5:7])  # the cache's batch mean, var
         return out
 
     def backward(self, grad_out):
@@ -221,8 +218,6 @@ class NAMChannel(Layer):
 
     def forward(self, x, training=True):
         out, self._cache = attention.nam_channel_forward(x, self.nam, training)
-        if training:
-            self.nam.bn.update_running(*self._cache[4:6])  # the cache's batch mean, var
         return out
 
     def backward(self, grad_out):
@@ -243,8 +238,6 @@ class NAMSpatial(Layer):
 
     def forward(self, x, training=True):
         out, self._cache = attention.nam_spatial_forward(x, self.nam, training)
-        if training:
-            self.nam.bn.update_running(*self._cache[0][4:6])  # the cache's batch mean, var
         return out
 
     def backward(self, grad_out):
@@ -264,18 +257,19 @@ class GapHead(Layer):
 
     kind = "gap_head"
 
-    def __init__(self, c_in: int, classes: int, weight=None, bias=None, rng=None, name: str = "gap_head"):
+    def __init__(self, c_in: int, classes: int, weight=None, bias=None, rng=0, name: str = "gap_head"):
         super().__init__(name)
         if classes < 1:
             raise ValidationError(f"gap_head classes must be >= 1, got {classes}")
         self.c_in = c_in
         self.classes = classes
         if weight is None:
-            weight, bias = blocks.init_params(blocks.PWConvSpec(c_in, classes), rng if rng is not None else 0)
+            weight, bias = blocks.init_params(blocks.PWConvSpec(c_in, classes), rng)
         self.weight = np.asarray(weight, dtype=np.float64)
         self.bias = np.asarray(bias, dtype=np.float64) if bias is not None else np.zeros(classes)
 
     def forward(self, x, training=True):
+        x = as_tensor4(x)
         n, c, h, w = x.shape
         if c != self.c_in:
             raise ValidationError(f"input channel dim {c} does not match gap_head c_in {self.c_in}")

@@ -2,7 +2,8 @@
 
 Tensors are plain numpy arrays of shape (n, c, h, w), C-contiguous float64
 unless the caller chooses otherwise. Every operation here is a pure function
-of its arguments; exact analytic backward passes live next to each forward.
+of its arguments, except that a training `batchnorm` updates the running
+statistics in its `BNParams`. Exact backward passes live next to each forward.
 
 Convolution is cross-correlation (no kernel flip) with zero padding and an
 integer stride, so a k=1 convolution with weight w scales the input by w.
@@ -246,7 +247,7 @@ def batchnorm(
     Training mode computes mu/var over (n, h, w) per channel with the
     population divisor n*h*w; eval mode consumes the running statistics.
     Returns (out, mean, var) where mean/var are the statistics actually used.
-    Pure: running stats are not updated here (see layers.BatchNorm).
+    A training call also folds mean/var into params' running statistics.
     """
     x = as_tensor4(x)
     if x.shape[1] != params.channels:
@@ -256,6 +257,7 @@ def batchnorm(
     if training:
         mean = x.mean(axis=(0, 2, 3))
         var = x.var(axis=(0, 2, 3))
+        params.update_running(mean, var)
     else:
         mean = params.running_mean.copy()
         var = params.running_var.copy()

@@ -17,7 +17,9 @@ from fastblocks.blocks import (
     pwconv,
     pwconv_grad,
 )
+from fastblocks.config import parse_model_config
 from fastblocks.errors import ValidationError
+from fastblocks.model import build_model
 from fastblocks.tensor_ops import ConvSpec, conv2d
 
 from fdcheck import fd_grad, max_rel_err
@@ -36,6 +38,15 @@ class TestPConv:
         assert out.shape == x.shape
         assert np.array_equal(out[:, 2:], x[:, 2:])
         assert not np.array_equal(out[:, :2], x[:, :2])
+
+    def test_integer_input_matches_its_float_cast(self):
+        x = np.arange(100).reshape(1, 4, 5, 5) % 3
+        xf = x.astype(np.float64)
+        spec = PConvSpec(4, 2, 3)
+        w = init_params(spec, 0)
+        assert np.array_equal(pconv(x, w, spec), pconv(xf, w, spec))
+        model = build_model(parse_model_config("input 4 5 5\npconv c=4 cp=2 k=3\n"), seed=0)
+        assert np.array_equal(model.forward(x, training=False), model.forward(xf, training=False))
 
     def test_full_width_equals_conv2d(self):
         rng = np.random.default_rng(1)

@@ -145,6 +145,20 @@ def test_standard_suite_covers_every_block_and_passes():
         assert report.passed, str(report)
 
 
+def test_gradcheck_leaves_the_checked_unit_untouched():
+    changed = []
+    for unit in standard_suite(seed=0):
+        runner = getattr(unit, "layer", unit)  # Model, or the layer inside an adapter
+        x = np.random.default_rng(7).standard_normal(unit.input_shape)
+        params = {k: v.copy() for k, v in unit.params().items()}
+        out = runner.forward(x, training=False)
+        gradcheck(unit, input_seed=0)
+        same_params = all(np.array_equal(v, params[k]) for k, v in unit.params().items())
+        if not (same_params and np.array_equal(runner.forward(x, training=False), out)):
+            changed.append(unit.name)
+    assert changed == []
+
+
 def test_standard_suite_seed_changes_parameters():
     a = standard_suite(seed=0)
     b = standard_suite(seed=1)

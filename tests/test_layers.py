@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 from fastblocks import layers
-from fastblocks.blocks import PWConvSpec
+from fastblocks.attention import NAMChannelParams, NAMSpatialParams, nam_channel, nam_spatial
+from fastblocks.blocks import FasterNetBlockSpec, PWConvSpec, fasternet_block, init_params, pconv, pwconv
 from fastblocks.errors import ValidationError
-from fastblocks.tensor_ops import BNParams, ConvSpec, count_macs
+from fastblocks.tensor_ops import BNParams, ConvSpec, batchnorm, count_macs
 
 from fdcheck import fd_grad, max_rel_err
 
@@ -40,6 +41,46 @@ def test_batchnorm_layer_updates_running_stats_with_momentum():
     assert np.array_equal(layer.bn.running_mean, frozen)
 
 
+def _random_bn(rng, units):
+    return BNParams(
+        gamma=rng.uniform(0.5, 1.5, units),
+        beta=rng.uniform(-0.5, 0.5, units),
+        running_mean=rng.standard_normal(units),
+        running_var=rng.uniform(0.5, 2.0, units),
+    )
+
+
+def _functional_call(kind, rng):
+    """(run(training), the BNParams the call normalizes with, the input that BN sees)."""
+    x = rng.standard_normal((3, 4, 5, 5)) + 2.0
+    if kind == "batchnorm":
+        bn = _random_bn(rng, 4)
+        return (lambda training: batchnorm(x, bn, training)), bn, x
+    if kind == "fasternet_block":
+        spec = FasterNetBlockSpec(4, 2)
+        params = init_params(spec, rng)
+        params.bn1 = _random_bn(rng, spec.hidden)
+        bn_in = pwconv(pconv(x, params.pconv_w, spec.pconv_spec()), params.pw1_w, params.pw1_b)
+        return (lambda training: fasternet_block(x, params, spec, training)), params.bn1, bn_in
+    if kind == "nam_channel":
+        params = NAMChannelParams(_random_bn(rng, 4))
+        return (lambda training: nam_channel(x, params, training)), params.bn, x
+    params = NAMSpatialParams(_random_bn(rng, 25), 5, 5)
+    return (lambda training: nam_spatial(x, params, training)), params.bn, x.reshape(12, 25, 1, 1)
+
+
+@pytest.mark.parametrize("kind", ["batchnorm", "fasternet_block", "nam_channel", "nam_spatial"])
+def test_functional_forms_update_running_stats_in_training_only(kind):
+    run, bn, bn_in = _functional_call(kind, np.random.default_rng(4))
+    mean0, var0 = bn.running_mean.copy(), bn.running_var.copy()
+    run(False)
+    assert np.array_equal(bn.running_mean, mean0)
+    assert np.array_equal(bn.running_var, var0)
+    run(True)
+    assert np.allclose(bn.running_mean, 0.9 * mean0 + 0.1 * bn_in.mean(axis=(0, 2, 3)), rtol=0, atol=1e-12)
+    assert np.allclose(bn.running_var, 0.9 * var0 + 0.1 * bn_in.var(axis=(0, 2, 3)), rtol=0, atol=1e-12)
+
+
 def test_batchnorm_layer_eval_uses_running_stats():
     params = BNParams(
         gamma=np.array([2.0]),
@@ -67,6 +108,10 @@ class TestGapHead:
     def test_channel_mismatch_rejected(self):
         with pytest.raises(ValidationError):
             layers.GapHead(2, 3).forward(np.zeros((1, 4, 2, 2)))
+
+    def test_rank_3_input_rejected(self):
+        with pytest.raises(ValidationError, match="rank 4"):
+            layers.GapHead(2, 3).forward(np.zeros((2, 2, 2)))
 
     def test_classes_must_be_positive(self):
         with pytest.raises(ValidationError):

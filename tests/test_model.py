@@ -150,6 +150,14 @@ class TestEvalModeKeepsNoState:
             with pytest.raises(ValidationError, match=f"layer '{layer.name}'"):
                 layer.backward(np.ones((64, 2, 1, 1)))
 
+    def test_apply_gradients_before_any_backward_names_the_layer(self, model):
+        with pytest.raises(ValidationError, match="layer 'conv'.*backward"):
+            model.apply_gradients(0.1)
+        for layer in model.layer_objects():
+            if layer.params():
+                with pytest.raises(ValidationError, match=f"layer '{layer.name}'"):
+                    layer.apply_gradients(0.1)
+
 
 class TestModelBackward:
     def test_gradcheck_through_residual_graph(self):
