@@ -16,6 +16,7 @@ with fan_in = c_in * k^2; biases start at zero and BN at gamma=1, beta=0.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
 
 import numpy as np
 
@@ -100,8 +101,8 @@ def pconv_grad(
     x = as_tensor4(x)
     if grad_out.shape != x.shape:
         raise ValidationError(f"grad_out shape {grad_out.shape} != input shape {x.shape}")
-    grad_x = grad_out.copy()
-    gx, gw, _ = conv2d_grad(x[:, : spec.c_p], weights, spec.conv_spec(), grad_out[:, : spec.c_p])
+    grad_x = grad_out.astype(np.result_type(grad_out, weights))  # pconv's dtype rule
+    gx, gw, _ = conv2d_grad(x[:, : spec.c_p], weights, spec.conv_spec(), grad_x[:, : spec.c_p])
     grad_x[:, : spec.c_p] = gx
     return grad_x, gw
 
@@ -163,7 +164,11 @@ class FasterNetBlockSpec:
 
 @dataclass
 class FasterNetBlockParams:
-    """Weights for one FasterNet block; see init_params for the layout."""
+    """Weights for one FasterNet block, in the order init_params draws them.
+
+    pconv_w (c_p, c_p, k, k); pw1 (hidden, c) expands, pw2 (c, hidden)
+    projects back; bn1 normalizes the hidden channels.
+    """
 
     pconv_w: np.ndarray
     pw1_w: np.ndarray
@@ -220,8 +225,9 @@ def fasternet_block_grad(
     return grad_x, grads
 
 
-def _uniform_fan_in(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int) -> np.ndarray:
-    bound = np.sqrt(6.0 / fan_in)
+def _uniform_fan_in(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
+    """U[-sqrt(6/fan_in), +sqrt(6/fan_in)] with fan_in = prod(shape[1:])."""
+    bound = np.sqrt(6.0 / prod(shape[1:]))
     return rng.uniform(-bound, bound, size=shape)
 
 
@@ -232,30 +238,23 @@ def init_params(spec, seed_or_rng=0):
     PConvSpec -> weights; FasterNetBlockSpec -> FasterNetBlockParams.
     Weights ~ U[-sqrt(6/fan_in), +sqrt(6/fan_in)] with fan_in = c_in * k^2;
     biases zero; BN gamma=1, beta=0, running stats (0, 1).
-    Accepts either an integer seed or an existing numpy Generator.
+    Accepts an integer seed or an existing numpy Generator, which
+    `np.random.default_rng` returns unchanged.
     """
-    rng = (
-        seed_or_rng
-        if isinstance(seed_or_rng, np.random.Generator)
-        else np.random.default_rng(seed_or_rng)
-    )
+    rng = np.random.default_rng(seed_or_rng)
     if isinstance(spec, ConvSpec):
-        fan_in = spec.c_in * spec.k * spec.k
-        w = _uniform_fan_in(rng, (spec.c_out, spec.c_in, spec.k, spec.k), fan_in)
-        return w, np.zeros(spec.c_out)
+        return _uniform_fan_in(rng, (spec.c_out, spec.c_in, spec.k, spec.k)), np.zeros(spec.c_out)
     if isinstance(spec, PWConvSpec):
-        w = _uniform_fan_in(rng, (spec.c_out, spec.c_in), spec.c_in)
-        return w, np.zeros(spec.c_out)
+        return _uniform_fan_in(rng, (spec.c_out, spec.c_in)), np.zeros(spec.c_out)
     if isinstance(spec, PConvSpec):
-        fan_in = spec.c_p * spec.k * spec.k
-        return _uniform_fan_in(rng, (spec.c_p, spec.c_p, spec.k, spec.k), fan_in)
+        return _uniform_fan_in(rng, (spec.c_p, spec.c_p, spec.k, spec.k))
     if isinstance(spec, FasterNetBlockSpec):
         return FasterNetBlockParams(
             pconv_w=init_params(spec.pconv_spec(), rng),
-            pw1_w=_uniform_fan_in(rng, (spec.hidden, spec.c), spec.c),
+            pw1_w=_uniform_fan_in(rng, (spec.hidden, spec.c)),
             pw1_b=np.zeros(spec.hidden),
             bn1=BNParams.identity(spec.hidden),
-            pw2_w=_uniform_fan_in(rng, (spec.c, spec.hidden), spec.hidden),
+            pw2_w=_uniform_fan_in(rng, (spec.c, spec.hidden)),
             pw2_b=np.zeros(spec.c),
         )
     raise ValidationError(f"init_params does not know spec type {type(spec).__name__}")

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
+from numbers import Integral
 from typing import Any
 
 from .errors import ParseError, ValidationError
@@ -118,6 +119,10 @@ def load_model_config(path, name: str | None = None) -> GraphSpec:
     return parse_model_config(text, name=name if name is not None else stem)
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, Integral) and not isinstance(value, bool)
+
+
 def _located(node: LayerNode, message: str) -> ValidationError:
     return ValidationError(f"line {node.line}: {message}" if node.line > 0 else message)
 
@@ -136,7 +141,7 @@ def walk_graph(
     through.
     """
     shape = tuple(input_shape if input_shape is not None else graph.input_shape)
-    if len(shape) != 3 or min(shape) < 1:
+    if len(shape) != 3 or not all(_is_int(v) and v >= 1 for v in shape):
         raise ValidationError(f"input shape must be (c, h, w) of positive ints, got {shape}")
     steps = []
     stack: list[tuple[Shape, LayerNode]] = []
@@ -149,6 +154,9 @@ def walk_graph(
             check_attrs(node.kind, a)
         except ValidationError as exc:
             raise _located(node, str(exc)) from None
+        for key, value in a.items():
+            if not _is_int(value):
+                raise _node_error(node, f"attribute '{key}' must be an integer, got {value!r}")
         channel_attr = "cin" if "cin" in kind.attrs else "c" if "c" in kind.attrs else None
         if channel_attr is not None and a[channel_attr] != shape[0]:
             raise _node_error(

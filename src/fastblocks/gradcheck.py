@@ -1,10 +1,12 @@
 """Finite-difference verification of analytic backward passes.
 
 A checkable unit is anything with `name`, `input_shape`, `forward(x)`,
-`backward(grad_out)`, `params()` and `param_grads()` — every Layer and the
-Model composite qualify. The check fixes a random cotangent v, defines the
-scalar loss L = sum(v * forward(x)), takes the analytic dL/d(element) from one
-backward pass, and compares it against central differences (h = 1e-5, 64-bit)
+`backward(grad_out)`, `params()` and `param_grads()`. A Layer or a Model
+qualifies once it is given an `input_shape`; `standard_suite` returns the
+layers and a composite themselves, each renamed for its report line. The
+check fixes a random cotangent v, defines the scalar loss
+L = sum(v * forward(x)), takes the analytic dL/d(element) from one backward
+pass, and compares it against central differences (h = 1e-5, 64-bit)
 element by element. Large units are probed on a seeded random subset of at
 least 100 elements; small units exhaustively. Probes are training forwards,
 which move BN running statistics, so they run on a deep copy of the unit.
@@ -121,88 +123,44 @@ def gradcheck(unit, input_seed: int = 0, tolerance: float = 1e-4) -> GradReport:
     )
 
 
-class _FunctionalUnit:
-    """Adapter exposing a single layer as a checkable unit with a fixed input shape."""
-
-    def __init__(self, name, layer, input_shape):
-        self.name = name
-        self.layer = layer
-        self.input_shape = input_shape
-
-    def forward(self, x):
-        return self.layer.forward(x, training=True)
-
-    def backward(self, grad_out):
-        return self.layer.backward(grad_out)
-
-    def params(self):
-        return self.layer.params()
-
-    def param_grads(self):
-        return self.layer.param_grads()
-
-
 def standard_suite(seed: int = 0) -> list:
-    """The stock set of checkable units: every differentiable building block
-    plus a three-layer composite, with seeded random parameters."""
-    from . import attention, blocks, layers
+    """The stock set of checkable units: every differentiable layer, named and
+    given an input shape, plus a three-layer composite, with seeded random
+    parameters."""
+    from . import blocks, layers
     from .config import parse_model_config
     from .model import build_model
-    from .tensor_ops import BNParams, ConvSpec
+    from .tensor_ops import ConvSpec
 
     rng = np.random.default_rng(seed)
 
-    def bn_params(c):
+    def randomize(bn, signed=True):
         # Scales away from zero keep |gamma| differentiable at the probe points.
-        return BNParams(
-            gamma=rng.uniform(0.5, 1.5, c) * rng.choice([-1.0, 1.0], c),
-            beta=rng.uniform(-0.5, 0.5, c),
-            running_mean=np.zeros(c),
-            running_var=np.ones(c),
-        )
+        c = bn.channels
+        bn.gamma[:] = rng.uniform(0.5, 1.5, c) * (rng.choice([-1.0, 1.0], c) if signed else 1.0)
+        bn.beta[:] = rng.uniform(-0.5, 0.5, c)
 
-    units = [
-        _FunctionalUnit(
-            "conv2d(3->4,k3,s2,p1)",
-            layers.Conv2d(ConvSpec(3, 4, 3, stride=2, padding=1), rng=rng),
-            (2, 3, 7, 7),
-        ),
-        _FunctionalUnit(
-            "batchnorm(c=5)",
-            layers.BatchNorm(5, BNParams(
-                gamma=rng.uniform(0.5, 1.5, 5),
-                beta=rng.uniform(-0.5, 0.5, 5),
-                running_mean=np.zeros(5),
-                running_var=np.ones(5),
-            )),
-            (3, 5, 4, 4),
-        ),
-        _FunctionalUnit(
-            "pwconv(6->3)",
-            layers.PWConv(blocks.PWConvSpec(6, 3), rng=rng),
-            (2, 6, 5, 5),
-        ),
-        _FunctionalUnit(
-            "pconv(c=6,cp=2,k=3)",
-            layers.PConv(blocks.PConvSpec(6, 2, 3), rng=rng),
-            (2, 6, 6, 6),
-        ),
-        _FunctionalUnit(
-            "fasternet(c=4,cp=2,e=2)",
-            layers.FasterNetBlock(blocks.FasterNetBlockSpec(4, 2, 3, 2), rng=rng),
-            (2, 4, 5, 5),
-        ),
-        _FunctionalUnit(
-            "nam_channel(c=6)",
-            layers.NAMChannel(6, attention.NAMChannelParams(bn_params(6))),
-            (3, 6, 4, 4),
-        ),
-        _FunctionalUnit(
-            "nam_spatial(4x4)",
-            layers.NAMSpatial(4, 4, attention.NAMSpatialParams(bn_params(16), 4, 4)),
-            (2, 3, 4, 4),
-        ),
-    ]
+    conv = layers.Conv2d(ConvSpec(3, 4, 3, stride=2, padding=1), rng=rng)
+    bn = layers.BatchNorm(5)
+    randomize(bn.bn, signed=False)
+    pw = layers.PWConv(blocks.PWConvSpec(6, 3), rng=rng)
+    pc = layers.PConv(blocks.PConvSpec(6, 2, 3), rng=rng)
+    block = layers.FasterNetBlock(blocks.FasterNetBlockSpec(4, 2, 3, 2), rng=rng)
+    nam_c, nam_s = layers.NAMChannel(6), layers.NAMSpatial(4, 4)
+    randomize(nam_c.nam.bn)
+    randomize(nam_s.nam.bn)
+    units = []
+    for layer, name, input_shape in [
+        (conv, "conv2d(3->4,k3,s2,p1)", (2, 3, 7, 7)),
+        (bn, "batchnorm(c=5)", (3, 5, 4, 4)),
+        (pw, "pwconv(6->3)", (2, 6, 5, 5)),
+        (pc, "pconv(c=6,cp=2,k=3)", (2, 6, 6, 6)),
+        (block, "fasternet(c=4,cp=2,e=2)", (2, 4, 5, 5)),
+        (nam_c, "nam_channel(c=6)", (3, 6, 4, 4)),
+        (nam_s, "nam_spatial(4x4)", (2, 3, 4, 4)),
+    ]:
+        layer.name, layer.input_shape = name, input_shape
+        units.append(layer)
 
     composite_cfg = "\n".join(
         [

@@ -1,11 +1,14 @@
 """Stateful layer objects wrapping the functional kernels.
 
-A training forward caches what an exact backward pass needs; an eval forward
-(training=False) is the inference path and keeps nothing, so backward needs a
-training forward first. Each layer exposes its learnable arrays through
-params()/param_grads() and knows how to apply a plain gradient-descent
-update. These objects are what the gradient checker and the model runner
-operate on; the math itself lives in tensor_ops / blocks / attention.
+Each layer is built from its shape alone (a spec, or channel and map sizes)
+and, if it has weights, a seed or Generator for `blocks.init_params`; its
+`name` starts as its `kind`. A training forward caches what an exact backward
+pass needs; an eval forward (training=False) is the inference path and keeps
+nothing, so backward needs a training forward first. Each layer exposes its
+learnable arrays through params()/param_grads() and knows how to apply a
+plain gradient-descent update. These objects are what the gradient checker
+and the model runner operate on; the math itself lives in tensor_ops /
+blocks / attention.
 """
 
 from __future__ import annotations
@@ -35,8 +38,8 @@ class Layer:
     kind = "?"
     _cache = None  # what the last forward kept for backward; None after an eval forward
 
-    def __init__(self, name: str):
-        self.name = name
+    def __init__(self):
+        self.name = self.kind
         self._grads: dict[str, np.ndarray] = {}
 
     def forward(self, x: Tensor4, training: bool = True) -> Tensor4:
@@ -67,13 +70,10 @@ class Layer:
 class Conv2d(Layer):
     kind = "conv"
 
-    def __init__(self, spec: ConvSpec, weight=None, bias=None, rng=0, name: str = "conv"):
-        super().__init__(name)
+    def __init__(self, spec: ConvSpec, rng=0):
+        super().__init__()
         self.spec = spec
-        if weight is None:
-            weight, bias = blocks.init_params(spec, rng)
-        self.weight = np.asarray(weight, dtype=np.float64)
-        self.bias = np.asarray(bias, dtype=np.float64) if bias is not None else np.zeros(spec.c_out)
+        self.weight, self.bias = blocks.init_params(spec, rng)
 
     def forward(self, x, training=True):
         self._cache = x if training else None
@@ -93,9 +93,9 @@ class BatchNorm(Layer):
 
     kind = "bn"
 
-    def __init__(self, channels: int, params: BNParams | None = None, name: str = "bn"):
-        super().__init__(name)
-        self.bn = params if params is not None else BNParams.identity(channels)
+    def __init__(self, channels: int):
+        super().__init__()
+        self.bn = BNParams.identity(channels)
 
     def forward(self, x, training=True):
         out, mean, var = batchnorm(x, self.bn, training)
@@ -115,9 +115,6 @@ class BatchNorm(Layer):
 class ReLU(Layer):
     kind = "relu"
 
-    def __init__(self, name: str = "relu"):
-        super().__init__(name)
-
     def forward(self, x, training=True):
         self._cache = x if training else None
         return relu(x)
@@ -129,12 +126,10 @@ class ReLU(Layer):
 class PConv(Layer):
     kind = "pconv"
 
-    def __init__(self, spec: blocks.PConvSpec, weight=None, rng=0, name: str = "pconv"):
-        super().__init__(name)
+    def __init__(self, spec: blocks.PConvSpec, rng=0):
+        super().__init__()
         self.spec = spec
-        if weight is None:
-            weight = blocks.init_params(spec, rng)
-        self.weight = np.asarray(weight, dtype=np.float64)
+        self.weight = blocks.init_params(spec, rng)
 
     def forward(self, x, training=True):
         self._cache = x if training else None
@@ -152,13 +147,10 @@ class PConv(Layer):
 class PWConv(Layer):
     kind = "pwconv"
 
-    def __init__(self, spec: blocks.PWConvSpec, weight=None, bias=None, rng=0, name: str = "pwconv"):
-        super().__init__(name)
+    def __init__(self, spec: blocks.PWConvSpec, rng=0):
+        super().__init__()
         self.spec = spec
-        if weight is None:
-            weight, bias = blocks.init_params(spec, rng)
-        self.weight = np.asarray(weight, dtype=np.float64)
-        self.bias = np.asarray(bias, dtype=np.float64) if bias is not None else np.zeros(spec.c_out)
+        self.weight, self.bias = blocks.init_params(spec, rng)
 
     def forward(self, x, training=True):
         self._cache = x if training else None
@@ -176,16 +168,10 @@ class PWConv(Layer):
 class FasterNetBlock(Layer):
     kind = "fasternet"
 
-    def __init__(
-        self,
-        spec: blocks.FasterNetBlockSpec,
-        params: blocks.FasterNetBlockParams | None = None,
-        rng=0,
-        name: str = "fasternet",
-    ):
-        super().__init__(name)
+    def __init__(self, spec: blocks.FasterNetBlockSpec, rng=0):
+        super().__init__()
         self.spec = spec
-        self.block = params if params is not None else blocks.init_params(spec, rng)
+        self.block = blocks.init_params(spec, rng)
 
     def forward(self, x, training=True):
         out, self._cache = blocks.fasternet_block_forward(x, self.block, self.spec, training)
@@ -212,9 +198,9 @@ class FasterNetBlock(Layer):
 class NAMChannel(Layer):
     kind = "nam_channel"
 
-    def __init__(self, channels: int, params: attention.NAMChannelParams | None = None, name: str = "nam_channel"):
-        super().__init__(name)
-        self.nam = params if params is not None else attention.NAMChannelParams.identity(channels)
+    def __init__(self, channels: int):
+        super().__init__()
+        self.nam = attention.NAMChannelParams.identity(channels)
 
     def forward(self, x, training=True):
         out, self._cache = attention.nam_channel_forward(x, self.nam, training)
@@ -232,9 +218,9 @@ class NAMChannel(Layer):
 class NAMSpatial(Layer):
     kind = "nam_spatial"
 
-    def __init__(self, h: int, w: int, params: attention.NAMSpatialParams | None = None, name: str = "nam_spatial"):
-        super().__init__(name)
-        self.nam = params if params is not None else attention.NAMSpatialParams.identity(h, w)
+    def __init__(self, h: int, w: int):
+        super().__init__()
+        self.nam = attention.NAMSpatialParams.identity(h, w)
 
     def forward(self, x, training=True):
         out, self._cache = attention.nam_spatial_forward(x, self.nam, training)
@@ -250,42 +236,35 @@ class NAMSpatial(Layer):
 
 
 class GapHead(Layer):
-    """Global average pool over (h, w) followed by a linear map to logits.
+    """Global average pool over (h, w) followed by a pointwise conv to logits.
 
     Output keeps the rank-4 carrier: (n, classes, 1, 1).
     """
 
     kind = "gap_head"
 
-    def __init__(self, c_in: int, classes: int, weight=None, bias=None, rng=0, name: str = "gap_head"):
-        super().__init__(name)
+    def __init__(self, c_in: int, classes: int, rng=0):
+        super().__init__()
         if classes < 1:
             raise ValidationError(f"gap_head classes must be >= 1, got {classes}")
         self.c_in = c_in
         self.classes = classes
-        if weight is None:
-            weight, bias = blocks.init_params(blocks.PWConvSpec(c_in, classes), rng)
-        self.weight = np.asarray(weight, dtype=np.float64)
-        self.bias = np.asarray(bias, dtype=np.float64) if bias is not None else np.zeros(classes)
+        self.weight, self.bias = blocks.init_params(blocks.PWConvSpec(c_in, classes), rng)
 
     def forward(self, x, training=True):
         x = as_tensor4(x)
-        n, c, h, w = x.shape
-        if c != self.c_in:
-            raise ValidationError(f"input channel dim {c} does not match gap_head c_in {self.c_in}")
-        pooled = x.mean(axis=(2, 3))
+        if x.shape[1] != self.c_in:
+            raise ValidationError(f"input channel dim {x.shape[1]} does not match gap_head c_in {self.c_in}")
+        pooled = x.mean(axis=(2, 3), keepdims=True)
         record_macs(x.size)  # pooling adds, 1 per element
-        logits = pooled @ self.weight.T + self.bias
-        record_macs(n * self.weight.size)
         self._cache = (x.shape, pooled) if training else None
-        return logits[:, :, None, None]
+        return blocks.pwconv(pooled, self.weight, self.bias)
 
     def backward(self, grad_out):
         (n, c, h, w), pooled = self._cached()
-        g = grad_out[:, :, 0, 0]
-        self._grads = {"weight": g.T @ pooled, "bias": g.sum(axis=0)}
-        dpool = g @ self.weight
-        return np.broadcast_to(dpool[:, :, None, None] / (h * w), (n, c, h, w)).copy()
+        dpool, gw, gb = blocks.pwconv_grad(pooled, self.weight, grad_out)
+        self._grads = {"weight": gw, "bias": gb}
+        return np.broadcast_to(dpool / (h * w), (n, c, h, w)).copy()
 
     def params(self):
         return {"weight": self.weight, "bias": self.bias}

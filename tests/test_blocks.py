@@ -48,6 +48,18 @@ class TestPConv:
         model = build_model(parse_model_config("input 4 5 5\npconv c=4 cp=2 k=3\n"), seed=0)
         assert np.array_equal(model.forward(x, training=False), model.forward(xf, training=False))
 
+    def test_integer_grad_out_matches_its_float_cast(self):
+        rng = np.random.default_rng(0)
+        x = rng.standard_normal((1, 4, 5, 5))
+        g = np.arange(100).reshape(1, 4, 5, 5) % 3
+        spec = PConvSpec(4, 2, 3)
+        w = init_params(spec, 0)
+        gx, gw = pconv_grad(x, w, spec, g)
+        gx_f, gw_f = pconv_grad(x, w, spec, g.astype(np.float64))
+        assert gx.dtype == np.float64
+        assert np.array_equal(gx, gx_f)
+        assert np.array_equal(gw, gw_f)
+
     def test_full_width_equals_conv2d(self):
         rng = np.random.default_rng(1)
         spec = PConvSpec(c=3, c_p=3, k=3)

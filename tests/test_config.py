@@ -164,6 +164,10 @@ class TestHandBuiltGraphs:
             (LayerNode("bn", {"c": 2, "momentum": 1}), "unknown attribute 'momentum'"),
             (LayerNode("conv", {"cin": 2, "cout": 2, "k": 1, "p": 0}), "missing required attribute 's'"),
             (LayerNode("relu", {"c": 2}, line=7), "line 7: unknown attribute 'c'"),
+            (LayerNode("conv", {"cin": 2, "cout": 4.0, "k": 3, "s": 1, "p": 1}),
+             "attribute 'cout' must be an integer, got 4.0"),
+            (LayerNode("conv", {"cin": 2, "cout": 4, "k": 3, "s": True, "p": 1}),
+             "attribute 's' must be an integer, got True"),
         ],
     )
     def test_attribute_set_is_checked(self, node, fragment):
@@ -182,12 +186,25 @@ class TestHandBuiltGraphs:
             (LayerNode("bn", {"c": 2, "momentum": 1}), "unknown attribute 'momentum'"),
             (LayerNode("nope", {}), "layer 'nope': unknown layer kind"),
             (LayerNode("conv", {"cin": 2, "cout": 2, "k": 1}), "missing required attribute 's'"),
+            (LayerNode("conv", {"cin": 2, "cout": 4.0, "k": 3, "s": 1, "p": 1}),
+             "attribute 'cout' must be an integer"),
+            (LayerNode("conv", {"cin": 2, "cout": 4, "k": 3, "s": True, "p": 1}),
+             "attribute 's' must be an integer"),
         ],
     )
     def test_serialize_checks_the_graph(self, node, fragment):
         # each would be written as text that fails to parse, or parses to another graph
         with pytest.raises(ValidationError, match=fragment):
             serialize_model_config(GraphSpec("hand-built", (2, 4, 4), [node]))
+
+    @pytest.mark.parametrize("shape", [(2.0, 4, 4), (True, 4, 4), (2, 4, 0), (2, 4)])
+    def test_input_shape_is_checked(self, shape):
+        from fastblocks.model import build_model
+
+        graph = GraphSpec("hand-built", shape, [LayerNode("relu", {})])
+        for consumer in (serialize_model_config, build_model):
+            with pytest.raises(ValidationError, match="input shape must be"):
+                consumer(graph)
 
 
 class TestLoading:

@@ -145,6 +145,18 @@ def test_standard_suite_covers_every_block_and_passes():
         assert report.passed, str(report)
 
 
+def test_standard_suite_checks_the_layers_themselves():
+    *singles, composite = standard_suite(seed=0)
+    assert composite.name == "composite(conv-bn-relu)"
+    for unit in singles:
+        assert isinstance(unit, layers.Layer), unit.name
+        assert gradcheck(unit).unit_name == unit.name
+    assert [unit.name for unit in singles] == [
+        "conv2d(3->4,k3,s2,p1)", "batchnorm(c=5)", "pwconv(6->3)", "pconv(c=6,cp=2,k=3)",
+        "fasternet(c=4,cp=2,e=2)", "nam_channel(c=6)", "nam_spatial(4x4)",
+    ]
+
+
 def test_gradcheck_leaves_the_checked_unit_untouched():
     changed = []
     for unit in standard_suite(seed=0):
@@ -162,8 +174,8 @@ def test_gradcheck_leaves_the_checked_unit_untouched():
 def test_standard_suite_seed_changes_parameters():
     a = standard_suite(seed=0)
     b = standard_suite(seed=1)
-    wa = a[0].layer.weight
-    wb = b[0].layer.weight
+    wa = a[0].weight
+    wb = b[0].weight
     assert not np.array_equal(wa, wb)
 
 

@@ -89,7 +89,8 @@ def test_batchnorm_layer_eval_uses_running_stats():
         running_var=np.array([4.0]),
         eps=1e-12,
     )
-    layer = layers.BatchNorm(1, params)
+    layer = layers.BatchNorm(1)
+    layer.bn = params
     x = np.full((1, 1, 1, 1), 5.0)
     out = layer.forward(x, training=False)
     assert abs(out[0, 0, 0, 0] - (2.0 * (5.0 - 3.0) / 2.0 + 1.0)) < 1e-9
@@ -97,7 +98,9 @@ def test_batchnorm_layer_eval_uses_running_stats():
 
 class TestGapHead:
     def test_pool_then_linear(self):
-        head = layers.GapHead(2, 3, weight=np.eye(3, 2), bias=np.array([0.0, 0.0, 1.0]))
+        head = layers.GapHead(2, 3)
+        head.weight[:] = np.eye(3, 2)
+        head.bias[:] = [0.0, 0.0, 1.0]
         x = np.zeros((1, 2, 2, 2))
         x[0, 0] = [[1.0, 2.0], [3.0, 4.0]]  # mean 2.5
         x[0, 1] = 6.0
