@@ -39,8 +39,8 @@ class NAMChannelParams:
     bn: BNParams
 
     @classmethod
-    def identity(cls, channels: int, eps: float = 1e-5) -> "NAMChannelParams":
-        return cls(bn=BNParams.identity(channels, eps))
+    def identity(cls, channels: int) -> "NAMChannelParams":
+        return cls(bn=BNParams.identity(channels))
 
 
 @dataclass
@@ -60,8 +60,8 @@ class NAMSpatialParams:
             )
 
     @classmethod
-    def identity(cls, h: int, w: int, eps: float = 1e-5) -> "NAMSpatialParams":
-        return cls(bn=BNParams.identity(h * w, eps), h=h, w=w)
+    def identity(cls, h: int, w: int) -> "NAMSpatialParams":
+        return cls(bn=BNParams.identity(h * w), h=h, w=w)
 
 
 def nam_weights(scales: np.ndarray) -> np.ndarray:

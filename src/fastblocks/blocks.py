@@ -4,8 +4,9 @@ Partial convolution (pconv) applies a k x k convolution to the first c_p of
 c channels and passes the remaining c - c_p through untouched, so its cost
 falls with the square of the partial ratio p = c_p / c relative to a full
 convolution over the same map. Pointwise convolution (pwconv) is per-pixel
-channel mixing. A FasterNet block chains pconv -> pwconv (expand) -> BN ->
-relu -> pwconv (project) around an identity skip:
+channel mixing, a 1x1 `conv2d`; pconv runs `conv2d` on a channel slice. A
+FasterNet block chains pconv -> pwconv (expand) -> BN -> relu -> pwconv
+(project) around an identity skip:
 
     out = x + pw2(relu(bn(pw1(pconv(x)))))
 
@@ -30,7 +31,6 @@ from .tensor_ops import (
     batchnorm_grad,
     conv2d,
     conv2d_grad,
-    record_macs,
     relu,
     relu_grad,
     residual_add,
@@ -86,9 +86,6 @@ def pconv(x: Tensor4, weights: np.ndarray, spec: PConvSpec) -> Tensor4:
     x = as_tensor4(x)
     if x.shape[1] != spec.c:
         raise ValidationError(f"input channel dim {x.shape[1]} does not match PConvSpec.c {spec.c}")
-    expect = (spec.c_p, spec.c_p, spec.k, spec.k)
-    if weights.shape != expect:
-        raise ValidationError(f"pconv weights shape {weights.shape} != expected {expect}")
     out = x.astype(np.result_type(x, weights))  # conv2d's dtype for this input
     out[:, : spec.c_p] = conv2d(x[:, : spec.c_p], weights, None, spec.conv_spec())
     return out
@@ -107,37 +104,26 @@ def pconv_grad(
     return grad_x, gw
 
 
+def _as_1x1(weights: np.ndarray) -> tuple[np.ndarray, ConvSpec]:
+    """Pointwise (c_out, c_in) weights as a 1x1 `conv2d` kernel and its spec."""
+    if weights.ndim != 2:
+        raise ValidationError(f"pwconv weights must be 2-D (c_out, c_in), got shape {weights.shape}")
+    return weights[:, :, None, None], ConvSpec(weights.shape[1], weights.shape[0], 1)
+
+
 def pwconv(x: Tensor4, weights: np.ndarray, bias: np.ndarray | None) -> Tensor4:
     """Per-pixel channel mixing: out[n,o,h,w] = sum_i w[o,i] * x[n,i,h,w] + b[o]."""
-    x = as_tensor4(x)
-    if weights.ndim != 2 or weights.shape[1] != x.shape[1]:
-        raise ValidationError(
-            f"pwconv weights shape {weights.shape} incompatible with input channels {x.shape[1]}"
-        )
-    if bias is not None and bias.shape != (weights.shape[0],):
-        raise ValidationError(f"pwconv bias shape {bias.shape} != ({weights.shape[0]},)")
-    n, _, h, w = x.shape
-    out = np.einsum("oi,nihw->nohw", weights, x, optimize=True)
-    record_macs(n * h * w * weights.size)
-    if bias is not None:
-        out = out + bias[None, :, None, None]
-    return out
+    kernel, spec = _as_1x1(weights)
+    return conv2d(x, kernel, bias, spec)
 
 
 def pwconv_grad(
     x: Tensor4, weights: np.ndarray, grad_out: Tensor4
 ) -> tuple[Tensor4, np.ndarray, np.ndarray]:
     """Gradients of sum(grad_out * pwconv(x, w, b)) w.r.t. x, w, b."""
-    x = as_tensor4(x)
-    n, _, h, w = x.shape
-    if grad_out.shape != (n, weights.shape[0], h, w):
-        raise ValidationError(
-            f"grad_out shape {grad_out.shape} != expected {(n, weights.shape[0], h, w)}"
-        )
-    grad_w = np.einsum("nohw,nihw->oi", grad_out, x, optimize=True)
-    grad_b = grad_out.sum(axis=(0, 2, 3))
-    grad_x = np.einsum("oi,nohw->nihw", weights, grad_out, optimize=True)
-    return grad_x, grad_w, grad_b
+    kernel, spec = _as_1x1(weights)
+    grad_x, grad_kernel, grad_b = conv2d_grad(x, kernel, spec, grad_out)
+    return grad_x, grad_kernel[:, :, 0, 0], grad_b
 
 
 @dataclass(frozen=True)

@@ -2,13 +2,14 @@
 
 Each layer is built from its shape alone (a spec, or channel and map sizes)
 and, if it has weights, a seed or Generator for `blocks.init_params`; its
-`name` starts as its `kind`. A training forward caches what an exact backward
-pass needs; an eval forward (training=False) is the inference path and keeps
-nothing, so backward needs a training forward first. Each layer exposes its
-learnable arrays through params()/param_grads() and knows how to apply a
-plain gradient-descent update. These objects are what the gradient checker
-and the model runner operate on; the math itself lives in tensor_ops /
-blocks / attention.
+`name` starts as its `kind`, and `build_model` renames it after its
+`analyze_graph` row (`000:conv`). A training forward caches what an exact
+backward pass needs; an eval forward (training=False) is the inference path
+and keeps nothing, so backward needs a training forward first. Each layer
+exposes its learnable arrays through params()/param_grads() and knows how to
+apply a plain gradient-descent update. These objects are what the gradient
+checker and the model runner operate on; the math itself lives in tensor_ops
+/ blocks / attention.
 """
 
 from __future__ import annotations

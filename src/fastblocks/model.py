@@ -92,8 +92,10 @@ class Model:
 def build_model(graph: GraphSpec, seed: int = 0) -> Model:
     """Instantiate a graph with deterministic seeded initialization."""
     rng = np.random.default_rng(seed)
-    steps = walk_graph(graph)  # re-validate even pre-parsed graphs
-    items = [KINDS[node.kind].build(spec, in_shape, rng) for node, spec, in_shape, _ in steps]
+    items = []
+    for idx, (node, spec, in_shape, _) in enumerate(walk_graph(graph)):  # re-validates pre-parsed graphs
+        items.append(KINDS[node.kind].build(spec, in_shape, rng))
+        items[-1].name = f"{idx:03d}:{node.kind}"  # as analyze_graph ids the rows
     return Model(graph, items)
 
 

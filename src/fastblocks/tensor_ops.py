@@ -8,7 +8,9 @@ statistics in its `BNParams`. Exact backward passes live next to each forward.
 Convolution is cross-correlation (no kernel flip) with zero padding and an
 integer stride, so a k=1 convolution with weight w scales the input by w.
 Output spatial dims must satisfy (h + 2p - k) / s + 1 exactly; anything else
-is a validation error rather than a silent floor.
+is a validation error rather than a silent floor. `conv2d`, the one
+convolution kernel (pconv and pwconv delegate to it), is one matmul over the
+im2col matrix of the input; `conv2d_grad` scatters its column gradient back.
 
 Multiply-accumulate counting: within a `count_macs()` block every forward op
 reports the work it actually performed, derived from the operand shapes at
@@ -72,13 +74,13 @@ def record_macs(n: int) -> None:
             counter.add(n)
 
 
-def as_tensor4(x, name: str = "input") -> Tensor4:
+def as_tensor4(x) -> Tensor4:
     """Validate that `x` is a rank-4 array with all dims >= 1."""
     arr = np.asarray(x)
     if arr.ndim != 4:
-        raise ValidationError(f"{name} must have rank 4 (n, c, h, w), got rank {arr.ndim}")
+        raise ValidationError(f"input must have rank 4 (n, c, h, w), got rank {arr.ndim}")
     if min(arr.shape) < 1:
-        raise ValidationError(f"{name} has an empty dimension: shape {arr.shape}")
+        raise ValidationError(f"input has an empty dimension: shape {arr.shape}")
     return arr
 
 
@@ -162,14 +164,13 @@ class BNParams:
         self.running_var += m * var
 
     @classmethod
-    def identity(cls, channels: int, eps: float = 1e-5) -> "BNParams":
-        """gamma=1, beta=0, running stats (0, 1): the standard initialization."""
+    def identity(cls, channels: int) -> "BNParams":
+        """gamma=1, beta=0, running stats (0, 1), eps 1e-5: the standard initialization."""
         return cls(
             gamma=np.ones(channels),
             beta=np.zeros(channels),
             running_mean=np.zeros(channels),
             running_var=np.ones(channels),
-            eps=eps,
         )
 
 
@@ -187,13 +188,13 @@ def _check_conv_args(x: Tensor4, kernel: np.ndarray, bias, spec: ConvSpec):
     return x
 
 
-def _windows(x: Tensor4, spec: ConvSpec, h_out: int, w_out: int) -> np.ndarray:
-    """Strided (n, c_in, h_out, w_out, k, k) view over the zero-padded input."""
-    p, s = spec.padding, spec.stride
+def _cols(x: Tensor4, spec: ConvSpec, h_out: int, w_out: int) -> np.ndarray:
+    """(n, c_in*k*k, h_out*w_out) im2col matrix; a view of x for a 1x1, stride-1, unpadded conv."""
+    p, s, k = spec.padding, spec.stride, spec.k
     if p:
         x = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
-    win = sliding_window_view(x, (spec.k, spec.k), axis=(2, 3))
-    return win[:, :, ::s, ::s]
+    win = sliding_window_view(x, (k, k), axis=(2, 3))[:, :, ::s, ::s]
+    return win.transpose(0, 1, 4, 5, 2, 3).reshape(x.shape[0], -1, h_out * w_out)
 
 
 def conv2d(x: Tensor4, kernel: np.ndarray, bias: np.ndarray | None, spec: ConvSpec) -> Tensor4:
@@ -205,36 +206,44 @@ def conv2d(x: Tensor4, kernel: np.ndarray, bias: np.ndarray | None, spec: ConvSp
     x = _check_conv_args(x, kernel, bias, spec)
     n, _, h, w = x.shape
     h_out, w_out = spec.out_hw(h, w)
-    win = _windows(x, spec, h_out, w_out)
-    out = np.einsum("oiab,nihwab->nohw", kernel, win, optimize=True)
+    out = (kernel.reshape(spec.c_out, -1) @ _cols(x, spec, h_out, w_out)).reshape(n, spec.c_out, h_out, w_out)
     record_macs(n * h_out * w_out * kernel.size)
-    if bias is not None:
-        out = out + bias[None, :, None, None]
+    if bias is not None:  # added in place: a second output-sized array would raise peak memory
+        out = out.astype(np.result_type(out, bias), copy=False)
+        out += bias[None, :, None, None]
     return out
 
 
 def conv2d_grad(
     x: Tensor4, kernel: np.ndarray, spec: ConvSpec, grad_out: Tensor4
 ) -> tuple[Tensor4, np.ndarray, np.ndarray]:
-    """Gradients of sum(grad_out * conv2d(x, ...)) w.r.t. input, kernel, bias."""
+    """Gradients of sum(grad_out * conv2d(x, ...)) w.r.t. input, kernel, bias.
+
+    All three have dtype `np.result_type(grad_out, kernel)`.
+    """
     x = _check_conv_args(x, kernel, None, spec)
-    n, _, h, w = x.shape
+    n, c_in, h, w = x.shape
     h_out, w_out = spec.out_hw(h, w)
     if grad_out.shape != (n, spec.c_out, h_out, w_out):
         raise ValidationError(
             f"grad_out shape {grad_out.shape} != expected {(n, spec.c_out, h_out, w_out)}"
         )
-    win = _windows(x, spec, h_out, w_out)
-    grad_kernel = np.einsum("nohw,nihwab->oiab", grad_out, win, optimize=True)
+    grad_out = grad_out.astype(np.result_type(grad_out, kernel), copy=False)
+    g = grad_out.reshape(n, spec.c_out, h_out * w_out)
+    # The im2col matrix dies before dcols, its same-sized gradient, is allocated.
+    grad_kernel = (g @ _cols(x, spec, h_out, w_out).transpose(0, 2, 1)).sum(axis=0).reshape(kernel.shape)
     grad_bias = grad_out.sum(axis=(0, 2, 3))
-
-    # Scatter the per-window gradients back onto the padded input plane.
+    dcols = kernel.reshape(spec.c_out, -1).T @ g
     p, s, k = spec.padding, spec.stride, spec.k
-    dwin = np.einsum("nohw,oiab->nihwab", grad_out, kernel, optimize=True)
-    dxp = np.zeros((n, spec.c_in, h + 2 * p, w + 2 * p), dtype=np.float64)
+    if k == 1 and s == 1 and p == 0:  # the columns are the input itself
+        return dcols.reshape(x.shape), grad_kernel, grad_bias
+
+    # col2im: scatter each kernel offset's column gradient onto the padded input.
+    dwin = dcols.reshape(n, c_in, k, k, h_out, w_out)
+    dxp = np.zeros((n, c_in, h + 2 * p, w + 2 * p), dtype=dcols.dtype)
     for a in range(k):
         for b in range(k):
-            dxp[:, :, a : a + s * h_out : s, b : b + s * w_out : s] += dwin[:, :, :, :, a, b]
+            dxp[:, :, a : a + s * h_out : s, b : b + s * w_out : s] += dwin[:, :, a, b]
     grad_x = dxp[:, :, p : p + h, p : p + w] if p else dxp
     return grad_x, grad_kernel, grad_bias
 

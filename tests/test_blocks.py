@@ -20,7 +20,7 @@ from fastblocks.blocks import (
 from fastblocks.config import parse_model_config
 from fastblocks.errors import ValidationError
 from fastblocks.model import build_model
-from fastblocks.tensor_ops import ConvSpec, conv2d
+from fastblocks.tensor_ops import ConvSpec, conv2d, conv2d_grad, count_macs
 
 from fdcheck import fd_grad, max_rel_err
 
@@ -165,6 +165,36 @@ class TestPWConv:
         assert max_rel_err(gx, fd_grad(loss, x)) < 1e-6
         assert max_rel_err(gw, fd_grad(loss, w)) < 1e-6
         assert max_rel_err(gb, fd_grad(loss, b)) < 1e-6
+
+    def test_is_a_1x1_conv2d_bit_for_bit(self):
+        rng = np.random.default_rng(8)
+        x = rng.standard_normal((2, 3, 4, 5))
+        w = rng.standard_normal((4, 3))
+        b = rng.standard_normal(4)
+        g = rng.standard_normal((2, 4, 4, 5))
+        kernel, spec = w[:, :, None, None], ConvSpec(3, 4, 1)
+        assert np.array_equal(pwconv(x, w, b), conv2d(x, kernel, b, spec))
+        gx, gw, gb = pwconv_grad(x, w, g)
+        cx, ck, cb = conv2d_grad(x, kernel, spec, g)
+        assert np.array_equal(gx, cx)
+        assert np.array_equal(gw, ck[:, :, 0, 0])
+        assert np.array_equal(gb, cb)
+
+    def test_integer_input_and_grad_out_match_their_float_casts(self):
+        x = np.arange(60).reshape(1, 3, 4, 5) % 4
+        g = np.arange(80).reshape(1, 4, 4, 5) % 3 - 1
+        xf, gf = x.astype(np.float64), g.astype(np.float64)
+        w, b = init_params(PWConvSpec(3, 4), 0)
+        assert np.array_equal(pwconv(x, w, b), pwconv(xf, w, b))
+        for got, want in zip(pwconv_grad(x, w, g), pwconv_grad(xf, w, gf)):
+            assert got.dtype == np.float64
+            assert np.array_equal(got, want)
+
+    def test_macs_counted_once(self):
+        x = np.ones((2, 3, 4, 5))
+        with count_macs() as counter:
+            pwconv(x, np.ones((6, 3)), np.zeros(6))
+        assert counter.macs == 2 * 4 * 5 * 3 * 6
 
 
 # ---------------------------------------------------------------- fasternet block

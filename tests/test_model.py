@@ -1,10 +1,12 @@
 """Tests for graph instantiation, end-to-end backprop, and the demo trainer."""
 
 import tracemalloc
+from importlib import resources
 
 import numpy as np
 import pytest
 
+from fastblocks.complexity import analyze_graph
 from fastblocks.config import parse_model_config, propagate_shapes
 from fastblocks.errors import TrainingDiverged, ValidationError
 from fastblocks.gradcheck import gradcheck
@@ -74,6 +76,15 @@ class TestBuildModel:
             "3.gap_head.bias",
         }
 
+    @pytest.mark.parametrize("config", ["yolov5s-like", "demo-fasternet-nam"])
+    def test_each_layer_is_named_after_its_analyze_graph_row(self, config):
+        text = resources.files("fastblocks").joinpath("configs", f"{config}.cfg").read_text()
+        graph = parse_model_config(text, name=config)
+        names = [layer.name for layer in build_model(graph, seed=0).layer_objects()]
+        rows = [row.layer_id for row in analyze_graph(graph).rows if row.layer_kind != "residual_add"]
+        assert names == rows
+        assert len(set(names)) == len(names)
+
 
 class TestRunningStatistics:
     def test_eval_forward_matches_train_forward_after_warm_up(self):
@@ -137,21 +148,21 @@ class TestEvalModeKeepsNoState:
     def test_backward_after_eval_forward_names_the_layer(self, model, x):
         model.forward(x, training=True)
         out = model.forward(x, training=False)
-        with pytest.raises(ValidationError, match="layer 'gap_head'.*training-mode forward"):
+        with pytest.raises(ValidationError, match="layer '010:gap_head'.*training-mode forward"):
             model.backward(np.ones_like(out))
         for layer in model.layer_objects():
             with pytest.raises(ValidationError, match=f"layer '{layer.name}'"):
                 layer.backward(np.ones_like(out))
 
     def test_backward_before_any_forward_names_the_layer(self, model):
-        with pytest.raises(ValidationError, match="layer 'gap_head'"):
+        with pytest.raises(ValidationError, match="layer '010:gap_head'"):
             model.backward(np.ones((64, 2, 1, 1)))
         for layer in model.layer_objects():
             with pytest.raises(ValidationError, match=f"layer '{layer.name}'"):
                 layer.backward(np.ones((64, 2, 1, 1)))
 
     def test_apply_gradients_before_any_backward_names_the_layer(self, model):
-        with pytest.raises(ValidationError, match="layer 'conv'.*backward"):
+        with pytest.raises(ValidationError, match="layer '000:conv'.*backward"):
             model.apply_gradients(0.1)
         for layer in model.layer_objects():
             if layer.params():

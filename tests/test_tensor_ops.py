@@ -155,6 +155,94 @@ class TestConv2dGrad:
             )
 
 
+def conv_by_definition(x, kernel, bias, stride, padding):
+    """out[n,o,i,j] = bias[o] + sum over c, a, b of kernel[o,c,a,b] * x[n, c, i*s+a-p, j*s+b-p].
+
+    Cross-correlation (no kernel flip), reading zeros outside x.
+    """
+    n, c_in, h, w = x.shape
+    c_out, _, k, _ = kernel.shape
+    h_out, w_out = (h + 2 * padding - k) // stride + 1, (w + 2 * padding - k) // stride + 1
+    out = np.zeros((n, c_out, h_out, w_out))
+    for m in range(n):
+        for o in range(c_out):
+            for i in range(h_out):
+                for j in range(w_out):
+                    acc = bias[o]
+                    for c in range(c_in):
+                        for a in range(k):
+                            for b in range(k):
+                                r, q = i * stride + a - padding, j * stride + b - padding
+                                if 0 <= r < h and 0 <= q < w:
+                                    acc += kernel[o, c, a, b] * x[m, c, r, q]
+                    out[m, o, i, j] = acc
+    return out
+
+
+ORACLE_CASES = [(k, s, p) for k in (1, 2, 3, 6) for s in (1, 2) for p in (0, 1)]
+LAYOUTS = ("contiguous", "channel_slice", "integer")
+
+
+def oracle_case(k, s, p, layout):
+    """(wide, x, kernel, bias, spec, grad_out): x is the first 3 channels of wide.
+
+    "channel_slice" passes that slice itself, a non-contiguous view, as pconv
+    does; the other layouts pass a contiguous copy, integer-valued for
+    "integer". The output is 4 x 3 for every (k, s, p).
+    """
+    rng = np.random.default_rng(100 * k + 10 * s + p)
+    h, w = 3 * s + k - 2 * p, 2 * s + k - 2 * p
+    wide = rng.standard_normal((2, 5, h, w))
+    if layout == "integer":
+        wide = np.round(3 * wide).astype(np.int64)
+    x = wide[:, :3] if layout == "channel_slice" else np.ascontiguousarray(wide[:, :3])
+    kernel = rng.standard_normal((2, 3, k, k))
+    bias = rng.standard_normal(2)
+    grad_out = rng.standard_normal((2, 2, 4, 3))
+    return wide, x, kernel, bias, ConvSpec(3, 2, k, s, p), grad_out
+
+
+class TestConv2dOracle:
+    """conv2d and conv2d_grad against the definition and finite differences."""
+
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    @pytest.mark.parametrize("k, s, p", ORACLE_CASES)
+    def test_forward_matches_the_definition(self, k, s, p, layout):
+        _, x, kernel, bias, spec, _ = oracle_case(k, s, p, layout)
+        out = conv2d(x, kernel, bias, spec)
+        assert out.dtype == np.float64
+        assert out.shape == (2, 2, 4, 3)
+        assert max_rel_err(out, conv_by_definition(x, kernel, bias, s, p)) < 1e-12
+
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    @pytest.mark.parametrize("k, s, p", ORACLE_CASES)
+    def test_gradients_match_finite_differences(self, k, s, p, layout):
+        wide, x, kernel, bias, spec, v = oracle_case(k, s, p, layout)
+        gx, gk, gb = conv2d_grad(x, kernel, spec, v)
+        wide = wide.astype(np.float64)  # finite differences need a float array to perturb
+
+        def loss():
+            return float(np.sum(v * conv2d(wide[:, :3], kernel, bias, spec)))
+
+        # The loss is linear in each argument, so a central difference has no
+        # truncation error at any step; a large step keeps rounding error small.
+        fd_x = fd_grad(loss, wide, step=1e-3)
+        assert max_rel_err(gx, fd_x[:, :3]) < 1e-6
+        assert not fd_x[:, 3:].any()
+        assert max_rel_err(gk, fd_grad(loss, kernel, step=1e-3)) < 1e-6
+        assert max_rel_err(gb, fd_grad(loss, bias, step=1e-3)) < 1e-6
+        if layout == "integer":
+            for got, want in zip((gx, gk, gb), conv2d_grad(wide[:, :3], kernel, spec, v)):
+                assert np.array_equal(got, want)
+
+    def test_integer_grad_out_matches_its_float_cast(self):
+        _, x, kernel, _, spec, _ = oracle_case(3, 2, 1, "contiguous")
+        g = np.arange(48).reshape(2, 2, 4, 3) % 5 - 2
+        for got, want in zip(conv2d_grad(x, kernel, spec, g), conv2d_grad(x, kernel, spec, g.astype(np.float64))):
+            assert got.dtype == np.float64
+            assert np.array_equal(got, want)
+
+
 # ---------------------------------------------------------------- batchnorm
 
 
