@@ -3,16 +3,9 @@ FasterNet block, with the shape rules and the pconv cost argument."""
 
 import numpy as np
 
-from fastblocks.blocks import (
-    FasterNetBlockSpec,
-    PConvSpec,
-    PWConvSpec,
-    fasternet_block,
-    init_params,
-    pconv,
-    pwconv,
-)
+from fastblocks.blocks import FasterNetBlockSpec, PConvSpec, PWConvSpec, init_params, pconv, pwconv
 from fastblocks.errors import ValidationError
+from fastblocks.layers import FasterNetBlock
 from fastblocks.tensor_ops import ConvSpec, conv2d
 
 
@@ -57,17 +50,15 @@ def main() -> None:
     print(f"pwconv: {x.shape} -> {z.shape}   (channel mixing only, h x w untouched)")
 
     # --- the FasterNet block: x + pwconv(relu(bn(pwconv(pconv(x)))))
-    bspec = FasterNetBlockSpec(c=8, c_p=2, k=3, e=2)
-    params = init_params(bspec, rng)
-    out = fasternet_block(x, params, bspec)
+    block = FasterNetBlock(FasterNetBlockSpec(c=8, c_p=2, k=3, e=2), rng=rng)
+    out = block.forward(x)
     print(f"block : {x.shape} -> {out.shape}   (residual keeps the shape)")
 
     # Zero the final projection and the block reduces to the identity,
     # which is why stacks of these train stably from the start.
-    params.pw2_w[:] = 0.0
-    params.pw2_b[:] = 0.0
-    print(f"block : zeroed last projection -> identity: "
-          f"{np.array_equal(fasternet_block(x, params, bspec), x)}")
+    block.block.pw2_w[:] = 0.0
+    block.block.pw2_b[:] = 0.0
+    print(f"block : zeroed last projection -> identity: {np.array_equal(block.forward(x), x)}")
 
 
 if __name__ == "__main__":

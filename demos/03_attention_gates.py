@@ -3,13 +3,8 @@ become channel weights, and what the gates do to a feature map."""
 
 import numpy as np
 
-from fastblocks.attention import (
-    NAMChannelParams,
-    NAMSpatialParams,
-    nam_channel,
-    nam_spatial,
-    nam_weights,
-)
+from fastblocks.attention import nam_weights
+from fastblocks.layers import NAMChannel, NAMSpatial
 from fastblocks.tensor_ops import BNParams
 
 
@@ -28,13 +23,14 @@ def main() -> None:
     # large BN scale gets a steep, selective gate; one with a near-zero
     # scale gets a gate pinned at sigmoid(0) = 0.5, a flat half-pass.
     x = rng.standard_normal((4, 4, 8, 8))
-    params = NAMChannelParams(bn=BNParams(
+    channel_gate = NAMChannel(4)
+    channel_gate.bn = BNParams(
         gamma=np.array([2.0, 1.0, 1.0, 0.05]),
         beta=np.zeros(4),
         running_mean=np.zeros(4),
         running_var=np.ones(4),
-    ))
-    out = nam_channel(x, params, training=True)
+    )
+    out = channel_gate.forward(x, training=True)
     gate = out / x
     print("\nchannel gate range per channel (gamma 2.0, 1.0, 1.0, 0.05):")
     for c in range(4):
@@ -43,13 +39,14 @@ def main() -> None:
 
     # Spatial gate: the same construction over the h*w positions of the map.
     x = rng.standard_normal((2, 3, 6, 6))
-    sparams = NAMSpatialParams(bn=BNParams(
+    spatial_gate = NAMSpatial(6, 6)
+    spatial_gate.bn = BNParams(
         gamma=rng.uniform(0.5, 1.5, 36),
         beta=np.zeros(36),
         running_mean=np.zeros(36),
         running_var=np.ones(36),
-    ), h=6, w=6)
-    out = nam_spatial(x, sparams, training=True)
+    )
+    out = spatial_gate.forward(x, training=True)
     print(f"\nspatial gate: {x.shape} -> {out.shape}, "
           f"bounded: {bool(np.all(np.abs(out) <= np.abs(x)))}")
 

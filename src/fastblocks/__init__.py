@@ -8,19 +8,12 @@ analyzer with a measured multiply-accumulate cross-check, detection metrics
 a demo training loop.
 """
 
-from .attention import (
-    NAMChannelParams,
-    NAMSpatialParams,
-    nam_channel,
-    nam_spatial,
-    nam_weights,
-)
+from .attention import nam_weights
 from .blocks import (
     FasterNetBlockParams,
     FasterNetBlockSpec,
     PConvSpec,
     PWConvSpec,
-    fasternet_block,
     init_params,
     pconv,
     pconv_grad,

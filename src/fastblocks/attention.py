@@ -6,7 +6,8 @@ connected or pooling machinery. The channel module normalizes over channels;
 the spatial module treats every pixel position as a unit by folding (h, w)
 into the channel axis and sharing statistics over batch x channel.
 
-Both modules own their BN parameters and gate the raw input:
+Each gate takes the `BNParams` its layer holds as `self.bn` (`layers.NAMChannel`,
+`layers.NAMSpatial`) and gates the raw input:
 
     out = x * sigmoid(w ⊙ BN(x))
 
@@ -15,8 +16,6 @@ vector, so the whole module is exactly differentiable.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,38 +29,6 @@ from .tensor_ops import (
     elementwise_mul,
     sigmoid,
 )
-
-
-@dataclass
-class NAMChannelParams:
-    """Batch-norm parameters over the channel axis."""
-
-    bn: BNParams
-
-    @classmethod
-    def identity(cls, channels: int) -> "NAMChannelParams":
-        return cls(bn=BNParams.identity(channels))
-
-
-@dataclass
-class NAMSpatialParams:
-    """Batch-norm parameters over the h*w position axis of an (h, w) map."""
-
-    bn: BNParams
-    h: int
-    w: int
-
-    def __post_init__(self):
-        if self.h < 1 or self.w < 1:
-            raise ValidationError("NAMSpatialParams h and w must be >= 1")
-        if self.bn.channels != self.h * self.w:
-            raise ValidationError(
-                f"NAMSpatialParams bn length {self.bn.channels} != h*w = {self.h * self.w}"
-            )
-
-    @classmethod
-    def identity(cls, h: int, w: int) -> "NAMSpatialParams":
-        return cls(bn=BNParams.identity(h * w), h=h, w=w)
 
 
 def nam_weights(scales: np.ndarray) -> np.ndarray:
@@ -104,51 +71,35 @@ def _nam_backward(cache, bn: BNParams, grad_out: Tensor4):
     return grad_x, dgamma + dgamma_w, dbeta
 
 
-def nam_channel(x: Tensor4, params: NAMChannelParams, training: bool = True) -> Tensor4:
-    """Channel attention: per-channel gates from BN scale factors.
-
-    out[n,c,h,w] = x[n,c,h,w] * sigmoid(w_c * BN(x)[n,c,h,w]).
-    """
-    return nam_channel_forward(x, params, training)[0]
-
-
-def nam_spatial(x: Tensor4, params: NAMSpatialParams, training: bool = True) -> Tensor4:
-    """Spatial attention: per-position gates, statistics over batch x channel."""
-    return nam_spatial_forward(x, params, training)[0]
-
-
-def nam_channel_forward(x: Tensor4, params: NAMChannelParams, training: bool = True):
-    """nam_channel returning the backward cache; None when not training."""
+def nam_channel_forward(x: Tensor4, bn: BNParams, training: bool = True):
+    """Channel gate out = x * sigmoid(w_c * BN(x)) and its backward cache; None when not training."""
     x = as_tensor4(x)
-    if x.shape[1] != params.bn.channels:
-        raise ValidationError(
-            f"input channel dim {x.shape[1]} does not match NAM channels {params.bn.channels}"
-        )
-    return _nam_forward(x, params.bn, training)
+    if x.shape[1] != bn.channels:
+        raise ValidationError(f"input channel dim {x.shape[1]} does not match NAM channels {bn.channels}")
+    return _nam_forward(x, bn, training)
 
 
-def nam_channel_grad(cache, params: NAMChannelParams, grad_out: Tensor4):
+def nam_channel_grad(cache, bn: BNParams, grad_out: Tensor4):
     if cache is None:
         raise ValidationError("nam_channel_grad needs the cache of a training-mode forward")
-    return _nam_backward(cache, params.bn, grad_out)
+    return _nam_backward(cache, bn, grad_out)
 
 
-def nam_spatial_forward(x: Tensor4, params: NAMSpatialParams, training: bool = True):
+def nam_spatial_forward(x: Tensor4, bn: BNParams, training: bool = True):
+    """Spatial gate: each of the h*w positions is a BN unit, statistics over batch x channel."""
     x = as_tensor4(x)
     n, c, h, w = x.shape
-    if (h, w) != (params.h, params.w):
-        raise ValidationError(
-            f"input spatial dims {(h, w)} do not match NAMSpatialParams {(params.h, params.w)}"
-        )
+    if h * w != bn.channels:
+        raise ValidationError(f"input map {h}x{w} has {h * w} positions, NAM spatial BN has {bn.channels}")
     xt = x.reshape(n * c, h * w, 1, 1)
-    out, cache = _nam_forward(xt, params.bn, training)
+    out, cache = _nam_forward(xt, bn, training)
     return out.reshape(n, c, h, w), (cache, (n, c, h, w)) if training else None
 
 
-def nam_spatial_grad(cache, params: NAMSpatialParams, grad_out: Tensor4):
+def nam_spatial_grad(cache, bn: BNParams, grad_out: Tensor4):
     if cache is None:
         raise ValidationError("nam_spatial_grad needs the cache of a training-mode forward")
     inner, (n, c, h, w) = cache
     gt = grad_out.reshape(n * c, h * w, 1, 1)
-    gx, dgamma, dbeta = _nam_backward(inner, params.bn, gt)
+    gx, dgamma, dbeta = _nam_backward(inner, bn, gt)
     return gx.reshape(n, c, h, w), dgamma, dbeta

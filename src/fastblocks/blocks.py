@@ -5,8 +5,8 @@ c channels and passes the remaining c - c_p through untouched, so its cost
 falls with the square of the partial ratio p = c_p / c relative to a full
 convolution over the same map. Pointwise convolution (pwconv) is per-pixel
 channel mixing, a 1x1 `conv2d`; pconv runs `conv2d` on a channel slice. A
-FasterNet block chains pconv -> pwconv (expand) -> BN -> relu -> pwconv
-(project) around an identity skip:
+FasterNet block (run by `layers.FasterNetBlock`) chains pconv -> pwconv
+(expand) -> BN -> relu -> pwconv (project) around an identity skip:
 
     out = x + pw2(relu(bn(pw1(pconv(x)))))
 
@@ -164,18 +164,10 @@ class FasterNetBlockParams:
     pw2_b: np.ndarray
 
 
-def fasternet_block(
-    x: Tensor4, params: FasterNetBlockParams, spec: FasterNetBlockSpec, training: bool = True
-) -> Tensor4:
-    """out = x + pw2(relu(bn(pw1(pconv(x))))). Shape-preserving by construction."""
-    out, _ = fasternet_block_forward(x, params, spec, training)
-    return out
-
-
 def fasternet_block_forward(
     x: Tensor4, params: FasterNetBlockParams, spec: FasterNetBlockSpec, training: bool = True
 ):
-    """Forward returning the cache needed by fasternet_block_grad; None when not training."""
+    """out = x + pw2(relu(bn(pw1(pconv(x))))) and the cache fasternet_block_grad needs; None when not training."""
     t0 = pconv(x, params.pconv_w, spec.pconv_spec())
     t1 = pwconv(t0, params.pw1_w, params.pw1_b)
     t2, mean, var = batchnorm(t1, params.bn1, training)
@@ -220,8 +212,9 @@ def _uniform_fan_in(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndar
 def init_params(spec, seed_or_rng=0):
     """Deterministically initialize parameters for a layer spec.
 
-    ConvSpec -> (kernel, bias); PWConvSpec -> (weights, bias);
-    PConvSpec -> weights; FasterNetBlockSpec -> FasterNetBlockParams.
+    The one initializer: each weighted layer's constructor draws its
+    parameters here. ConvSpec -> (kernel, bias); PWConvSpec -> (weights,
+    bias); PConvSpec -> weights; FasterNetBlockSpec -> FasterNetBlockParams.
     Weights ~ U[-sqrt(6/fan_in), +sqrt(6/fan_in)] with fan_in = c_in * k^2;
     biases zero; BN gamma=1, beta=0, running stats (0, 1).
     Accepts an integer seed or an existing numpy Generator, which

@@ -88,12 +88,12 @@ def analyze_graph(graph: GraphSpec, input_shape: tuple[int, int, int] | None = N
     `residual_add` row, so rows cover exactly the cost-bearing operations.
     """
     rows = []
-    for idx, (node, spec, in_shape, out_shape) in enumerate(walk_graph(graph, input_shape)):
+    for layer_id, node, spec, in_shape, out_shape in walk_graph(graph, input_shape):
         kind = KINDS[node.kind]
         if kind.row is None:
             continue
         params, flops = kind.cost(spec, in_shape, out_shape)
-        rows.append(LayerCost(f"{idx:03d}:{node.kind}", kind.row, params, flops, out_shape))
+        rows.append(LayerCost(layer_id, kind.row, params, flops, out_shape))
     return ComplexityReport.from_rows(rows)
 
 

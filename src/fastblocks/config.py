@@ -133,19 +133,20 @@ def _node_error(node: LayerNode, message: str) -> ValidationError:
 
 def walk_graph(
     graph: GraphSpec, input_shape: Shape | None = None
-) -> list[tuple[LayerNode, Any, Shape, Shape]]:
-    """Check the whole graph against `KINDS`; one (node, spec, in, out) per layer.
+) -> list[tuple[str, LayerNode, Any, Shape, Shape]]:
+    """Check the whole graph against `KINDS`; one (id, node, spec, in, out) per layer.
 
-    Every check runs before anything is returned, so callers that build or
-    cost the graph see only valid layers. Residual markers pass their shape
-    through.
+    The id (`000:conv`) names the `analyze_graph` row and the `build_model`
+    layer. Every check runs before anything is returned, so callers that
+    build or cost the graph see only valid layers. Residual markers pass
+    their shape through.
     """
     shape = tuple(input_shape if input_shape is not None else graph.input_shape)
     if len(shape) != 3 or not all(_is_int(v) and v >= 1 for v in shape):
         raise ValidationError(f"input shape must be (c, h, w) of positive ints, got {shape}")
     steps = []
     stack: list[tuple[Shape, LayerNode]] = []
-    for node in graph.layers:
+    for idx, node in enumerate(graph.layers):
         a = node.attrs
         kind = KINDS.get(node.kind)
         if kind is None:
@@ -177,7 +178,7 @@ def walk_graph(
                 raise _node_error(
                     node, f"branch output shape {shape} != skip shape {saved} at the join"
                 )
-        steps.append((node, spec, shape, out))
+        steps.append((f"{idx:03d}:{node.kind}", node, spec, shape, out))
         shape = out
     if stack:
         raise _node_error(stack[-1][1], "residual_begin without matching residual_end")
@@ -189,4 +190,4 @@ def propagate_shapes(graph: GraphSpec, input_shape: Shape | None = None) -> list
 
     Residual markers appear in the result with their pass-through shape.
     """
-    return [out for _, _, _, out in walk_graph(graph, input_shape)]
+    return [out for *_, out in walk_graph(graph, input_shape)]

@@ -147,8 +147,8 @@ def standard_suite(seed: int = 0) -> list:
     pc = layers.PConv(blocks.PConvSpec(6, 2, 3), rng=rng)
     block = layers.FasterNetBlock(blocks.FasterNetBlockSpec(4, 2, 3, 2), rng=rng)
     nam_c, nam_s = layers.NAMChannel(6), layers.NAMSpatial(4, 4)
-    randomize(nam_c.nam.bn)
-    randomize(nam_s.nam.bn)
+    randomize(nam_c.bn)
+    randomize(nam_s.bn)
     units = []
     for layer, name, input_shape in [
         (conv, "conv2d(3->4,k3,s2,p1)", (2, 3, 7, 7)),

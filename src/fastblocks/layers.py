@@ -8,8 +8,10 @@ backward pass needs; an eval forward (training=False) is the inference path
 and keeps nothing, so backward needs a training forward first. Each layer
 exposes its learnable arrays through params()/param_grads() and knows how to
 apply a plain gradient-descent update. These objects are what the gradient
-checker and the model runner operate on; the math itself lives in tensor_ops
-/ blocks / attention.
+checker and the model runner operate on, and the only way to run a FasterNet
+block or a NAM gate; the math itself lives in tensor_ops / blocks /
+attention. `BatchNorm`, `NAMChannel` and `NAMSpatial` hold their `BNParams`
+as `self.bn` (a FasterNet block's is `block.bn1`).
 """
 
 from __future__ import annotations
@@ -201,19 +203,19 @@ class NAMChannel(Layer):
 
     def __init__(self, channels: int):
         super().__init__()
-        self.nam = attention.NAMChannelParams.identity(channels)
+        self.bn = BNParams.identity(channels)
 
     def forward(self, x, training=True):
-        out, self._cache = attention.nam_channel_forward(x, self.nam, training)
+        out, self._cache = attention.nam_channel_forward(x, self.bn, training)
         return out
 
     def backward(self, grad_out):
-        gx, ggamma, gbeta = attention.nam_channel_grad(self._cached(), self.nam, grad_out)
+        gx, ggamma, gbeta = attention.nam_channel_grad(self._cached(), self.bn, grad_out)
         self._grads = {"gamma": ggamma, "beta": gbeta}
         return gx
 
     def params(self):
-        return {"gamma": self.nam.bn.gamma, "beta": self.nam.bn.beta}
+        return {"gamma": self.bn.gamma, "beta": self.bn.beta}
 
 
 class NAMSpatial(Layer):
@@ -221,19 +223,25 @@ class NAMSpatial(Layer):
 
     def __init__(self, h: int, w: int):
         super().__init__()
-        self.nam = attention.NAMSpatialParams.identity(h, w)
+        if h < 1 or w < 1:
+            raise ValidationError(f"nam_spatial h and w must be >= 1, got {(h, w)}")
+        self.h, self.w = h, w
+        self.bn = BNParams.identity(h * w)
 
     def forward(self, x, training=True):
-        out, self._cache = attention.nam_spatial_forward(x, self.nam, training)
+        x = as_tensor4(x)
+        if x.shape[2:] != (self.h, self.w):
+            raise ValidationError(f"input spatial dims {x.shape[2:]} do not match nam_spatial {(self.h, self.w)}")
+        out, self._cache = attention.nam_spatial_forward(x, self.bn, training)
         return out
 
     def backward(self, grad_out):
-        gx, ggamma, gbeta = attention.nam_spatial_grad(self._cached(), self.nam, grad_out)
+        gx, ggamma, gbeta = attention.nam_spatial_grad(self._cached(), self.bn, grad_out)
         self._grads = {"gamma": ggamma, "beta": gbeta}
         return gx
 
     def params(self):
-        return {"gamma": self.nam.bn.gamma, "beta": self.nam.bn.beta}
+        return {"gamma": self.bn.gamma, "beta": self.bn.beta}
 
 
 class GapHead(Layer):

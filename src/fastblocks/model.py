@@ -93,9 +93,9 @@ def build_model(graph: GraphSpec, seed: int = 0) -> Model:
     """Instantiate a graph with deterministic seeded initialization."""
     rng = np.random.default_rng(seed)
     items = []
-    for idx, (node, spec, in_shape, _) in enumerate(walk_graph(graph)):  # re-validates pre-parsed graphs
+    for layer_id, node, spec, in_shape, _ in walk_graph(graph):  # re-validates pre-parsed graphs
         items.append(KINDS[node.kind].build(spec, in_shape, rng))
-        items[-1].name = f"{idx:03d}:{node.kind}"  # as analyze_graph ids the rows
+        items[-1].name = layer_id  # as analyze_graph ids the rows
     return Model(graph, items)
 
 

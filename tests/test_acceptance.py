@@ -16,18 +16,13 @@ from pathlib import Path
 
 import numpy as np
 
-from fastblocks.attention import (
-    NAMChannelParams,
-    NAMSpatialParams,
-    nam_channel,
-    nam_spatial,
-    nam_weights,
-)
+from fastblocks.attention import nam_weights
 from fastblocks.blocks import PConvSpec, pconv
 from fastblocks.cli import cli_dispatch
 from fastblocks.complexity import analyze_graph
 from fastblocks.config import parse_model_config
 from fastblocks.gradcheck import gradcheck, standard_suite
+from fastblocks.layers import NAMChannel, NAMSpatial
 from fastblocks.metrics import (
     BBox,
     Detection,
@@ -235,10 +230,9 @@ def test_criterion_6_nam_weight_and_gate_properties():
             w = int(rng.integers(1, 7))
             x = rng.standard_normal((n, c, h, w)) * float(rng.uniform(0.5, 3.0))
             training = i % 4 < 2
-            if i % 2 == 0:
-                out = nam_channel(x, NAMChannelParams(bn=_random_bn(rng, c)), training)
-            else:
-                out = nam_spatial(x, NAMSpatialParams(bn=_random_bn(rng, h * w), h=h, w=w), training)
+            gate = NAMChannel(c) if i % 2 == 0 else NAMSpatial(h, w)
+            gate.bn = _random_bn(rng, gate.bn.channels)
+            out = gate.forward(x, training)
             assert out.shape == x.shape
             assert np.all(np.abs(out) <= np.abs(x))
 

@@ -1,20 +1,18 @@
-"""Tests for the normalization-derived channel and spatial attention gates."""
+"""Tests for the normalization-derived channel and spatial attention gates,
+run through their layers, `NAMChannel` and `NAMSpatial`."""
 
 import numpy as np
 import pytest
 
 from fastblocks.attention import (
-    NAMChannelParams,
-    NAMSpatialParams,
-    nam_channel,
     nam_channel_forward,
     nam_channel_grad,
-    nam_spatial,
     nam_spatial_forward,
     nam_spatial_grad,
     nam_weights,
 )
 from fastblocks.errors import DegenerateInputError, ValidationError
+from fastblocks.layers import NAMChannel, NAMSpatial
 from fastblocks.tensor_ops import BNParams
 
 from fdcheck import fd_grad, max_rel_err
@@ -28,6 +26,18 @@ def random_bn(rng, units):
         running_mean=np.zeros(units),
         running_var=np.ones(units),
     )
+
+
+def channel_gate(bn):
+    gate = NAMChannel(bn.channels)
+    gate.bn = bn
+    return gate
+
+
+def spatial_gate(bn, h, w):
+    gate = NAMSpatial(h, w)
+    gate.bn = bn
+    return gate
 
 
 # ---------------------------------------------------------------- nam_weights
@@ -81,7 +91,7 @@ class TestNamChannel:
     def test_shape_preserved(self):
         rng = np.random.default_rng(2)
         x = rng.standard_normal((2, 8, 5, 5))
-        out = nam_channel(x, NAMChannelParams(random_bn(rng, 8)))
+        out = channel_gate(random_bn(rng, 8)).forward(x)
         assert out.shape == x.shape
 
     def test_gate_bounded_by_input(self):
@@ -89,13 +99,13 @@ class TestNamChannel:
         for _ in range(20):
             c = int(rng.integers(1, 8))
             x = rng.standard_normal((2, c, 4, 4)) * 3.0
-            out = nam_channel(x, NAMChannelParams(random_bn(rng, c)))
+            out = channel_gate(random_bn(rng, c)).forward(x)
             assert np.all(np.abs(out) <= np.abs(x) + 1e-12)
 
     def test_single_channel_hand_case(self):
         # c=1 forces weight 1; eval stats (0, 1) make BN near-identity, so
         # out = x * sigmoid(x): zero input stays exactly zero.
-        params = NAMChannelParams(
+        gate = channel_gate(
             BNParams(
                 gamma=np.array([1.0]),
                 beta=np.array([0.0]),
@@ -105,19 +115,19 @@ class TestNamChannel:
             )
         )
         x = np.zeros((1, 1, 1, 1))
-        assert nam_channel(x, params, training=False)[0, 0, 0, 0] == 0.0
+        assert gate.forward(x, training=False)[0, 0, 0, 0] == 0.0
         x2 = np.full((1, 1, 1, 1), 2.0)
         expect = 2.0 / (1.0 + np.exp(-2.0))
-        assert abs(nam_channel(x2, params, training=False)[0, 0, 0, 0] - expect) < 1e-9
+        assert abs(gate.forward(x2, training=False)[0, 0, 0, 0] - expect) < 1e-9
 
     def test_channel_mismatch_rejected(self):
         with pytest.raises(ValidationError):
-            nam_channel(np.zeros((1, 3, 2, 2)), NAMChannelParams.identity(4))
+            NAMChannel(4).forward(np.zeros((1, 3, 2, 2)))
 
     def test_equal_gamma_commutes_with_channel_permutation(self):
         rng = np.random.default_rng(4)
         c = 5
-        params = NAMChannelParams(
+        gate = channel_gate(
             BNParams(
                 gamma=np.full(c, 0.7),
                 beta=np.full(c, 0.1),
@@ -127,33 +137,34 @@ class TestNamChannel:
         )
         x = rng.standard_normal((2, c, 3, 3))
         perm = rng.permutation(c)
-        direct = nam_channel(x[:, perm], params)
-        permuted = nam_channel(x, params)[:, perm]
+        direct = gate.forward(x[:, perm])
+        permuted = gate.forward(x)[:, perm]
         assert np.allclose(direct, permuted, atol=1e-12)
 
     def test_grad_matches_finite_differences(self):
         rng = np.random.default_rng(5)
-        params = NAMChannelParams(random_bn(rng, 4))
+        gate = channel_gate(random_bn(rng, 4))
         x = rng.standard_normal((2, 4, 3, 3))
         x += 0.1 * np.sign(x)
         v = rng.standard_normal(x.shape)
 
-        out, cache = nam_channel_forward(x, params, training=True)
-        gx, ggamma, gbeta = nam_channel_grad(cache, params, v)
+        gate.forward(x, training=True)
+        gx = gate.backward(v)
+        grads = gate.param_grads()
 
         def loss():
-            return float(np.sum(v * nam_channel(x, params, training=True)))
+            return float(np.sum(v * gate.forward(x, training=True)))
 
         assert max_rel_err(gx, fd_grad(loss, x)) < 1e-4
-        assert max_rel_err(ggamma, fd_grad(loss, params.bn.gamma)) < 1e-4
-        assert max_rel_err(gbeta, fd_grad(loss, params.bn.beta)) < 1e-4
+        assert max_rel_err(grads["gamma"], fd_grad(loss, gate.bn.gamma)) < 1e-4
+        assert max_rel_err(grads["beta"], fd_grad(loss, gate.bn.beta)) < 1e-4
 
     def test_grad_rejects_an_eval_mode_cache(self):
-        params = NAMChannelParams(random_bn(np.random.default_rng(10), 4))
-        out, cache = nam_channel_forward(np.ones((2, 4, 3, 3)), params, training=False)
+        bn = random_bn(np.random.default_rng(10), 4)
+        out, cache = nam_channel_forward(np.ones((2, 4, 3, 3)), bn, training=False)
         assert cache is None
         with pytest.raises(ValidationError, match="training-mode forward"):
-            nam_channel_grad(cache, params, np.ones_like(out))
+            nam_channel_grad(cache, bn, np.ones_like(out))
 
 
 # ---------------------------------------------------------------- spatial gate
@@ -163,7 +174,7 @@ class TestNamSpatial:
     def test_shape_preserved(self):
         rng = np.random.default_rng(6)
         x = rng.standard_normal((2, 3, 4, 5))
-        out = nam_spatial(x, NAMSpatialParams(random_bn(rng, 20), 4, 5))
+        out = spatial_gate(random_bn(rng, 20), 4, 5).forward(x)
         assert out.shape == x.shape
 
     def test_gate_bounded_by_input(self):
@@ -171,16 +182,31 @@ class TestNamSpatial:
         for _ in range(20):
             h, w = int(rng.integers(1, 5)), int(rng.integers(1, 5))
             x = rng.standard_normal((2, 3, h, w)) * 3.0
-            out = nam_spatial(x, NAMSpatialParams(random_bn(rng, h * w), h, w))
+            out = spatial_gate(random_bn(rng, h * w), h, w).forward(x)
             assert np.all(np.abs(out) <= np.abs(x) + 1e-12)
 
     def test_spatial_size_mismatch_rejected(self):
         with pytest.raises(ValidationError):
-            nam_spatial(np.zeros((1, 2, 3, 3)), NAMSpatialParams.identity(2, 2))
+            NAMSpatial(2, 2).forward(np.zeros((1, 2, 3, 3)))
 
     def test_params_length_must_match_map(self):
-        with pytest.raises(ValidationError):
-            NAMSpatialParams(BNParams.identity(5), 2, 3)
+        # a 2x3 gate whose BN has 5 units cannot gate its own map
+        with pytest.raises(ValidationError, match="6 positions"):
+            spatial_gate(BNParams.identity(5), 2, 3).forward(np.zeros((1, 1, 2, 3)))
+
+    def test_layer_rejects_a_map_of_the_same_size_but_another_shape(self):
+        # 2x8 has the 16 positions of a 4x4 gate; only the layer knows (h, w)
+        with pytest.raises(ValidationError, match="spatial dims"):
+            NAMSpatial(4, 4).forward(np.zeros((1, 1, 2, 8)))
+
+    def test_forward_rejects_a_map_whose_size_is_not_the_bn_length(self):
+        with pytest.raises(ValidationError, match="15 positions"):
+            nam_spatial_forward(np.zeros((1, 1, 3, 5)), BNParams.identity(16))
+
+    def test_non_positive_map_rejected_at_construction(self):
+        for h, w in [(0, 3), (2, -1)]:
+            with pytest.raises(ValidationError):
+                NAMSpatial(h, w)
 
     def test_single_position_reduces_to_channel_formula(self):
         # an (n, c, 1, 1) map has one spatial unit; folding it into the batch
@@ -188,37 +214,34 @@ class TestNamSpatial:
         rng = np.random.default_rng(8)
         bn = random_bn(rng, 1)
         x = rng.standard_normal((3, 4, 1, 1))
-        sp = nam_spatial(
-            x,
-            NAMSpatialParams(
-                BNParams(bn.gamma.copy(), bn.beta.copy(), bn.running_mean.copy(),
-                         bn.running_var.copy()),
-                1, 1,
-            ),
-        )
-        ch = nam_channel(x.reshape(12, 1, 1, 1), NAMChannelParams(bn))
+        sp = spatial_gate(
+            BNParams(bn.gamma.copy(), bn.beta.copy(), bn.running_mean.copy(), bn.running_var.copy()),
+            1, 1,
+        ).forward(x)
+        ch = channel_gate(bn).forward(x.reshape(12, 1, 1, 1))
         assert np.allclose(sp, ch.reshape(3, 4, 1, 1), atol=1e-12)
 
     def test_grad_matches_finite_differences(self):
         rng = np.random.default_rng(9)
-        params = NAMSpatialParams(random_bn(rng, 6), 2, 3)
+        gate = spatial_gate(random_bn(rng, 6), 2, 3)
         x = rng.standard_normal((2, 2, 2, 3))
         x += 0.1 * np.sign(x)
         v = rng.standard_normal(x.shape)
 
-        out, cache = nam_spatial_forward(x, params, training=True)
-        gx, ggamma, gbeta = nam_spatial_grad(cache, params, v)
+        gate.forward(x, training=True)
+        gx = gate.backward(v)
+        grads = gate.param_grads()
 
         def loss():
-            return float(np.sum(v * nam_spatial(x, params, training=True)))
+            return float(np.sum(v * gate.forward(x, training=True)))
 
         assert max_rel_err(gx, fd_grad(loss, x)) < 1e-4
-        assert max_rel_err(ggamma, fd_grad(loss, params.bn.gamma)) < 1e-4
-        assert max_rel_err(gbeta, fd_grad(loss, params.bn.beta)) < 1e-4
+        assert max_rel_err(grads["gamma"], fd_grad(loss, gate.bn.gamma)) < 1e-4
+        assert max_rel_err(grads["beta"], fd_grad(loss, gate.bn.beta)) < 1e-4
 
     def test_grad_rejects_an_eval_mode_cache(self):
-        params = NAMSpatialParams(random_bn(np.random.default_rng(11), 6), 2, 3)
-        out, cache = nam_spatial_forward(np.ones((2, 2, 2, 3)), params, training=False)
+        bn = random_bn(np.random.default_rng(11), 6)
+        out, cache = nam_spatial_forward(np.ones((2, 2, 2, 3)), bn, training=False)
         assert cache is None
         with pytest.raises(ValidationError, match="training-mode forward"):
-            nam_spatial_grad(cache, params, np.ones_like(out))
+            nam_spatial_grad(cache, bn, np.ones_like(out))

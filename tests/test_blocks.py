@@ -8,7 +8,6 @@ from fastblocks.blocks import (
     FasterNetBlockSpec,
     PConvSpec,
     PWConvSpec,
-    fasternet_block,
     fasternet_block_forward,
     fasternet_block_grad,
     init_params,
@@ -19,6 +18,7 @@ from fastblocks.blocks import (
 )
 from fastblocks.config import parse_model_config
 from fastblocks.errors import ValidationError
+from fastblocks.layers import FasterNetBlock
 from fastblocks.model import build_model
 from fastblocks.tensor_ops import ConvSpec, conv2d, conv2d_grad, count_macs
 
@@ -202,19 +202,17 @@ class TestPWConv:
 
 class TestFasterNetBlock:
     def test_shape_preserved(self):
-        spec = FasterNetBlockSpec(c=8, c_p=2)
-        params = init_params(spec, 0)
+        block = FasterNetBlock(FasterNetBlockSpec(c=8, c_p=2), rng=0)
         x = np.random.default_rng(8).standard_normal((1, 8, 16, 16))
-        out = fasternet_block(x, params, spec)
+        out = block.forward(x)
         assert out.shape == (1, 8, 16, 16)
 
     def test_zero_projection_reduces_to_identity(self):
-        spec = FasterNetBlockSpec(c=4, c_p=2)
-        params = init_params(spec, 0)
-        params.pw2_w[:] = 0.0
-        params.pw2_b[:] = 0.0
+        block = FasterNetBlock(FasterNetBlockSpec(c=4, c_p=2), rng=0)
+        block.block.pw2_w[:] = 0.0
+        block.block.pw2_b[:] = 0.0
         x = np.random.default_rng(9).standard_normal((2, 4, 5, 5))
-        assert np.array_equal(fasternet_block(x, params, spec), x)
+        assert np.array_equal(block.forward(x), x)
 
     def test_hidden_width_is_expansion_times_channels(self):
         spec = FasterNetBlockSpec(c=6, c_p=2, e=3)
@@ -226,17 +224,18 @@ class TestFasterNetBlock:
 
     def test_grad_keys_and_finite_differences(self):
         rng = np.random.default_rng(10)
-        spec = FasterNetBlockSpec(c=4, c_p=2, k=3, e=2)
-        params = init_params(spec, 1)
+        block = FasterNetBlock(FasterNetBlockSpec(c=4, c_p=2, k=3, e=2), rng=1)
+        params = block.block
         x = rng.standard_normal((2, 4, 4, 4)) + 0.3
         v = rng.standard_normal(x.shape)
 
-        out, cache = fasternet_block_forward(x, params, spec, training=True)
-        gx, grads = fasternet_block_grad(cache, params, spec, v)
+        block.forward(x, training=True)
+        gx = block.backward(v)
+        grads = block.param_grads()
         assert set(grads) == {"pconv_w", "pw1_w", "pw1_b", "bn1_gamma", "bn1_beta", "pw2_w", "pw2_b"}
 
         def loss():
-            return float(np.sum(v * fasternet_block(x, params, spec, training=True)))
+            return float(np.sum(v * block.forward(x, training=True)))
 
         assert max_rel_err(gx, fd_grad(loss, x)) < 1e-4
         assert max_rel_err(grads["pconv_w"], fd_grad(loss, params.pconv_w)) < 1e-4
@@ -245,11 +244,10 @@ class TestFasterNetBlock:
         assert max_rel_err(grads["pw2_w"], fd_grad(loss, params.pw2_w)) < 1e-4
 
     def test_eval_mode_uses_running_stats(self):
-        spec = FasterNetBlockSpec(c=4, c_p=2)
-        params = init_params(spec, 0)
+        block = FasterNetBlock(FasterNetBlockSpec(c=4, c_p=2), rng=0)
         x = np.random.default_rng(11).standard_normal((2, 4, 3, 3))
-        train_out = fasternet_block(x, params, spec, training=True)
-        eval_out = fasternet_block(x, params, spec, training=False)
+        train_out = block.forward(x, training=True)
+        eval_out = block.forward(x, training=False)
         # fresh running stats (0, 1) differ from the batch statistics
         assert not np.allclose(train_out, eval_out)
 

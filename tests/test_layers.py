@@ -5,8 +5,7 @@ import numpy as np
 import pytest
 
 from fastblocks import layers
-from fastblocks.attention import NAMChannelParams, NAMSpatialParams, nam_channel, nam_spatial
-from fastblocks.blocks import FasterNetBlockSpec, PWConvSpec, fasternet_block, init_params, pconv, pwconv
+from fastblocks.blocks import FasterNetBlockSpec, PWConvSpec, pconv, pwconv
 from fastblocks.errors import ValidationError
 from fastblocks.tensor_ops import BNParams, ConvSpec, batchnorm, count_macs
 
@@ -50,28 +49,34 @@ def _random_bn(rng, units):
     )
 
 
-def _functional_call(kind, rng):
-    """(run(training), the BNParams the call normalizes with, the input that BN sees)."""
+def _normalizing_call(kind, rng):
+    """(run(training), the BNParams the call normalizes with, the input that BN sees).
+
+    `batchnorm` is the tensor_ops kernel; the other kinds run through their layers.
+    """
     x = rng.standard_normal((3, 4, 5, 5)) + 2.0
     if kind == "batchnorm":
         bn = _random_bn(rng, 4)
         return (lambda training: batchnorm(x, bn, training)), bn, x
     if kind == "fasternet_block":
         spec = FasterNetBlockSpec(4, 2)
-        params = init_params(spec, rng)
+        layer = layers.FasterNetBlock(spec, rng=rng)
+        params = layer.block
         params.bn1 = _random_bn(rng, spec.hidden)
         bn_in = pwconv(pconv(x, params.pconv_w, spec.pconv_spec()), params.pw1_w, params.pw1_b)
-        return (lambda training: fasternet_block(x, params, spec, training)), params.bn1, bn_in
+        return (lambda training: layer.forward(x, training)), params.bn1, bn_in
     if kind == "nam_channel":
-        params = NAMChannelParams(_random_bn(rng, 4))
-        return (lambda training: nam_channel(x, params, training)), params.bn, x
-    params = NAMSpatialParams(_random_bn(rng, 25), 5, 5)
-    return (lambda training: nam_spatial(x, params, training)), params.bn, x.reshape(12, 25, 1, 1)
+        layer = layers.NAMChannel(4)
+        layer.bn = _random_bn(rng, 4)
+        return (lambda training: layer.forward(x, training)), layer.bn, x
+    layer = layers.NAMSpatial(5, 5)
+    layer.bn = _random_bn(rng, 25)
+    return (lambda training: layer.forward(x, training)), layer.bn, x.reshape(12, 25, 1, 1)
 
 
 @pytest.mark.parametrize("kind", ["batchnorm", "fasternet_block", "nam_channel", "nam_spatial"])
 def test_functional_forms_update_running_stats_in_training_only(kind):
-    run, bn, bn_in = _functional_call(kind, np.random.default_rng(4))
+    run, bn, bn_in = _normalizing_call(kind, np.random.default_rng(4))
     mean0, var0 = bn.running_mean.copy(), bn.running_var.copy()
     run(False)
     assert np.array_equal(bn.running_mean, mean0)
