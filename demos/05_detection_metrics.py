@@ -35,7 +35,7 @@ def main() -> None:
 
     # Matching walks detections in descending confidence; each ground truth
     # can be claimed once, so the duplicate and the loose box become FPs.
-    labels, missed = match_detections(dets, gts, iou_thresh=0.5)
+    (labels,), (missed,) = match_detections(dets, gts, (0.5,))
     print(f"\nTP/FP labels in confidence order: {labels}, unmatched ground truths: {missed}")
 
     curve = pr_curve(labels, total_gt=len(gts))

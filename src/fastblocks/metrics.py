@@ -3,7 +3,9 @@
 Matching is greedy in descending confidence (stable: input order breaks
 ties). Each detection may claim the unmatched ground-truth box of the same
 image with the highest IoU at or above the threshold; IoU ties go to the
-lowest ground-truth index, and a ground truth is used at most once.
+lowest ground-truth index, and a ground truth is used at most once. Each
+category is matched once for all IoU thresholds, in one pass over one IoU
+matrix per image (the design of COCO's `evaluateImg`).
 
 AP is the 101-point interpolation: precision is first made monotonically
 nonincreasing from the right, then sampled at recalls {0, 0.01, ..., 1.00}
@@ -47,10 +49,6 @@ class BBox:
                 f"box must have positive area: x1={self.x1} y1={self.y1} x2={self.x2} y2={self.y2}"
             )
 
-    @property
-    def area(self) -> float:
-        return (self.x2 - self.x1) * (self.y2 - self.y1)
-
 
 @dataclass(frozen=True)
 class GroundTruth:
@@ -71,51 +69,68 @@ class Detection:
             raise ValidationError(f"confidence must be in [0, 1], got {self.confidence}")
 
 
+def _corners(boxes: list[BBox]) -> np.ndarray:
+    """(n, 4) array of x1, y1, x2, y2 rows."""
+    return np.array([(b.x1, b.y1, b.x2, b.y2) for b in boxes], dtype=np.float64).reshape(-1, 4)
+
+
+def _iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """IoU of every corner row of `a` with every corner row of `b`, shape (len(a), len(b))."""
+    ix = np.minimum(a[:, None, 2], b[:, 2]) - np.maximum(a[:, None, 0], b[:, 0])
+    iy = np.minimum(a[:, None, 3], b[:, 3]) - np.maximum(a[:, None, 1], b[:, 1])
+    inter = np.maximum(ix, 0.0) * np.maximum(iy, 0.0)
+    area_a = (a[:, 2] - a[:, 0]) * (a[:, 3] - a[:, 1])
+    area_b = (b[:, 2] - b[:, 0]) * (b[:, 3] - b[:, 1])
+    return inter / (area_a[:, None] + area_b - inter)
+
+
 def iou(a: BBox, b: BBox) -> float:
     """Intersection over union; 0 when the boxes are disjoint."""
-    ix = min(a.x2, b.x2) - max(a.x1, b.x1)
-    iy = min(a.y2, b.y2) - max(a.y1, b.y1)
-    if ix <= 0.0 or iy <= 0.0:
-        return 0.0
-    inter = ix * iy
-    return inter / (a.area + b.area - inter)
+    return float(_iou_matrix(_corners([a]), _corners([b]))[0, 0])
+
+
+def _check_thresholds(thresholds: tuple[float, ...]) -> None:
+    if not thresholds:
+        raise ValidationError("iou_thresholds must be nonempty")
+    for t in thresholds:
+        if not 0.0 < t <= 1.0:
+            raise ValidationError(f"iou threshold must be in (0, 1], got {t}")
 
 
 def match_detections(
-    detections: list[Detection], ground_truths: list[GroundTruth], iou_thresh: float
-) -> tuple[list[bool], int]:
-    """Greedy TP/FP assignment for one category.
+    detections: list[Detection], ground_truths: list[GroundTruth], iou_thresholds: tuple[float, ...]
+) -> tuple[list[list[bool]], list[int]]:
+    """Greedy TP/FP assignment for one category at every threshold, in one pass.
 
-    Returns (labels, unmatched_gt_count) with labels in descending-confidence
-    order (stable), the order pr_curve consumes. Matching is per image; each
-    ground truth is claimed at most once.
+    Returns (labels, unmatched_gt_counts), one entry per threshold; each labels
+    row is in descending-confidence order (stable), the order pr_curve consumes.
     """
-    if not 0.0 < iou_thresh <= 1.0:
-        raise ValidationError(f"iou threshold must be in (0, 1], got {iou_thresh}")
-    order = sorted(range(len(detections)), key=lambda i: -detections[i].confidence)
-    gt_by_image: dict[str, list[int]] = {}
+    _check_thresholds(iou_thresholds)
+    thresholds = np.array(iou_thresholds, dtype=np.float64)[:, None]
+    t_index = np.arange(len(thresholds))
+    order = np.argsort([-d.confidence for d in detections], kind="stable")
+    # image -> (its ground-truth indices, its detections' ranks); a detection in
+    # an image without ground truth is a false positive at every threshold
+    by_image: dict[str, tuple[list[int], list[int]]] = {}
     for idx, gt in enumerate(ground_truths):
-        gt_by_image.setdefault(gt.image_id, []).append(idx)
-    matched = [False] * len(ground_truths)
-    labels: list[bool] = []
-    for i in order:
-        det = detections[i]
-        best_iou = 0.0
-        best_gt = -1
-        for gt_idx in gt_by_image.get(det.image_id, ()):
-            if matched[gt_idx]:
-                continue
-            overlap = iou(det.box, ground_truths[gt_idx].box)
-            if overlap >= iou_thresh and overlap > best_iou:
-                # strict > keeps the lowest ground-truth index on IoU ties
-                best_iou = overlap
-                best_gt = gt_idx
-        if best_gt >= 0:
-            matched[best_gt] = True
-            labels.append(True)
-        else:
-            labels.append(False)
-    return labels, matched.count(False)
+        by_image.setdefault(gt.image_id, ([], []))[0].append(idx)
+    for rank, i in enumerate(order):
+        if detections[i].image_id in by_image:
+            by_image[detections[i].image_id][1].append(rank)
+    det_boxes = _corners([detections[i].box for i in order])
+    gt_boxes = _corners([gt.box for gt in ground_truths])
+    labels = np.zeros((len(thresholds), len(detections)), dtype=bool)
+    for gts, ranks in by_image.values():
+        overlaps = _iou_matrix(det_boxes[ranks], gt_boxes[gts])
+        matched = np.zeros((len(thresholds), overlaps.shape[1]), dtype=bool)
+        for rank, row in zip(ranks, overlaps):
+            free = ~matched & (row >= thresholds)
+            # argmax takes the first maximum: the lowest ground-truth index on IoU ties
+            best = np.where(free, row, -1.0).argmax(axis=1)
+            hit = free[t_index, best]
+            matched[t_index[hit], best[hit]] = True
+            labels[hit, rank] = True
+    return [row.tolist() for row in labels], (len(ground_truths) - labels.sum(axis=1)).tolist()
 
 
 def pr_curve(labels: list[bool], total_gt: int) -> list[tuple[float, float]]:
@@ -125,31 +140,23 @@ def pr_curve(labels: list[bool], total_gt: int) -> list[tuple[float, float]]:
     """
     if total_gt < 0:
         raise ValidationError(f"total_gt must be >= 0, got {total_gt}")
-    curve = []
-    tp = 0
-    for k, is_tp in enumerate(labels, start=1):
-        tp += bool(is_tp)
-        recall = tp / total_gt if total_gt > 0 else 0.0
-        curve.append((tp / k, recall))
-    return curve
+    tp = np.cumsum(np.asarray(labels, dtype=bool))
+    recall = tp / total_gt if total_gt > 0 else np.zeros(len(tp))
+    return list(zip((tp / np.arange(1, len(tp) + 1)).tolist(), recall.tolist()))
 
 
 def average_precision(curve: list[tuple[float, float]]) -> float:
     """101-point interpolated AP of a cumulative PR curve; empty curve -> 0."""
     if not curve:
         return 0.0
-    ps = np.array([p for p, _ in curve], dtype=np.float64)
-    rs = np.array([r for _, r in curve], dtype=np.float64)
+    ps, rs = np.array(curve, dtype=np.float64).T
     if np.any(np.diff(rs) < 0):
         raise ValidationError("recalls must be nondecreasing along the curve")
-    # Monotone nonincreasing envelope from the right.
-    env = np.maximum.accumulate(ps[::-1])[::-1]
-    total = 0.0
-    for i in range(101):
-        t = i / 100
-        idx = int(np.searchsorted(rs, t, side="left"))
-        total += float(env[idx]) if idx < len(rs) else 0.0
-    return total / 101
+    # Monotone nonincreasing envelope from the right, then 0 past the last recall.
+    env = np.append(np.maximum.accumulate(ps[::-1])[::-1], 0.0)
+    samples = env[np.searchsorted(rs, np.arange(101) / 100, side="left")]
+    # Summed in level order, as a running total would; np.sum's pairwise order may differ.
+    return float(np.add.accumulate(samples)[-1]) / 101
 
 
 @dataclass(frozen=True)
@@ -180,17 +187,13 @@ def evaluate(
 ) -> EvalResult:
     """Category-partitioned AP evaluation plus pooled precision/recall.
 
-    Each category is matched once per distinct threshold; the matches at the
-    map50 threshold also give the pooled TP/FP/FN. Categories with zero
-    ground truths and zero detections are excluded from the means; a dataset
-    whose every category lacks ground truth is rejected as degenerate.
+    Each category is matched once, for all distinct thresholds together; its
+    matches at the map50 threshold also give the pooled TP/FP/FN. Categories
+    with zero ground truths and zero detections are excluded from the means; a
+    dataset whose every category lacks ground truth is rejected as degenerate.
     """
     thresholds = tuple(iou_thresholds)
-    if not thresholds:
-        raise ValidationError("iou_thresholds must be nonempty")
-    for t in thresholds:
-        if not 0.0 < t <= 1.0:
-            raise ValidationError(f"iou threshold must be in (0, 1], got {t}")
+    _check_thresholds(thresholds)
     if not ground_truths:
         raise DegenerateInputError("no category has any ground truth boxes")
 
@@ -202,20 +205,18 @@ def evaluate(
         gt_by_cat.setdefault(gt.category, []).append(gt)
 
     categories = sorted(set(det_by_cat) | set(gt_by_cat))
+    distinct = tuple(dict.fromkeys(thresholds))
     primary = 0.5 if 0.5 in thresholds else thresholds[0]
+    pooled = distinct.index(primary)
     per_category: dict[int, dict[float, float]] = {}
     tp = fp = fn = 0
     for cat in categories:
-        dets = det_by_cat.get(cat, [])
         gts = gt_by_cat.get(cat, [])
-        per_category[cat] = {}
-        for t in dict.fromkeys(thresholds):
-            labels, unmatched = match_detections(dets, gts, t)
-            per_category[cat][t] = average_precision(pr_curve(labels, len(gts)))
-            if t == primary:
-                tp += sum(labels)
-                fp += len(labels) - sum(labels)
-                fn += unmatched
+        labels, unmatched = match_detections(det_by_cat.get(cat, []), gts, distinct)
+        per_category[cat] = {t: average_precision(pr_curve(row, len(gts))) for t, row in zip(distinct, labels)}
+        tp += sum(labels[pooled])
+        fp += labels[pooled].count(False)
+        fn += unmatched[pooled]
 
     map50 = sum(per_category[c][primary] for c in categories) / len(categories)
     map5095 = sum(sum(aps.values()) / len(aps) for aps in per_category.values()) / len(categories)

@@ -136,16 +136,13 @@ class BNParams:
     momentum = 0.1
 
     def __post_init__(self):
-        self.gamma = np.asarray(self.gamma, dtype=np.float64)
-        self.beta = np.asarray(self.beta, dtype=np.float64)
-        self.running_mean = np.asarray(self.running_mean, dtype=np.float64)
-        self.running_var = np.asarray(self.running_var, dtype=np.float64)
-        c = self.gamma.shape
-        for name in ("beta", "running_mean", "running_var"):
-            if getattr(self, name).shape != c:
-                raise ValidationError(f"BNParams.{name} shape {getattr(self, name).shape} != gamma shape {c}")
-        if self.gamma.ndim != 1:
-            raise ValidationError("BNParams vectors must be 1-D")
+        for name in ("gamma", "beta", "running_mean", "running_var"):
+            value = np.asarray(getattr(self, name), dtype=np.float64)
+            setattr(self, name, value)
+            if value.shape != self.gamma.shape:
+                raise ValidationError(f"BNParams.{name} shape {value.shape} != gamma shape {self.gamma.shape}")
+        if self.gamma.ndim != 1 or not self.gamma.size:
+            raise ValidationError("BNParams vectors must be 1-D and nonempty")
         if np.any(self.running_var < 0):
             raise ValidationError("BNParams.running_var must be nonnegative")
         if not self.eps > 0:
@@ -166,6 +163,8 @@ class BNParams:
     @classmethod
     def identity(cls, channels: int) -> "BNParams":
         """gamma=1, beta=0, running stats (0, 1), eps 1e-5: the standard initialization."""
+        if channels < 1:
+            raise ValidationError(f"batch norm needs at least one unit, got {channels}")
         return cls(
             gamma=np.ones(channels),
             beta=np.zeros(channels),
@@ -331,13 +330,12 @@ def relu_grad(x: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    """Numerically stable logistic; counted as 4 FLOPs per element."""
+    """Stable logistic from one e = exp(-|x|): 1/(1+e) for x >= 0, e/(1+e) below; 4 FLOPs per element."""
     record_macs(4 * x.size)
-    out = np.empty_like(x, dtype=np.float64)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
+    e = np.exp(-np.abs(x))
+    out = np.where(x >= 0, 1.0, e)
+    e += 1.0
+    out /= e
     return out
 
 

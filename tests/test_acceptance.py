@@ -254,7 +254,7 @@ def test_criterion_7_average_precision_matches_oracle():
                    for _ in range(int(rng.integers(0, 6)))]
             dets = [Detection(str(rng.integers(0, 2)), 0, _random_box(rng), float(rng.uniform(0.05, 1.0)))
                     for _ in range(int(rng.integers(0, 9)))]
-            labels, _ = match_detections(dets, gts, 0.5)
+            (labels,), _ = match_detections(dets, gts, (0.5,))
             got = average_precision(pr_curve(labels, len(gts)))
             assert got == ap_oracle(labels, len(gts))
 

@@ -86,6 +86,26 @@ def test_functional_forms_update_running_stats_in_training_only(kind):
     assert np.allclose(bn.running_var, 0.9 * var0 + 0.1 * bn_in.var(axis=(0, 2, 3)), rtol=0, atol=1e-12)
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: BNParams.identity(0),
+        lambda: layers.BatchNorm(0),
+        lambda: layers.BatchNorm(-1),
+        lambda: layers.NAMChannel(-2),
+    ],
+    ids=["identity(0)", "BatchNorm(0)", "BatchNorm(-1)", "NAMChannel(-2)"],
+)
+def test_batch_norm_without_units_is_rejected(build):
+    with pytest.raises(ValidationError, match="at least one unit"):
+        build()
+
+
+def test_bn_params_reject_empty_vectors():
+    with pytest.raises(ValidationError, match="nonempty"):
+        BNParams(np.ones(0), np.zeros(0), np.zeros(0), np.ones(0))
+
+
 def test_batchnorm_layer_eval_uses_running_stats():
     params = BNParams(
         gamma=np.array([2.0]),

@@ -9,6 +9,8 @@ the fast implementation must match exactly.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fastblocks.errors import DegenerateInputError, ParseError, ValidationError
 from fastblocks.metrics import (
@@ -111,19 +113,19 @@ class TestMatching:
     def test_exact_detections_all_tp(self):
         gts = [gt("a", UNIT), gt("a", (5, 5, 6, 6))]
         dets = [det("a", 0.9, UNIT), det("a", 0.8, (5, 5, 6, 6))]
-        labels, fn = match_detections(dets, gts, 0.5)
+        (labels,), (fn,) = match_detections(dets, gts, (0.5,))
         assert labels == [True, True]
         assert fn == 0
 
     def test_no_detections_all_fn(self):
-        labels, fn = match_detections([], [gt("a", UNIT), gt("b", UNIT)], 0.5)
+        (labels,), (fn,) = match_detections([], [gt("a", UNIT), gt("b", UNIT)], (0.5,))
         assert labels == []
         assert fn == 2
 
     def test_one_gt_two_overlapping_detections(self):
         gts = [gt("a", UNIT)]
         dets = [det("a", 0.9, UNIT), det("a", 0.8, UNIT)]
-        labels, fn = match_detections(dets, gts, 0.5)
+        (labels,), (fn,) = match_detections(dets, gts, (0.5,))
         assert labels == [True, False]
         assert fn == 0
 
@@ -131,13 +133,13 @@ class TestMatching:
         gts = [gt("a", UNIT)]
         dets = [det("a", 0.3, UNIT), det("a", 0.9, (3, 3, 4, 4))]
         # highest confidence first: the off-target 0.9 det is FP, the 0.3 is TP
-        labels, _ = match_detections(dets, gts, 0.5)
+        (labels,), _ = match_detections(dets, gts, (0.5,))
         assert labels == [False, True]
 
     def test_confidence_ties_keep_input_order(self):
         gts = [gt("a", UNIT)]
         dets = [det("a", 0.5, UNIT), det("a", 0.5, UNIT)]
-        labels, _ = match_detections(dets, gts, 0.5)
+        (labels,), _ = match_detections(dets, gts, (0.5,))
         assert labels == [True, False]
 
     def test_iou_tie_takes_lowest_gt_index(self):
@@ -145,28 +147,28 @@ class TestMatching:
         # to gt0, leaving gt0 taken when det1 (exactly gt0's box) arrives
         gts = [gt("a", (0, 0, 2, 2)), gt("a", (1, 0, 3, 2))]
         dets = [det("a", 0.9, (0.5, 0, 2.5, 2)), det("a", 0.8, (0, 0, 2, 2))]
-        labels, fn = match_detections(dets, gts, 0.5)
+        (labels,), (fn,) = match_detections(dets, gts, (0.5,))
         assert labels == [True, False]
         assert fn == 1
 
     def test_matching_is_per_image(self):
         gts = [gt("a", UNIT)]
         dets = [det("b", 0.9, UNIT)]  # same box, wrong image
-        labels, fn = match_detections(dets, gts, 0.5)
+        (labels,), (fn,) = match_detections(dets, gts, (0.5,))
         assert labels == [False]
         assert fn == 1
 
     def test_each_gt_claimed_once(self):
         gts = [gt("a", UNIT)]
         dets = [det("a", 0.9, UNIT), det("a", 0.8, UNIT), det("a", 0.7, UNIT)]
-        labels, _ = match_detections(dets, gts, 0.5)
+        (labels,), _ = match_detections(dets, gts, (0.5,))
         assert labels == [True, False, False]
 
     def test_threshold_validated(self):
         with pytest.raises(ValidationError):
-            match_detections([], [], 0.0)
+            match_detections([], [], (0.0,))
         with pytest.raises(ValidationError):
-            match_detections([], [], 1.1)
+            match_detections([], [], (1.1,))
 
     def test_lower_threshold_never_loses_tps(self):
         rng = np.random.default_rng(1)
@@ -179,8 +181,8 @@ class TestMatching:
                 det("a", float(rng.uniform(0.1, 1.0)), (x, y, x + rng.uniform(0.5, 2), y + rng.uniform(0.5, 2)))
                 for x, y in rng.uniform(0, 6, (int(rng.integers(0, 7)), 2))
             ]
-            tp_strict = sum(match_detections(dets, gts, 0.75)[0])
-            tp_loose = sum(match_detections(dets, gts, 0.5)[0])
+            tp_strict = sum(match_detections(dets, gts, (0.75,))[0][0])
+            tp_loose = sum(match_detections(dets, gts, (0.5,))[0][0])
             assert tp_loose >= tp_strict
 
 
@@ -352,30 +354,30 @@ class TestEvaluate:
 
 
 class TestSingleMatchingPass:
-    """evaluate matches each category once per distinct threshold, and the
-    pooled precision/recall come from the matches at the map50 threshold."""
+    """evaluate matches each category once, for its distinct thresholds, and
+    the pooled precision/recall come from the matches at the map50 threshold."""
 
     @pytest.fixture()
     def calls(self, monkeypatch):
         seen = []
 
-        def counting(dets, gts, iou_thresh):
-            seen.append(iou_thresh)
-            return match_detections(dets, gts, iou_thresh)
+        def counting(dets, gts, iou_thresholds):
+            seen.append(iou_thresholds)
+            return match_detections(dets, gts, iou_thresholds)
 
         monkeypatch.setattr("fastblocks.metrics.match_detections", counting)
         return seen
 
     def test_one_call_per_category_and_distinct_threshold(self, calls):
         evaluate([det("a", 0.9, UNIT)], [gt("a", UNIT)], (0.5,))
-        assert calls == [0.5]
+        assert calls == [(0.5,)]
         calls.clear()
         two_categories = [gt("a", UNIT), gt("a", UNIT, category=1)]
         evaluate([det("a", 0.9, UNIT)], two_categories, RANGE_THRESHOLDS)
-        assert calls == list(RANGE_THRESHOLDS) * 2
+        assert calls == [RANGE_THRESHOLDS] * 2
         calls.clear()
         evaluate([det("a", 0.9, UNIT)], two_categories, (0.7, 0.5, 0.7))
-        assert calls == [0.7, 0.5] * 2
+        assert calls == [(0.7, 0.5)] * 2
 
     def test_pooled_counts_use_the_requested_threshold(self):
         gts = [gt("a", UNIT)]
@@ -408,6 +410,90 @@ class TestSingleMatchingPass:
         assert evaluate(dets, gts, (0.5, 0.5)) == once
         assert once.dataset_precision == 0.5  # TP 2, FP 2
         assert once.dataset_recall == 2 / 3
+
+
+# ---------------------------------------------------------------- property
+
+
+@st.composite
+def int_boxes(draw, high=8):
+    x1, y1 = draw(st.integers(0, high - 1)), draw(st.integers(0, high - 1))
+    return (x1, y1, draw(st.integers(x1 + 1, high)), draw(st.integers(y1 + 1, high)))
+
+
+# (image, category, box) rows; confidences come from a small set so that ties occur.
+BOX_ROWS = st.tuples(st.sampled_from("abc"), st.integers(0, 1), int_boxes())
+# One image, one category and corners in 0..4 make IoU ties between ground truths common.
+ONE_IMAGE_ROWS = st.tuples(st.just("a"), st.just(0), int_boxes(4))
+ANNOTATION_SETS = st.tuples(
+    st.lists(BOX_ROWS, min_size=1, max_size=8),
+    st.lists(st.tuples(BOX_ROWS, st.sampled_from((0.25, 0.5, 0.75, 1.0))), max_size=8),
+)
+
+
+def brute_force_match(det_rows, gt_rows, thresh):
+    """TP/FP labels in rank order and the unclaimed ground-truth count, from the rule.
+
+    Detections go in descending confidence (input order on ties); each claims
+    the unclaimed ground truth of its image with the highest IoU at or above
+    `thresh`, the lowest index on IoU ties. Integer corners make every IoU one
+    correctly rounded division of exact integers.
+    """
+    claimed = set()
+    labels = []
+    for (image, _, (x1, y1, x2, y2)), _ in sorted(det_rows, key=lambda row: -row[1]):
+        best = None
+        for g, (g_image, _, (gx1, gy1, gx2, gy2)) in enumerate(gt_rows):
+            ix = min(x2, gx2) - max(x1, gx1)
+            iy = min(y2, gy2) - max(y1, gy1)
+            if g in claimed or g_image != image or ix <= 0 or iy <= 0:
+                continue
+            inter = ix * iy
+            overlap = inter / ((x2 - x1) * (y2 - y1) + (gx2 - gx1) * (gy2 - gy1) - inter)
+            if overlap >= thresh and (best is None or overlap > best[0]):
+                best = (overlap, g)
+        if best is not None:
+            claimed.add(best[1])
+        labels.append(best is not None)
+    return labels, len(gt_rows) - len(claimed)
+
+
+class TestEvaluateProperty:
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(ANNOTATION_SETS)
+    def test_range_evaluation_equals_brute_force_matcher_and_oracle(self, annotation_set):
+        gt_rows, det_rows = annotation_set
+        result = evaluate(
+            [det(image, conf, box, category) for (image, category, box), conf in det_rows],
+            [gt(image, box, category) for image, category, box in gt_rows],
+            RANGE_THRESHOLDS,
+        )
+        categories = sorted({row[1] for row in gt_rows} | {row[0][1] for row in det_rows})
+        assert sorted(result.per_category_ap) == categories
+        tp = fp = fn = 0
+        for cat in categories:
+            cat_gts = [row for row in gt_rows if row[1] == cat]
+            cat_dets = [row for row in det_rows if row[0][1] == cat]
+            for t in RANGE_THRESHOLDS:
+                labels, unclaimed = brute_force_match(cat_dets, cat_gts, t)
+                assert result.per_category_ap[cat][t] == ap_oracle(labels, len(cat_gts))
+                if t == 0.5:
+                    tp, fp, fn = tp + sum(labels), fp + labels.count(False), fn + unclaimed
+        assert result.dataset_precision == (tp / (tp + fp) if tp + fp else 0.0)
+        assert result.dataset_recall == (tp / (tp + fn) if tp + fn else 0.0)
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(
+        st.lists(ONE_IMAGE_ROWS, max_size=8),
+        st.lists(st.tuples(ONE_IMAGE_ROWS, st.sampled_from((0.5, 1.0))), max_size=8),
+    )
+    def test_one_pass_equals_brute_force_at_every_threshold(self, gt_rows, det_rows):
+        labels, unclaimed = match_detections(
+            [det(image, conf, box) for (image, _, box), conf in det_rows],
+            [gt(image, box) for image, _, box in gt_rows],
+            RANGE_THRESHOLDS,
+        )
+        assert list(zip(labels, unclaimed)) == [brute_force_match(det_rows, gt_rows, t) for t in RANGE_THRESHOLDS]
 
 
 # ---------------------------------------------------------------- files

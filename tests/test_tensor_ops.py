@@ -393,6 +393,21 @@ def test_sigmoid_stable_at_extremes():
     assert out[0] == 0.0 and out[1] == 0.5 and out[2] == 1.0
 
 
+def test_sigmoid_is_bit_identical_to_the_two_branch_formula():
+    def two_branch(x):
+        out = np.empty_like(x)
+        pos = x >= 0
+        out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+        ex = np.exp(x[~pos])
+        out[~pos] = ex / (1.0 + ex)
+        return out
+
+    tails = np.array([-745.0, -40.0, -20.0, -0.0, 0.0, 20.0, 40.0, 710.0])
+    grid = np.random.default_rng(0).normal(0.0, 10.0, 10_000)
+    for x in (tails, grid):
+        assert np.array_equal(sigmoid(x).view(np.int64), two_branch(x).view(np.int64))
+
+
 def test_residual_add_requires_matching_shapes():
     assert np.array_equal(
         residual_add(np.ones((1, 1, 2, 2)), np.ones((1, 1, 2, 2))), np.full((1, 1, 2, 2), 2.0)
