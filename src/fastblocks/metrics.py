@@ -22,6 +22,7 @@ Annotation files are whitespace-delimited, one box per line:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,7 +43,7 @@ class BBox:
 
     def __post_init__(self):
         for v in (self.x1, self.y1, self.x2, self.y2):
-            if not np.isfinite(v):
+            if not math.isfinite(v):
                 raise ValidationError(f"box coordinates must be finite, got {self}")
         if not (self.x2 > self.x1 and self.y2 > self.y1):
             raise ValidationError(

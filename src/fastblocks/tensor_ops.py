@@ -12,6 +12,17 @@ is a validation error rather than a silent floor. `conv2d`, the one
 convolution kernel (pconv and pwconv delegate to it), is one matmul over the
 im2col matrix of the input; `conv2d_grad` scatters its column gradient back.
 
+Batch norm is memory-bound, so it is written to make few passes over
+activation-sized arrays rather than to mirror the formula term by term. A
+training forward centres the input once into the output buffer, takes the
+variance from that buffer with one einsum, then scales and shifts it in
+place. The training backward needs two per-channel reductions, sum(g) and
+sum(g * xhat), and rewrites one centred copy of the input in place into the
+closed-form input gradient. Eval mode folds the running statistics into a
+per-channel scale and shift. Work buffers take the promoted dtype of the
+operands (float64 parameters make a float32 input's output float64) and
+never alias a caller's array.
+
 Multiply-accumulate counting: within a `count_macs()` block every forward op
 reports the work it actually performed, derived from the operand shapes at
 the call site (one MAC = one FLOP, bias adds excluded for conv, 2/element for
@@ -256,22 +267,28 @@ def batchnorm(
     population divisor n*h*w; eval mode consumes the running statistics.
     Returns (out, mean, var) where mean/var are the statistics actually used.
     A training call also folds mean/var into params' running statistics.
+    `out` has dtype `np.result_type(x, params.gamma)` and never aliases `x`.
     """
     x = as_tensor4(x)
     if x.shape[1] != params.channels:
         raise ValidationError(
             f"input channel dim {x.shape[1]} does not match BNParams channels {params.channels}"
         )
+    dtype = np.result_type(x, params.gamma)
     if training:
-        mean = x.mean(axis=(0, 2, 3))
-        var = x.var(axis=(0, 2, 3))
+        mean = x.mean(axis=(0, 2, 3), dtype=dtype)
+        out = np.subtract(x, mean[None, :, None, None], dtype=dtype)
+        n, _, h, w = x.shape
+        var = np.einsum("nchw,nchw->c", out, out) / (n * h * w)
         params.update_running(mean, var)
+        out *= (params.gamma / np.sqrt(var + params.eps))[None, :, None, None]
+        out += params.beta[None, :, None, None]
     else:
         mean = params.running_mean.copy()
         var = params.running_var.copy()
-    inv = 1.0 / np.sqrt(var + params.eps)
-    xhat = (x - mean[None, :, None, None]) * inv[None, :, None, None]
-    out = params.gamma[None, :, None, None] * xhat + params.beta[None, :, None, None]
+        scale = params.gamma / np.sqrt(var + params.eps)
+        out = np.multiply(x, scale[None, :, None, None], dtype=dtype)
+        out += (params.beta - mean * scale)[None, :, None, None]
     record_macs(2 * x.size)
     return out, mean, var
 
@@ -286,24 +303,29 @@ def batchnorm_grad(
     """Training-mode batch norm backward, differentiating through the batch stats.
 
     batch_mean/batch_var must be the values returned by the forward pass.
+    With xhat = (x - mu) * inv, inv = 1/sqrt(var + eps) and m = n*h*w, the
+    closed form is grad_x = gamma * inv * (g - sum(g)/m - xhat * sum(g*xhat)/m);
+    sum(g) and sum(g*xhat) are also grad_beta and grad_gamma. It runs as those
+    two per-channel reductions plus in-place passes over one centred buffer
+    of dtype `np.result_type(x, grad_out, params.gamma)`.
     Returns (grad_x, grad_gamma, grad_beta).
     """
     x = as_tensor4(x)
     if grad_out.shape != x.shape:
         raise ValidationError(f"grad_out shape {grad_out.shape} != input shape {x.shape}")
-    n, c, h, w = x.shape
+    dtype = np.result_type(x, grad_out, params.gamma)
+    n, _, h, w = x.shape
     m = n * h * w
     inv = 1.0 / np.sqrt(batch_var + params.eps)
-    xhat = (x - batch_mean[None, :, None, None]) * inv[None, :, None, None]
-    grad_gamma = (grad_out * xhat).sum(axis=(0, 2, 3))
-    grad_beta = grad_out.sum(axis=(0, 2, 3))
-    dxhat = grad_out * params.gamma[None, :, None, None]
-    grad_x = (inv[None, :, None, None] / m) * (
-        m * dxhat
-        - dxhat.sum(axis=(0, 2, 3))[None, :, None, None]
-        - xhat * (dxhat * xhat).sum(axis=(0, 2, 3))[None, :, None, None]
-    )
-    return grad_x, grad_gamma, grad_beta
+    xc = np.subtract(x, batch_mean[None, :, None, None], dtype=dtype)
+    grad_beta = np.einsum("nchw->c", grad_out, dtype=dtype)
+    grad_gamma = np.einsum("nchw,nchw->c", grad_out, xc) * inv
+    # xc * inv * grad_gamma / m is the xhat term; the buffer becomes grad_x.
+    xc *= (-inv * grad_gamma / m)[None, :, None, None]
+    xc += grad_out
+    xc -= (grad_beta / m)[None, :, None, None]
+    xc *= (params.gamma * inv)[None, :, None, None]
+    return xc, grad_gamma, grad_beta
 
 
 def batchnorm_grad_eval(

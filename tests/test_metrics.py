@@ -98,8 +98,15 @@ class TestIoU:
             BBox(0, 0, 0, 1)  # zero width
         with pytest.raises(ValidationError):
             BBox(0, 0, 1, -1)
-        with pytest.raises(ValidationError):
-            BBox(0, 0, np.inf, 1)
+        for bad in (np.inf, -np.inf, np.nan, float("nan")):
+            with pytest.raises(ValidationError, match="finite"):
+                BBox(0, 0, bad, 1)
+            with pytest.raises(ValidationError, match="finite"):
+                BBox(bad, 0, 1, 1)
+        for token in ("nan", "-inf"):
+            with pytest.raises(ParseError, match="finite") as err:
+                parse_detection_lines(f"a 0 0 0 10 10 0.5\nb 0 {token} 0 10 10 0.5\n")
+            assert err.value.line == 2
 
     def test_confidence_validation(self):
         with pytest.raises(ValidationError):

@@ -367,6 +367,91 @@ class TestBatchNormGrad:
         assert np.all(np.isfinite(gx))
 
 
+def bn_oracle(x, gamma, beta, eps, g):
+    """Textbook training batch norm and its three-term backward, written out.
+
+    Returns (out, mean, var, grad_x, grad_gamma, grad_beta).
+    """
+    axes = (0, 2, 3)
+    col = (None, slice(None), None, None)
+    m = x.shape[0] * x.shape[2] * x.shape[3]
+    mean = x.mean(axis=axes)
+    var = ((x - mean[col]) ** 2).mean(axis=axes)
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = (x - mean[col]) * inv[col]
+    out = gamma[col] * xhat + beta[col]
+    dxhat = g * gamma[col]
+    grad_x = (inv[col] / m) * (
+        m * dxhat - dxhat.sum(axis=axes)[col] - xhat * (dxhat * xhat).sum(axis=axes)[col]
+    )
+    return out, mean, var, grad_x, (g * xhat).sum(axis=axes), g.sum(axis=axes)
+
+
+def scaled_err(got, want):
+    """Largest absolute difference over the largest magnitude of `want`."""
+    return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
+
+
+class TestBatchNormOracle:
+    @pytest.mark.parametrize(
+        "shape, offset",
+        [
+            ((64, 8, 5, 5), 0.0),
+            ((4 * 8, 36, 1, 1), 0.0),  # the NAM-spatial layout: (n*c, h*w, 1, 1)
+            ((64, 8, 5, 5), 1e3),  # a large common offset checks the centring
+        ],
+    )
+    def test_matches_textbook_and_leaves_inputs_unchanged(self, shape, offset):
+        rng = np.random.default_rng(21)
+        c = shape[1]
+        x = rng.normal(offset, 2.0, size=shape)
+        g = rng.standard_normal(shape)
+        params = BNParams(
+            gamma=rng.uniform(0.5, 2.0, c),
+            beta=rng.uniform(-1.0, 1.0, c),
+            running_mean=rng.normal(offset, 1.0, c),
+            running_var=rng.uniform(0.5, 2.0, c),
+        )
+        inputs = {"x": x, "grad_out": g, "gamma": params.gamma, "beta": params.beta}
+        before = {name: a.copy() for name, a in inputs.items()}
+
+        inv = 1.0 / np.sqrt(params.running_var + params.eps)
+        col = (None, slice(None), None, None)
+        want_eval = (x - params.running_mean[col]) * inv[col] * params.gamma[col] + params.beta[col]
+        out_eval, _, _ = batchnorm(x, params, training=False)
+        assert scaled_err(out_eval, want_eval) < 1e-13
+
+        want = bn_oracle(x, params.gamma, params.beta, params.eps, g)
+        out, mean, var = batchnorm(x, params, training=True)
+        gx, ggamma, gbeta = batchnorm_grad(x, params, mean, var, g)
+        for got, expect in zip((out, mean, var, gx, ggamma, gbeta), want):
+            assert scaled_err(got, expect) < 1e-12
+
+        for name, a in inputs.items():
+            assert np.array_equal(a, before[name]), f"{name} was written to"
+        for result in (out, out_eval, gx):
+            assert not np.shares_memory(result, x) and not np.shares_memory(result, g)
+
+    def test_float32_input_is_not_narrowed(self):
+        rng = np.random.default_rng(22)
+        x = rng.standard_normal((8, 3, 4, 4)).astype(np.float32)
+        g = rng.standard_normal(x.shape)
+        params = BNParams.identity(3)
+        out, mean, var = batchnorm(x, params, training=True)
+        gx, _, _ = batchnorm_grad(x, params, mean, var, g)
+        assert out.dtype == np.result_type(x, params.gamma) == np.float64
+        assert gx.dtype == np.result_type(x, g, params.gamma) == np.float64
+        # float32 batch statistics from another caller must not narrow it either
+        gx32, _, _ = batchnorm_grad(x, params, mean.astype(np.float32), var.astype(np.float32), g)
+        assert gx32.dtype == np.float64
+        out_eval, _, _ = batchnorm(x, params, training=False)
+        assert out_eval.dtype == np.float64
+        # float64 work buffers: the float32 input behaves like its exact float64 cast
+        want = bn_oracle(x.astype(np.float64), params.gamma, params.beta, params.eps, g)
+        assert scaled_err(out, want[0]) < 1e-12
+        assert scaled_err(gx, want[3]) < 1e-12
+
+
 # ---------------------------------------------------------------- activations
 
 
