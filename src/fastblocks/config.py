@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from numbers import Integral
 from typing import Any
 
-from .errors import ParseError, ValidationError
+from .errors import ParseError, ValidationError, read_text
 from .kinds import KINDS, Shape, check_attrs
 
 
@@ -113,8 +113,7 @@ def serialize_model_config(graph: GraphSpec) -> str:
 
 def load_model_config(path, name: str | None = None) -> GraphSpec:
     """Read a config file; the graph is named after the file stem by default."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    text = read_text(path)
     stem = os.path.splitext(os.path.basename(str(path)))[0]
     return parse_model_config(text, name=name if name is not None else stem)
 

@@ -3,7 +3,8 @@
 The CLI maps these onto exit codes: ValidationError (and its
 DegenerateInputError subclass) mean the inputs were structurally wrong or
 degenerate (exit 1); ParseError means a config or annotation file could not
-be read (exit 2, like any other I/O failure).
+be read (exit 2, like any other I/O failure). `read_text` reads those files,
+so that a byte that is not UTF-8 is a ParseError too.
 """
 
 
@@ -31,3 +32,14 @@ class ParseError(ValueError):
 
 class TrainingDiverged(RuntimeError):
     """The demo training loop produced a non-finite loss."""
+
+
+def read_text(path) -> str:
+    """The UTF-8 text of a file; an undecodable byte raises ParseError at its line."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ParseError(f"not UTF-8 text: byte 0x{data[exc.start]:02x} cannot be decoded", line) from None

@@ -4,8 +4,12 @@ Matching is greedy in descending confidence (stable: input order breaks
 ties). Each detection may claim the unmatched ground-truth box of the same
 image with the highest IoU at or above the threshold; IoU ties go to the
 lowest ground-truth index, and a ground truth is used at most once. Each
-category is matched once for all IoU thresholds, in one pass over one IoU
-matrix per image (the design of COCO's `evaluateImg`).
+category is matched once for all IoU thresholds. Images are independent, so
+matching steps over within-image ranks: step s matches the s-th detection of
+every image at once, for every threshold, as one (images, thresholds, ground
+truths) array operation. Images are padded to a common ground-truth count
+only within a bucket of images whose counts round up to the same power of
+two, so padding at most doubles the array cells.
 
 AP is the 101-point interpolation: precision is first made monotonically
 nonincreasing from the right, then sampled at recalls {0, 0.01, ..., 1.00}
@@ -27,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateInputError, ParseError, ValidationError
+from .errors import DegenerateInputError, ParseError, ValidationError, read_text
 
 RANGE_THRESHOLDS = tuple(0.50 + 0.05 * i for i in range(10))
 
@@ -76,13 +80,17 @@ def _corners(boxes: list[BBox]) -> np.ndarray:
 
 
 def _iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """IoU of every corner row of `a` with every corner row of `b`, shape (len(a), len(b))."""
-    ix = np.minimum(a[:, None, 2], b[:, 2]) - np.maximum(a[:, None, 0], b[:, 0])
-    iy = np.minimum(a[:, None, 3], b[:, 3]) - np.maximum(a[:, None, 1], b[:, 1])
+    """IoU of every corner row of `a` with every corner row of `b`, shape (..., len(a), len(b)).
+
+    Leading axes broadcast, so `a` (n, k, 4) against `b` (n, g, 4) gives n matrices.
+    """
+    a, b = a[..., :, None, :], b[..., None, :, :]
+    ix = np.minimum(a[..., 2], b[..., 2]) - np.maximum(a[..., 0], b[..., 0])
+    iy = np.minimum(a[..., 3], b[..., 3]) - np.maximum(a[..., 1], b[..., 1])
     inter = np.maximum(ix, 0.0) * np.maximum(iy, 0.0)
-    area_a = (a[:, 2] - a[:, 0]) * (a[:, 3] - a[:, 1])
-    area_b = (b[:, 2] - b[:, 0]) * (b[:, 3] - b[:, 1])
-    return inter / (area_a[:, None] + area_b - inter)
+    area_a = (a[..., 2] - a[..., 0]) * (a[..., 3] - a[..., 1])
+    area_b = (b[..., 2] - b[..., 0]) * (b[..., 3] - b[..., 1])
+    return inter / (area_a + area_b - inter)
 
 
 def iou(a: BBox, b: BBox) -> float:
@@ -107,8 +115,6 @@ def match_detections(
     row is in descending-confidence order (stable), the order pr_curve consumes.
     """
     _check_thresholds(iou_thresholds)
-    thresholds = np.array(iou_thresholds, dtype=np.float64)[:, None]
-    t_index = np.arange(len(thresholds))
     order = np.argsort([-d.confidence for d in detections], kind="stable")
     # image -> (its ground-truth indices, its detections' ranks); a detection in
     # an image without ground truth is a false positive at every threshold
@@ -118,20 +124,71 @@ def match_detections(
     for rank, i in enumerate(order):
         if detections[i].image_id in by_image:
             by_image[detections[i].image_id][1].append(rank)
+    # Images whose ground-truth counts round up to the same power of two share
+    # one padded array, so padding never exceeds the real ground truths.
+    buckets: dict[int, list[tuple[list[int], list[int]]]] = {}
+    for gts, ranks in by_image.values():
+        if ranks:
+            buckets.setdefault(1 << (len(gts) - 1).bit_length(), []).append((gts, ranks))
     det_boxes = _corners([detections[i].box for i in order])
     gt_boxes = _corners([gt.box for gt in ground_truths])
+    thresholds = np.array(iou_thresholds, dtype=np.float64)
     labels = np.zeros((len(thresholds), len(detections)), dtype=bool)
-    for gts, ranks in by_image.values():
-        overlaps = _iou_matrix(det_boxes[ranks], gt_boxes[gts])
-        matched = np.zeros((len(thresholds), overlaps.shape[1]), dtype=bool)
-        for rank, row in zip(ranks, overlaps):
-            free = ~matched & (row >= thresholds)
-            # argmax takes the first maximum: the lowest ground-truth index on IoU ties
-            best = np.where(free, row, -1.0).argmax(axis=1)
-            hit = free[t_index, best]
-            matched[t_index[hit], best[hit]] = True
-            labels[hit, rank] = True
+    for width, images in buckets.items():
+        _match_bucket(images, width, det_boxes, gt_boxes, thresholds, labels)
     return [row.tolist() for row in labels], (len(ground_truths) - labels.sum(axis=1)).tolist()
+
+
+def _match_bucket(images, width, det_boxes, gt_boxes, thresholds, labels) -> None:
+    """Match the images of one bucket, writing their detections' columns of `labels`.
+
+    Step s matches the s-th ranked detection of every image that has one, for
+    every threshold at once; images are independent, so this is the greedy
+    rule run image by image.
+    """
+    # Most detections first: the images still matching at step s are a prefix.
+    images = sorted(images, key=lambda image: -len(image[1]))
+    counts = np.array([len(ranks) for _, ranks in images])
+    n_gts = [len(gts) for gts, _ in images]
+    # Padded corners are NaN, whose IoU never reaches a threshold.
+    corners = np.full((len(images), width, 4), np.nan)
+    slots = np.arange(sum(n_gts)) - np.repeat(np.cumsum(n_gts) - n_gts, n_gts)
+    corners[np.repeat(np.arange(len(images)), n_gts), slots] = gt_boxes[[g for gts, _ in images for g in gts]]
+    flat_ranks = np.array([r for _, ranks in images for r in ranks])
+    starts = np.cumsum(counts) - counts
+    active = np.searchsorted(-counts, -np.arange(counts[0]), side="left")
+    matched = np.zeros((len(images), len(thresholds), width), dtype=bool)
+    for step, k in enumerate(active):
+        ranks = flat_ranks[starts[:k] + step]
+        overlaps = _iou_matrix(det_boxes[ranks, None], corners[:k])  # (k, 1, width)
+        free = ~matched[:k] & (overlaps >= thresholds[:, None])
+        # argmax takes the first maximum: the lowest ground-truth index on IoU ties
+        best = np.where(free, overlaps, -1.0).argmax(axis=2)
+        hit = np.take_along_axis(free, best[..., None], axis=2)[..., 0]
+        image, t = hit.nonzero()
+        matched[image, t, best[image, t]] = True
+        labels[:, ranks] = hit.T
+
+
+def _pr(labels: np.ndarray, total_gt: int) -> tuple[np.ndarray, np.ndarray]:
+    """Cumulative precision and recall per rank along the last axis of boolean labels."""
+    tp = np.cumsum(labels, axis=-1)
+    recall = tp / total_gt if total_gt > 0 else np.zeros(tp.shape)
+    return tp / np.arange(1, tp.shape[-1] + 1), recall
+
+
+_RECALL_LEVELS = np.arange(101) / 100
+
+
+def _ap(precision: np.ndarray, recall: np.ndarray) -> float:
+    """101-point interpolated AP of one curve with nondecreasing recall; empty -> 0."""
+    if not len(precision):
+        return 0.0
+    # Monotone nonincreasing envelope from the right, then 0 past the last recall.
+    env = np.append(np.maximum.accumulate(precision[::-1])[::-1], 0.0)
+    samples = env[np.searchsorted(recall, _RECALL_LEVELS, side="left")]
+    # Summed in level order, as a running total would; np.sum's pairwise order may differ.
+    return float(np.add.accumulate(samples)[-1]) / 101
 
 
 def pr_curve(labels: list[bool], total_gt: int) -> list[tuple[float, float]]:
@@ -141,23 +198,18 @@ def pr_curve(labels: list[bool], total_gt: int) -> list[tuple[float, float]]:
     """
     if total_gt < 0:
         raise ValidationError(f"total_gt must be >= 0, got {total_gt}")
-    tp = np.cumsum(np.asarray(labels, dtype=bool))
-    recall = tp / total_gt if total_gt > 0 else np.zeros(len(tp))
-    return list(zip((tp / np.arange(1, len(tp) + 1)).tolist(), recall.tolist()))
+    precision, recall = _pr(np.asarray(labels, dtype=bool), total_gt)
+    return list(zip(precision.tolist(), recall.tolist()))
 
 
 def average_precision(curve: list[tuple[float, float]]) -> float:
     """101-point interpolated AP of a cumulative PR curve; empty curve -> 0."""
     if not curve:
         return 0.0
-    ps, rs = np.array(curve, dtype=np.float64).T
-    if np.any(np.diff(rs) < 0):
+    precision, recall = np.array(curve, dtype=np.float64).T
+    if np.any(np.diff(recall) < 0):
         raise ValidationError("recalls must be nondecreasing along the curve")
-    # Monotone nonincreasing envelope from the right, then 0 past the last recall.
-    env = np.append(np.maximum.accumulate(ps[::-1])[::-1], 0.0)
-    samples = env[np.searchsorted(rs, np.arange(101) / 100, side="left")]
-    # Summed in level order, as a running total would; np.sum's pairwise order may differ.
-    return float(np.add.accumulate(samples)[-1]) / 101
+    return _ap(precision, recall)
 
 
 @dataclass(frozen=True)
@@ -214,9 +266,12 @@ def evaluate(
     for cat in categories:
         gts = gt_by_cat.get(cat, [])
         labels, unmatched = match_detections(det_by_cat.get(cat, []), gts, distinct)
-        per_category[cat] = {t: average_precision(pr_curve(row, len(gts))) for t, row in zip(distinct, labels)}
-        tp += sum(labels[pooled])
-        fp += labels[pooled].count(False)
+        hits = np.array(labels, dtype=bool)
+        precision, recall = _pr(hits, len(gts))
+        per_category[cat] = {t: _ap(p, r) for t, p, r in zip(distinct, precision, recall)}
+        found = int(np.count_nonzero(hits[pooled]))
+        tp += found
+        fp += hits.shape[1] - found
         fn += unmatched[pooled]
 
     map50 = sum(per_category[c][primary] for c in categories) / len(categories)
@@ -285,10 +340,8 @@ def parse_detection_lines(text: str) -> list[Detection]:
 
 
 def load_ground_truths(path) -> list[GroundTruth]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_ground_truth_lines(fh.read())
+    return parse_ground_truth_lines(read_text(path))
 
 
 def load_detections(path) -> list[Detection]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_detection_lines(fh.read())
+    return parse_detection_lines(read_text(path))

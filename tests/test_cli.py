@@ -2,6 +2,10 @@
 bundled-config resolution, and JSON/human-mode agreement."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +20,7 @@ relu
 gap_head classes=2
 """
 
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 GT_TEXT = "a 0 0 0 10 10\nb 1 2 2 5 5\n"
 DET_TEXT = "a 0 0 0 10 10 0.9\nb 1 2 2 5 5 0.8\n"
 
@@ -194,6 +199,21 @@ class TestEvaluate:
         code, _, err = run(capsys, "evaluate", "--gt", gt, "--det", str(bad))
         assert code == 2
         assert "line 1" in err
+
+    def test_undecodable_file_exits_2_without_a_traceback(self, tmp_path, files):
+        _, det = files
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"a 0 0 0 10 10\n\xff 1 2 2 5 5\n")
+        done = subprocess.run(
+            [sys.executable, "-m", "fastblocks", "evaluate", "--gt", str(bad), "--det", det],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))},
+            check=False,
+        )
+        assert done.returncode == 2
+        assert "Traceback" not in done.stderr
+        assert "line 2" in done.stderr
 
     def test_empty_ground_truth_exits_1(self, capsys, tmp_path, files):
         _, det = files

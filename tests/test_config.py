@@ -215,6 +215,13 @@ class TestLoading:
         assert graph.name == "my-net"
         assert load_model_config(path, name="other").name == "other"
 
+    def test_undecodable_byte_is_a_parse_error_at_its_line(self, tmp_path):
+        path = tmp_path / "latin1.cfg"
+        path.write_bytes(MINIMAL.encode() + b"# gr\xfc\xdfe\n")
+        with pytest.raises(ParseError, match="0xfc") as err:
+            load_model_config(path)
+        assert err.value.line == len(MINIMAL.splitlines()) + 1
+
     def test_bundled_configs_parse_and_analyze(self):
         from fastblocks.complexity import analyze_graph
 

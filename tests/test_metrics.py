@@ -7,6 +7,8 @@ the 101 samples). It shares no code with the library and is the reference
 the fast implementation must match exactly.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -438,6 +440,22 @@ ANNOTATION_SETS = st.tuples(
 )
 
 
+@st.composite
+def ragged_images(draw):
+    """(gt_rows, det_rows) of one category over six images whose box counts differ widely.
+
+    Image ids are drawn with skewed weights. Image "e" always has ground truth
+    and no detections, image "f" always detections and no ground truth.
+    """
+
+    def rows(extra_image):
+        drawn = draw(st.lists(st.tuples(st.sampled_from("aaaaaaabbbcd"), st.just(0), int_boxes()), max_size=23))
+        return drawn + [(extra_image, 0, draw(int_boxes()))]
+
+    gt_rows = rows("e")
+    return gt_rows, [(row, draw(st.sampled_from((0.25, 0.5, 0.75, 1.0)))) for row in rows("f")]
+
+
 def brute_force_match(det_rows, gt_rows, thresh):
     """TP/FP labels in rank order and the unclaimed ground-truth count, from the rule.
 
@@ -502,6 +520,34 @@ class TestEvaluateProperty:
         )
         assert list(zip(labels, unclaimed)) == [brute_force_match(det_rows, gt_rows, t) for t in RANGE_THRESHOLDS]
 
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(ragged_images())
+    def test_ragged_images_equal_brute_force_at_every_threshold(self, annotation_set):
+        gt_rows, det_rows = annotation_set
+        labels, unclaimed = match_detections(
+            [det(image, conf, box) for (image, _, box), conf in det_rows],
+            [gt(image, box) for image, _, box in gt_rows],
+            RANGE_THRESHOLDS,
+        )
+        assert list(zip(labels, unclaimed)) == [brute_force_match(det_rows, gt_rows, t) for t in RANGE_THRESHOLDS]
+
+
+def test_padding_memory_stays_bounded_beside_one_crowded_image():
+    """Images are padded only to their own bucket's width, not to the crowded image's."""
+    rng = np.random.default_rng(0)
+    corners = rng.uniform(0, 900, (2000, 2))
+    boxes = np.hstack([corners, corners + rng.uniform(10, 100, (2000, 2))]).tolist()
+    images = ["crowded"] * 1000 + [f"sparse{i}" for i in range(1000)]
+    gts = [gt(image, box) for image, box in zip(images, boxes)]
+    dets = [det(image, float(conf), box) for image, box, conf in zip(images, boxes, rng.random(2000))]
+    tracemalloc.start()
+    try:
+        evaluate(dets, gts, RANGE_THRESHOLDS)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
+
 
 # ---------------------------------------------------------------- files
 
@@ -561,3 +607,11 @@ class TestFiles:
         dets = load_detections(det_path)
         result = evaluate(dets, gts, (0.5,))
         assert result.map50 == 1.0
+
+    @pytest.mark.parametrize("loader", [load_ground_truths, load_detections])
+    def test_undecodable_byte_is_a_parse_error_at_its_line(self, tmp_path, loader):
+        path = tmp_path / "latin1.txt"
+        path.write_bytes(b"# caf\xc3\xa9 is fine\na 0 0 0 10 10 0.9\nb\xff 0 1 1 2 2 0.8\n")
+        with pytest.raises(ParseError, match="0xff") as err:
+            loader(path)
+        assert err.value.line == 3
