@@ -452,8 +452,7 @@ def ragged_images(draw):
         drawn = draw(st.lists(st.tuples(st.sampled_from("aaaaaaabbbcd"), st.just(0), int_boxes()), max_size=23))
         return drawn + [(extra_image, 0, draw(int_boxes()))]
 
-    gt_rows = rows("e")
-    return gt_rows, [(row, draw(st.sampled_from((0.25, 0.5, 0.75, 1.0)))) for row in rows("f")]
+    return rows("e"), [(row, draw(st.sampled_from((0.25, 0.5, 0.75, 1.0)))) for row in rows("f")]
 
 
 def brute_force_match(det_rows, gt_rows, thresh):
