@@ -81,14 +81,14 @@ def pconv_cost(c: int, c_p: int, k: int, h: int, w: int) -> tuple[int, float]:
     return flops, (c_p / c) ** 2
 
 
-def analyze_graph(graph: GraphSpec, input_shape: tuple[int, int, int] | None = None) -> ComplexityReport:
+def analyze_graph(graph: GraphSpec) -> ComplexityReport:
     """Closed-form cost report for a graph; empty graphs cost nothing.
 
     residual_begin emits no row; residual_end emits the join's add as a
     `residual_add` row, so rows cover exactly the cost-bearing operations.
     """
     rows = []
-    for layer_id, node, spec, in_shape, out_shape in walk_graph(graph, input_shape):
+    for layer_id, node, spec, in_shape, out_shape in walk_graph(graph):
         kind = KINDS[node.kind]
         if kind.row is None:
             continue

@@ -1,7 +1,8 @@
 """Line-oriented model description files.
 
 A config is a header line `input <c> <h> <w>` followed by one layer per line.
-`#` starts a comment; blank lines are skipped. Layers take `key=value`
+Lines are read by `errors.tokenize`: they end at `\n`, `#` starts a comment,
+and blank lines are skipped. Layers take `key=value`
 integer attributes; `kinds.KINDS` declares each kind's required and optional
 attributes and every rule that checks them.
 
@@ -18,7 +19,7 @@ from dataclasses import dataclass, field
 from numbers import Integral
 from typing import Any
 
-from .errors import ParseError, ValidationError, read_text
+from .errors import ParseError, ValidationError, read_text, tokenize
 from .kinds import KINDS, Shape, check_attrs
 
 
@@ -52,11 +53,7 @@ def parse_model_config(text: str, name: str = "model") -> GraphSpec:
     """Parse and fully validate a config; raises ParseError with line numbers."""
     input_shape = None
     nodes: list[LayerNode] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        fields = line.split()
+    for lineno, fields in tokenize(text):
         head = fields[0]
         if input_shape is None:
             if head != "input":
@@ -90,7 +87,7 @@ def parse_model_config(text: str, name: str = "model") -> GraphSpec:
             attrs.setdefault(key, default)
         nodes.append(LayerNode(head, attrs, lineno))
     if input_shape is None:
-        raise ParseError("config has no 'input' header", len(text.splitlines()) or 1)
+        raise ParseError("config has no 'input' header", text.count("\n") + (not text.endswith("\n")))
     graph = GraphSpec(name=name, input_shape=input_shape, layers=nodes)
     propagate_shapes(graph)  # full static validation
     return graph
@@ -111,11 +108,10 @@ def serialize_model_config(graph: GraphSpec) -> str:
     return "\n".join(lines) + "\n"
 
 
-def load_model_config(path, name: str | None = None) -> GraphSpec:
-    """Read a config file; the graph is named after the file stem by default."""
-    text = read_text(path)
+def load_model_config(path) -> GraphSpec:
+    """Read a config file; the graph is named after the file stem."""
     stem = os.path.splitext(os.path.basename(str(path)))[0]
-    return parse_model_config(text, name=name if name is not None else stem)
+    return parse_model_config(read_text(path), name=stem)
 
 
 def _is_int(value) -> bool:
@@ -130,9 +126,7 @@ def _node_error(node: LayerNode, message: str) -> ValidationError:
     return _located(node, f"layer '{node.kind}': {message}")
 
 
-def walk_graph(
-    graph: GraphSpec, input_shape: Shape | None = None
-) -> list[tuple[str, LayerNode, Any, Shape, Shape]]:
+def walk_graph(graph: GraphSpec) -> list[tuple[str, LayerNode, Any, Shape, Shape]]:
     """Check the whole graph against `KINDS`; one (id, node, spec, in, out) per layer.
 
     The id (`000:conv`) names the `analyze_graph` row and the `build_model`
@@ -140,7 +134,7 @@ def walk_graph(
     build or cost the graph see only valid layers. Residual markers pass
     their shape through.
     """
-    shape = tuple(input_shape if input_shape is not None else graph.input_shape)
+    shape = tuple(graph.input_shape)
     if len(shape) != 3 or not all(_is_int(v) and v >= 1 for v in shape):
         raise ValidationError(f"input shape must be (c, h, w) of positive ints, got {shape}")
     steps = []
@@ -184,9 +178,9 @@ def walk_graph(
     return steps
 
 
-def propagate_shapes(graph: GraphSpec, input_shape: Shape | None = None) -> list[Shape]:
+def propagate_shapes(graph: GraphSpec) -> list[Shape]:
     """Walk the graph, checking continuity; returns each layer's output shape.
 
     Residual markers appear in the result with their pass-through shape.
     """
-    return [out for *_, out in walk_graph(graph, input_shape)]
+    return [out for *_, out in walk_graph(graph)]

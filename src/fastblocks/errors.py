@@ -4,7 +4,11 @@ The CLI maps these onto exit codes: ValidationError (and its
 DegenerateInputError subclass) mean the inputs were structurally wrong or
 degenerate (exit 1); ParseError means a config or annotation file could not
 be read (exit 2, like any other I/O failure). `read_text` reads those files,
-so that a byte that is not UTF-8 is a ParseError too.
+so that a byte that is not UTF-8 is a ParseError too. `tokenize` splits
+their text by the one line rule that every reader and line number follows:
+lines end at `\n` only (`\r\n` works because `\r` is whitespace; a bare
+`\r` does not end a line), `#` starts a comment, and whitespace separates
+fields.
 """
 
 
@@ -43,3 +47,11 @@ def read_text(path) -> str:
     except UnicodeDecodeError as exc:
         line = data.count(b"\n", 0, exc.start) + 1
         raise ParseError(f"not UTF-8 text: byte 0x{data[exc.start]:02x} cannot be decoded", line) from None
+
+
+def tokenize(text: str):
+    """Yield (1-based line number, fields) for each line with fields before `#`."""
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        fields = line.split("#", 1)[0].split()
+        if fields:
+            yield lineno, fields

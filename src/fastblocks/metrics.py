@@ -21,7 +21,10 @@ Annotation files are whitespace-delimited, one box per line:
     ground truth:  image_id category x1 y1 x2 y2
     detections:    image_id category x1 y1 x2 y2 confidence
 
-`#` starts a comment. Malformed lines raise ParseError with the line number.
+Both kinds are read by one parser over `errors.tokenize`: lines end at `\n`,
+and `#` starts a comment. A box is valid when its corners are finite with
+x1 < x2 and y1 < y2, one check in `BBox`. Malformed lines raise ParseError
+with the line number.
 """
 
 from __future__ import annotations
@@ -31,14 +34,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateInputError, ParseError, ValidationError, read_text
+from .errors import DegenerateInputError, ParseError, ValidationError, read_text, tokenize
 
 RANGE_THRESHOLDS = tuple(0.50 + 0.05 * i for i in range(10))
 
 
 @dataclass(frozen=True)
 class BBox:
-    """Axis-aligned box with x2 > x1 and y2 > y1 (positive area)."""
+    """Axis-aligned box with finite corners, x2 > x1 and y2 > y1 (positive area)."""
 
     x1: float
     y1: float
@@ -46,12 +49,11 @@ class BBox:
     y2: float
 
     def __post_init__(self):
-        for v in (self.x1, self.y1, self.x2, self.y2):
-            if not math.isfinite(v):
-                raise ValidationError(f"box coordinates must be finite, got {self}")
-        if not (self.x2 > self.x1 and self.y2 > self.y1):
+        # NaN fails every comparison, so one chain checks finiteness and area.
+        if not (-math.inf < self.x1 < self.x2 < math.inf and -math.inf < self.y1 < self.y2 < math.inf):
             raise ValidationError(
-                f"box must have positive area: x1={self.x1} y1={self.y1} x2={self.x2} y2={self.y2}"
+                "box coordinates must be finite with positive area (x1 < x2, y1 < y2): "
+                f"x1={self.x1} y1={self.y1} x2={self.x2} y2={self.y2}"
             )
 
 
@@ -288,55 +290,39 @@ def evaluate(
     )
 
 
-_BOX_FIELDS = ("image_id", "category", "x1", "y1", "x2", "y2")
-
-
-def _read_records(text: str, extra: tuple[str, ...] = ()):
-    """Yield (lineno, image_id, category, box, extra fields) per annotation line.
-
-    '#' comments and blank lines are skipped; each remaining line must hold
-    the box fields followed by the `extra` ones.
-    """
-    names = _BOX_FIELDS + extra
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        fields = raw.split("#", 1)[0].split()
-        if not fields:
-            continue
-        if len(fields) != len(names):
-            raise ParseError(f"expected {len(names)} fields ({' '.join(names)}), got {len(fields)}", lineno)
+def _parse(text: str, record, layout: str) -> list:
+    """One `record` per line holding the fields that `layout` names: an image
+    id, an integer category, then numbers, the four box corners first and
+    then whatever `record` takes after its box."""
+    names = layout.split()
+    records = []
+    for lineno, tokens in tokenize(text):
+        if len(tokens) != len(names):
+            raise ParseError(f"expected {len(names)} fields ({layout}), got {len(tokens)}", lineno)
+        image_id, category, *values = tokens
         try:
-            category = int(fields[1])
+            category = int(category)
         except ValueError:
-            raise ParseError(f"category must be an integer, got '{fields[1]}'", lineno) from None
+            raise ParseError(f"category must be an integer, got '{category}'", lineno) from None
         try:
-            coords = [float(v) for v in fields[2:6]]
+            numbers = [float(v) for v in values]
         except ValueError:
-            raise ParseError(f"box coordinates must be numbers: {fields[2:6]}", lineno) from None
+            raise ParseError(f"{' '.join(names[2:])} must be numbers, got {' '.join(values)}", lineno) from None
         try:
-            box = BBox(*coords)
+            records.append(record(image_id, category, BBox(*numbers[:4]), *numbers[4:]))
         except ValidationError as exc:
             raise ParseError(str(exc), lineno) from None
-        yield lineno, fields[0], category, box, fields[6:]
+    return records
 
 
 def parse_ground_truth_lines(text: str) -> list[GroundTruth]:
     """`image_id category x1 y1 x2 y2`; '#' comments and blank lines skipped."""
-    return [GroundTruth(image_id, cat, box) for _, image_id, cat, box, _ in _read_records(text)]
+    return _parse(text, GroundTruth, "image_id category x1 y1 x2 y2")
 
 
 def parse_detection_lines(text: str) -> list[Detection]:
     """`image_id category x1 y1 x2 y2 confidence`; same comment rules."""
-    out = []
-    for lineno, image_id, category, box, (conf,) in _read_records(text, ("confidence",)):
-        try:
-            confidence = float(conf)
-        except ValueError:
-            raise ParseError(f"confidence must be a number, got '{conf}'", lineno) from None
-        try:
-            out.append(Detection(image_id, category, box, confidence))
-        except ValidationError as exc:
-            raise ParseError(str(exc), lineno) from None
-    return out
+    return _parse(text, Detection, "image_id category x1 y1 x2 y2 confidence")
 
 
 def load_ground_truths(path) -> list[GroundTruth]:

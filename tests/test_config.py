@@ -148,12 +148,6 @@ gap_head classes=5
         with pytest.raises(ValidationError, match="incoming channels"):
             parse_model_config("input 2 4 4\nbn c=3\n")
 
-    def test_override_input_shape(self):
-        graph = parse_model_config("input 2 4 4\nrelu\n")
-        assert propagate_shapes(graph, (2, 6, 6)) == [(2, 6, 6)]
-        with pytest.raises(ValidationError):
-            propagate_shapes(graph, (0, 6, 6))
-
 
 class TestHandBuiltGraphs:
     """A GraphSpec built in code gets the parser's attribute-set check."""
@@ -213,7 +207,6 @@ class TestLoading:
         path.write_text(MINIMAL)
         graph = load_model_config(path)
         assert graph.name == "my-net"
-        assert load_model_config(path, name="other").name == "other"
 
     def test_undecodable_byte_is_a_parse_error_at_its_line(self, tmp_path):
         path = tmp_path / "latin1.cfg"

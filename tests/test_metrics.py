@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fastblocks.config import parse_model_config
 from fastblocks.errors import DegenerateInputError, ParseError, ValidationError
 from fastblocks.metrics import (
     RANGE_THRESHOLDS,
@@ -95,20 +96,19 @@ class TestIoU:
             b2 = BBox(b.x1 + dx, b.y1 + dy, b.x2 + dx, b.y2 + dy)
             assert abs(iou(a2, b2) - v) < 1e-9
 
-    def test_box_validation(self):
-        with pytest.raises(ValidationError):
+    @pytest.mark.parametrize("position", ["x1", "y1", "x2", "y2"])
+    @pytest.mark.parametrize("bad", ["inf", "-inf", "nan"])
+    def test_box_validation(self, position, bad):
+        with pytest.raises(ValidationError, match="positive area"):
             BBox(0, 0, 0, 1)  # zero width
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="positive area"):
             BBox(0, 0, 1, -1)
-        for bad in (np.inf, -np.inf, np.nan, float("nan")):
-            with pytest.raises(ValidationError, match="finite"):
-                BBox(0, 0, bad, 1)
-            with pytest.raises(ValidationError, match="finite"):
-                BBox(bad, 0, 1, 1)
-        for token in ("nan", "-inf"):
-            with pytest.raises(ParseError, match="finite") as err:
-                parse_detection_lines(f"a 0 0 0 10 10 0.5\nb 0 {token} 0 10 10 0.5\n")
-            assert err.value.line == 2
+        corners = {"x1": "0", "y1": "0", "x2": "10", "y2": "10", position: bad}
+        with pytest.raises(ValidationError, match="finite"):
+            BBox(**{name: float(value) for name, value in corners.items()})
+        with pytest.raises(ParseError, match="finite") as err:
+            parse_detection_lines(f"a 0 0 0 10 10 0.5\nb 0 {' '.join(corners.values())} 0.5\n")
+        assert err.value.line == 2
 
     def test_confidence_validation(self):
         with pytest.raises(ValidationError):
@@ -563,6 +563,21 @@ b 0 1 1 2 2 0.80
 """
 
 
+MALFORMED_LINES = [
+    (parse_ground_truth_lines, "a 0 0 0 10", "6 fields"),
+    (parse_ground_truth_lines, "a x 0 0 10 10", "integer"),
+    (parse_ground_truth_lines, "a 0 0 0 ten 10", "numbers"),
+    (parse_ground_truth_lines, "a 0 5 5 1 1", "positive area"),
+    (parse_detection_lines, "a 0 0 0 10 10", "expected 7 fields"),
+    (parse_detection_lines, "a x 0 0 10 10 0.5", "category must be an integer"),
+    (parse_detection_lines, "a 0 0 0 ten 10 0.5", "must be numbers, got 0 0 ten 10 0.5"),
+    (parse_detection_lines, "a 0 0 0 10 10 high", "confidence must be numbers, got 0 0 10 10 high"),
+    (parse_detection_lines, "a 0 5 5 1 1 0.5", "positive area"),
+    (parse_detection_lines, "a 0 0 0 inf 10 0.5", "finite"),
+    (parse_detection_lines, "a 0 0 0 10 10 1.5", "confidence must be in [0, 1], got 1.5"),
+]
+
+
 class TestFiles:
     def test_parse_ground_truth(self):
         gts = parse_ground_truth_lines(GT_TEXT)
@@ -575,17 +590,14 @@ class TestFiles:
         assert dets[0].confidence == 0.95
 
     @pytest.mark.parametrize(
-        "line, fragment",
-        [
-            ("a 0 0 0 10", "6 fields"),
-            ("a x 0 0 10 10", "integer"),
-            ("a 0 0 0 ten 10", "numbers"),
-            ("a 0 5 5 1 1", "positive area"),
-        ],
+        "parse, line, fragment",
+        MALFORMED_LINES,
+        ids=[f"{line}-{fragment}" for _, line, fragment in MALFORMED_LINES],
     )
-    def test_malformed_gt_lines(self, line, fragment):
+    def test_malformed_gt_lines(self, parse, line, fragment):
+        first = {parse_ground_truth_lines: "a 0 0 0 10 10", parse_detection_lines: "a 0 0 0 10 10 0.5"}[parse]
         with pytest.raises(ParseError) as err:
-            parse_ground_truth_lines("a 0 0 0 10 10\n" + line + "\n")
+            parse(first + "\n" + line + "\n")
         assert err.value.line == 2
         assert fragment in str(err.value)
 
@@ -606,6 +618,27 @@ class TestFiles:
         dets = load_detections(det_path)
         result = evaluate(dets, gts, (0.5,))
         assert result.map50 == 1.0
+
+    @pytest.mark.parametrize("separator", ["\f", "\v", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029", "\r"])
+    @pytest.mark.parametrize(
+        "parse, first, second",
+        [
+            (parse_ground_truth_lines, "a 0 0 0 1 1", "c x 0 0 1 1"),
+            (parse_detection_lines, "a 0 0 0 1 1 0.5", "c x 0 0 1 1 0.5"),
+            (parse_model_config, "input 1 4 4", "bogus"),
+            (parse_model_config, "", ""),  # no 'input' header: the last line
+        ],
+    )
+    def test_only_newline_ends_a_line(self, parse, first, second, separator):
+        with pytest.raises(ParseError) as err:
+            parse(f"{first} # p{separator}\n{second}\n")
+        assert err.value.line == 2
+
+    def test_bare_carriage_return_does_not_end_a_line(self):
+        assert len(parse_ground_truth_lines("a 0 0 0 1 1\r\nb 0 0 0 1 1\r\n")) == 2
+        with pytest.raises(ParseError, match="expected 6 fields .*, got 12") as err:
+            parse_ground_truth_lines("a 0 0 0 1 1\rb 0 0 0 1 1\n")
+        assert err.value.line == 1
 
     @pytest.mark.parametrize("loader", [load_ground_truths, load_detections])
     def test_undecodable_byte_is_a_parse_error_at_its_line(self, tmp_path, loader):
