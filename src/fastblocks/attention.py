@@ -11,6 +11,11 @@ Each gate takes the `BNParams` its layer holds as `self.bn` (`layers.NAMChannel`
 
     out = x * sigmoid(w ⊙ BN(x))
 
+The gate computes this in the BN output's buffer, which it owns. An eval
+forward scales, squashes and applies the gate all in that buffer; a training
+forward keeps BN(x) for the backward and squashes into one more buffer. The
+caller's x is never written.
+
 The gamma gradient flows through both the normalization and the weight
 vector, so the whole module is exactly differentiable.
 """
@@ -50,9 +55,9 @@ def _nam_forward(x: Tensor4, bn: BNParams, training: bool):
     """Shared gating pipeline on an (n, units, h, w) tensor; no cache when not training."""
     y, mean, var = batchnorm(x, bn, training)
     w = nam_weights(bn.gamma)
-    g = elementwise_mul(y, w[None, :, None, None])
-    s = sigmoid(g)
-    out = elementwise_mul(x, s)
+    g = elementwise_mul(y, w[None, :, None, None], out=None if training else y)
+    s = sigmoid(g, out=g)
+    out = elementwise_mul(x, s, out=None if training else s)
     return out, (x, y, w, s, mean, var) if training else None
 
 

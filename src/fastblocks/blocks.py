@@ -10,6 +10,10 @@ FasterNet block (run by `layers.FasterNetBlock`) chains pconv -> pwconv
 
     out = x + pw2(relu(bn(pw1(pconv(x)))))
 
+The block owns two of its intermediates and reuses them: ReLU runs in place
+on the BN output, and the skip is added into pw2's output. The caller's x is
+never written.
+
 Initialization draws weights from uniform [-sqrt(6/fan_in), +sqrt(6/fan_in)]
 with fan_in = c_in * k^2; biases start at zero and BN at gamma=1, beta=0.
 """
@@ -171,10 +175,10 @@ def fasternet_block_forward(
     t0 = pconv(x, params.pconv_w, spec.pconv_spec())
     t1 = pwconv(t0, params.pw1_w, params.pw1_b)
     t2, mean, var = batchnorm(t1, params.bn1, training)
-    t3 = relu(t2)
+    t3 = relu(t2, out=t2)
     t4 = pwconv(t3, params.pw2_w, params.pw2_b)
-    out = residual_add(x, t4)
-    return out, (x, t0, t1, t2, t3, mean, var) if training else None
+    out = residual_add(x, t4, out=t4)
+    return out, (x, t0, t1, t3, mean, var) if training else None
 
 
 def fasternet_block_grad(
@@ -183,10 +187,10 @@ def fasternet_block_grad(
     """Backward of the block. Returns (grad_x, grads dict keyed like the params)."""
     if cache is None:
         raise ValidationError("fasternet_block_grad needs the cache of a training-mode forward")
-    x, t0, t1, t2, t3, mean, var = cache
+    x, t0, t1, t3, mean, var = cache
     d4 = grad_out
     d3, gw2, gb2 = pwconv_grad(t3, params.pw2_w, d4)
-    d2 = relu_grad(t2, d3)
+    d2 = relu_grad(t3, d3)  # t3 = relu(t2) > 0 exactly where t2 > 0
     d1, ggamma, gbeta = batchnorm_grad(t1, params.bn1, mean, var, d2)
     d0, gw1, gb1 = pwconv_grad(t0, params.pw1_w, d1)
     dx_branch, gpc = pconv_grad(x, params.pconv_w, spec.pconv_spec(), d0)

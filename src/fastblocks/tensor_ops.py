@@ -9,8 +9,15 @@ Convolution is cross-correlation (no kernel flip) with zero padding and an
 integer stride, so a k=1 convolution with weight w scales the input by w.
 Output spatial dims must satisfy (h + 2p - k) / s + 1 exactly; anything else
 is a validation error rather than a silent floor. `conv2d`, the one
-convolution kernel (pconv and pwconv delegate to it), is one matmul over the
-im2col matrix of the input; `conv2d_grad` scatters its column gradient back.
+convolution kernel (pconv and pwconv delegate to it), is a matmul over the
+im2col matrix of the input, built one tile at a time: a block of output rows
+of one sample, or a group of whole samples, holding at most `TILE_BYTES` of
+columns, so that the tile is still in cache when its GEMM reads it. Each
+tile's GEMM writes straight into the preallocated output. A 1x1, stride-1,
+unpadded conv reads x itself as its columns, and a conv whose weights are too
+large to re-read per tile builds its full matrix; both are one tile of the
+same loop. `conv2d_grad` still builds the full im2col matrix for the kernel
+gradient and scatters its column gradient back.
 
 Batch norm is memory-bound, so it is written to make few passes over
 activation-sized arrays rather than to mirror the formula term by term. A
@@ -29,6 +36,11 @@ the call site (one MAC = one FLOP, bias adds excluded for conv, 2/element for
 batch norm, 1/element for relu and elementwise multiply/add, 4/element for
 sigmoid). This is the measured side of the two-route cost check; the
 closed-form side lives in `complexity`.
+
+`relu`, `sigmoid`, `elementwise_mul` and `residual_add` take numpy's `out=`:
+a caller that owns a buffer (for example a batch-norm output nothing else
+holds) can have the result written there, `x` itself included, instead of
+allocating. They report the same MACs either way.
 """
 
 from __future__ import annotations
@@ -198,30 +210,63 @@ def _check_conv_args(x: Tensor4, kernel: np.ndarray, bias, spec: ConvSpec):
     return x
 
 
-def _cols(x: Tensor4, spec: ConvSpec, h_out: int, w_out: int) -> np.ndarray:
-    """(n, c_in*k*k, h_out*w_out) im2col matrix; a view of x for a 1x1, stride-1, unpadded conv."""
+# Bytes of im2col matrix built per conv2d tile: small enough that a tile is
+# still in cache when its GEMM reads it back, instead of a round trip through
+# DRAM. Chosen by timing the convs of the 640x640 configs on one core with a
+# 2 MB L2: 2-8 MB tiles ran alike, 16 MB and whole matrices ran slower.
+TILE_BYTES = 4 * 2**20
+
+
+def _windows(x: Tensor4, spec: ConvSpec) -> np.ndarray:
+    """(n, c_in, k, k, h_out, w_out) view of the padded input: the im2col matrix before its reshape."""
     p, s, k = spec.padding, spec.stride, spec.k
     if p:
         x = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
-    win = sliding_window_view(x, (k, k), axis=(2, 3))[:, :, ::s, ::s]
-    return win.transpose(0, 1, 4, 5, 2, 3).reshape(x.shape[0], -1, h_out * w_out)
+    return sliding_window_view(x, (k, k), axis=(2, 3))[:, :, ::s, ::s].transpose(0, 1, 4, 5, 2, 3)
+
+
+def _tiles(n: int, h_out: int, row_bytes: int):
+    """(first sample, end sample, first row, end row) blocks of the output,
+    each with at most TILE_BYTES of columns: a block of output rows of one
+    sample, or a group of whole samples when one sample's columns fit."""
+    rows = TILE_BYTES // row_bytes if row_bytes else n * h_out
+    if rows >= h_out:
+        group = rows // h_out
+        for s0 in range(0, n, group):
+            yield s0, min(s0 + group, n), 0, h_out
+    else:
+        rows = max(rows, 1)
+        for s0 in range(n):
+            for r0 in range(0, h_out, rows):
+                yield s0, s0 + 1, r0, min(r0 + rows, h_out)
 
 
 def conv2d(x: Tensor4, kernel: np.ndarray, bias: np.ndarray | None, spec: ConvSpec) -> Tensor4:
     """2-D cross-correlation with zero padding and integer stride.
 
     x: (n, c_in, h, w); kernel: (c_out, c_in, k, k); bias: (c_out,) or None.
-    Returns (n, c_out, h_out, w_out).
+    Returns (n, c_out, h_out, w_out) of dtype `np.result_type(x, kernel, bias)`.
     """
     x = _check_conv_args(x, kernel, bias, spec)
     n, _, h, w = x.shape
     h_out, w_out = spec.out_hw(h, w)
-    out = (kernel.reshape(spec.c_out, -1) @ _cols(x, spec, h_out, w_out)).reshape(n, spec.c_out, h_out, w_out)
+    weights = kernel.reshape(spec.c_out, -1)
+    win = _windows(x, spec)
+    operands = (x, kernel) if bias is None else (x, kernel, bias)
+    out = np.empty((n, spec.c_out, h_out * w_out), dtype=np.result_type(*operands))
+    # One tile when a 1x1, stride-1, unpadded conv's columns are a view of x,
+    # or when the weights exceed 1/16 of a tile: each tile's GEMM re-reads the
+    # whole weight matrix, and on the 640x640 configs splitting convs with
+    # weights of 0.5 MB and more was slower than building their full matrix.
+    one_tile = spec.k == 1 and spec.stride == 1 and spec.padding == 0 or 16 * weights.nbytes > TILE_BYTES
+    for s0, s1, r0, r1 in _tiles(n, h_out, 0 if one_tile else weights.shape[1] * w_out * x.itemsize):
+        cols = win[s0:s1, ..., r0:r1, :].reshape(s1 - s0, weights.shape[1], (r1 - r0) * w_out)
+        tile = out[s0:s1, :, r0 * w_out : r1 * w_out]
+        np.matmul(weights, cols, out=tile)
+        if bias is not None:  # added while the tile is still in cache
+            tile += bias[:, None]
     record_macs(n * h_out * w_out * kernel.size)
-    if bias is not None:  # added in place: a second output-sized array would raise peak memory
-        out = out.astype(np.result_type(out, bias), copy=False)
-        out += bias[None, :, None, None]
-    return out
+    return out.reshape(n, spec.c_out, h_out, w_out)
 
 
 def conv2d_grad(
@@ -240,8 +285,10 @@ def conv2d_grad(
         )
     grad_out = grad_out.astype(np.result_type(grad_out, kernel), copy=False)
     g = grad_out.reshape(n, spec.c_out, h_out * w_out)
-    # The im2col matrix dies before dcols, its same-sized gradient, is allocated.
-    grad_kernel = (g @ _cols(x, spec, h_out, w_out).transpose(0, 2, 1)).sum(axis=0).reshape(kernel.shape)
+    # The full im2col matrix dies before dcols, its same-sized gradient, is allocated.
+    cols = _windows(x, spec).reshape(n, -1, h_out * w_out)
+    grad_kernel = (g @ cols.transpose(0, 2, 1)).sum(axis=0).reshape(kernel.shape)
+    del cols
     grad_bias = grad_out.sum(axis=(0, 2, 3))
     dcols = kernel.reshape(spec.c_out, -1).T @ g
     p, s, k = spec.padding, spec.stride, spec.k
@@ -340,10 +387,10 @@ def batchnorm_grad_eval(
     return grad_x, grad_gamma, grad_beta
 
 
-def relu(x: np.ndarray) -> np.ndarray:
+def relu(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """max(x, 0)."""
     record_macs(x.size)
-    return np.maximum(x, 0.0)
+    return np.maximum(x, 0.0, out=out)
 
 
 def relu_grad(x: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
@@ -351,26 +398,32 @@ def relu_grad(x: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
     return grad_out * (x > 0)
 
 
-def sigmoid(x: np.ndarray) -> np.ndarray:
-    """Stable logistic from one e = exp(-|x|): 1/(1+e) for x >= 0, e/(1+e) below; 4 FLOPs per element."""
+def sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Stable logistic from one e = exp(-|x|): 1/(1+e) for x >= 0, e/(1+e) below; 4 FLOPs per element.
+
+    e is built in `out`, which may be `x` itself; the only temporaries are
+    the sign mask and the numerator buffer of `np.where`.
+    """
     record_macs(4 * x.size)
-    e = np.exp(-np.abs(x))
-    out = np.where(x >= 0, 1.0, e)
+    nonneg = x >= 0
+    e = np.abs(x, out=out, dtype=np.result_type(x, 1.0))
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    num = np.where(nonneg, 1.0, e)
     e += 1.0
-    out /= e
-    return out
+    return np.divide(num, e, out=e)
 
 
-def elementwise_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def elementwise_mul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Hadamard product, counted as 1 MAC per output element."""
-    out = a * b
+    out = np.multiply(a, b, out=out)
     record_macs(out.size)
     return out
 
 
-def residual_add(a: Tensor4, b: Tensor4) -> Tensor4:
+def residual_add(a: Tensor4, b: Tensor4, out: Tensor4 | None = None) -> Tensor4:
     """Shape-checked skip-connection add, counted as 1 FLOP per element."""
     if a.shape != b.shape:
         raise ValidationError(f"residual add shape mismatch: {a.shape} vs {b.shape}")
     record_macs(a.size)
-    return a + b
+    return np.add(a, b, out=out)

@@ -13,7 +13,7 @@ from fastblocks.attention import (
 )
 from fastblocks.errors import DegenerateInputError, ValidationError
 from fastblocks.layers import NAMChannel, NAMSpatial
-from fastblocks.tensor_ops import BNParams
+from fastblocks.tensor_ops import BNParams, batchnorm, sigmoid
 
 from fdcheck import fd_grad, max_rel_err
 
@@ -245,3 +245,34 @@ class TestNamSpatial:
         assert cache is None
         with pytest.raises(ValidationError, match="training-mode forward"):
             nam_spatial_grad(cache, bn, np.ones_like(out))
+
+
+# ---------------------------------------------------------------- buffers
+
+
+def gates(rng):
+    """A channel and a spatial gate for an (n, 6, 4, 5) input."""
+    return channel_gate(random_bn(rng, 6)), spatial_gate(random_bn(rng, 20), 4, 5)
+
+
+@pytest.mark.parametrize("training", [True, False])
+def test_gates_leave_the_input_alone(training):
+    rng = np.random.default_rng(12)
+    for gate in gates(rng):
+        x = rng.standard_normal((3, 6, 4, 5))
+        before = x.copy()
+        out = gate.forward(x, training=training)
+        assert np.array_equal(x, before)
+        assert not np.shares_memory(out, x)
+
+
+def test_eval_gate_equals_the_allocating_composition():
+    # The eval gate works in the BN output's buffer; it must still compute
+    # BN -> * w -> sigmoid -> * x, operation for operation.
+    rng = np.random.default_rng(13)
+    for gate in gates(rng):
+        x = rng.standard_normal((3, 6, 4, 5))
+        units = x if gate.kind == "nam_channel" else x.reshape(18, 20, 1, 1)
+        y, _, _ = batchnorm(units, gate.bn, training=False)
+        s = sigmoid(y * nam_weights(gate.bn.gamma)[None, :, None, None])
+        assert np.array_equal(gate.forward(x, training=False), (units * s).reshape(x.shape))

@@ -260,6 +260,16 @@ class TestFasterNetBlock:
         with pytest.raises(ValidationError, match="training-mode forward"):
             fasternet_block_grad(cache, params, spec, np.ones_like(out))
 
+    @pytest.mark.parametrize("training", [True, False])
+    def test_forward_leaves_the_input_alone(self, training):
+        # ReLU and the skip add work in the block's own buffers, never in x.
+        block = FasterNetBlock(FasterNetBlockSpec(c=4, c_p=2), rng=0)
+        x = np.random.default_rng(13).standard_normal((2, 4, 5, 5))
+        before = x.copy()
+        out = block.forward(x, training=training)
+        assert np.array_equal(x, before)
+        assert not np.shares_memory(out, x)
+
     def test_spec_validation(self):
         with pytest.raises(ValidationError):
             FasterNetBlockSpec(c=4, c_p=8)

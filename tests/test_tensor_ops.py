@@ -4,9 +4,13 @@ Backward passes are checked against central finite differences computed
 locally in this file (independent of the library's gradcheck module).
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
+from fastblocks import tensor_ops
 from fastblocks.errors import ValidationError
 from fastblocks.tensor_ops import (
     BNParams,
@@ -241,6 +245,102 @@ class TestConv2dOracle:
         for got, want in zip(conv2d_grad(x, kernel, spec, g), conv2d_grad(x, kernel, spec, g.astype(np.float64))):
             assert got.dtype == np.float64
             assert np.array_equal(got, want)
+
+
+def conv_by_einsum(x, kernel, bias, stride, padding):
+    """Direct oracle: one einsum over the strided window view of the padded input."""
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    win = sliding_window_view(xp, kernel.shape[2:], axis=(2, 3))[:, :, ::stride, ::stride]
+    out = np.einsum("nchwab,ocab->nohw", win, kernel)
+    return out if bias is None else out + bias[None, :, None, None]
+
+
+# (n, c_in, c_out, h, w, k, s, p, bias, TILE_BYTES, GEMM column widths per tile)
+# Each tile size is at least 16x the weights, so the conv is split.
+TILED_CASES = {
+    # 27 x 11 columns per output row, 3 rows per tile: 13 rows -> 3+3+3+3+1
+    "row_tiles": (1, 3, 2, 13, 11, 3, 1, 1, True, 7128, [33, 33, 33, 33, 11]),
+    # stride 2 and padding: 7 x 6 outputs, 5 rows per tile, 2 samples
+    "stride_2": (2, 3, 2, 13, 11, 3, 2, 1, False, 7128, [30, 12, 30, 12]),
+    # the stem's shape, k=6 s=2 p=2: 7 x 5 outputs, 6 rows per tile
+    "k6_s2": (2, 2, 2, 14, 10, 6, 2, 2, True, 18432, [30, 5, 30, 5]),
+    # 4 x 4 outputs, 3456 bytes of columns per sample: groups of 2 samples, then 1
+    "sample_groups": (5, 3, 2, 6, 6, 3, 1, 0, True, 7128, [16, 16, 16]),
+    # a strided 1x1 is copied like any other conv: one sample per tile
+    "1x1_stride_2": (3, 3, 2, 9, 7, 1, 2, 0, False, 768, [20, 20, 20]),
+    # an unstrided 1x1 reads x itself: one tile, whatever its size
+    "1x1_view": (3, 3, 2, 9, 7, 1, 1, 0, True, 8, [63]),
+}
+
+
+class TestConv2dTiles:
+    """The tiled im2col conv against a direct oracle, with TILE_BYTES shrunk."""
+
+    @pytest.mark.parametrize("case", TILED_CASES, ids=list(TILED_CASES))
+    def test_tiles_cover_the_output_and_match_the_oracle(self, case, monkeypatch):
+        n, c_in, c_out, h, w, k, s, p, with_bias, tile_bytes, widths = TILED_CASES[case]
+        rng = np.random.default_rng(len(case))
+        x = rng.standard_normal((n, c_in, h, w))
+        kernel = rng.standard_normal((c_out, c_in, k, k))
+        bias = rng.standard_normal(c_out) if with_bias else None
+        tiles = []
+        matmul = np.matmul
+
+        def recording_matmul(a, b, out):
+            tiles.append(out.shape)
+            return matmul(a, b, out=out)
+
+        monkeypatch.setattr(tensor_ops, "TILE_BYTES", tile_bytes)
+        monkeypatch.setattr(np, "matmul", recording_matmul)
+        out = conv2d(x, kernel, bias, ConvSpec(c_in, c_out, k, s, p))
+        monkeypatch.undo()
+        assert [t[2] for t in tiles] == widths
+        assert sum(t[0] * t[2] for t in tiles) == out.shape[0] * out.shape[2] * out.shape[3]
+        assert max_rel_err(out, conv_by_einsum(x, kernel, bias, s, p)) < 1e-12
+
+    def test_large_weights_are_not_split(self, monkeypatch):
+        rng = np.random.default_rng(1)
+        x = rng.standard_normal((1, 4, 9, 9))
+        kernel = rng.standard_normal((8, 4, 3, 3))
+        monkeypatch.setattr(tensor_ops, "TILE_BYTES", 16 * kernel.nbytes - 8)
+        calls = []
+        matmul = np.matmul
+        monkeypatch.setattr(np, "matmul", lambda a, b, out: calls.append(out.shape) or matmul(a, b, out=out))
+        out = conv2d(x, kernel, None, ConvSpec(4, 8, 3, padding=1))
+        monkeypatch.undo()
+        assert calls == [(1, 8, 81)]
+        assert max_rel_err(out, conv_by_einsum(x, kernel, None, 1, 1)) < 1e-12
+
+    @pytest.mark.parametrize("tiled", [False, True])
+    def test_output_dtype_is_the_promoted_dtype_of_all_three_operands(self, tiled, monkeypatch):
+        if tiled:
+            monkeypatch.setattr(tensor_ops, "TILE_BYTES", 2000)
+        rng = np.random.default_rng(2)
+        x = rng.standard_normal((2, 3, 8, 8)).astype(np.float32)
+        kernel = rng.standard_normal((2, 3, 3, 3)).astype(np.float32)
+        bias = rng.standard_normal(2)
+        spec = ConvSpec(3, 2, 3, padding=1)
+        out = conv2d(x, kernel, bias, spec)
+        assert out.dtype == np.float64
+        assert conv2d(x, kernel, None, spec).dtype == np.float32
+        assert conv2d(x, kernel, bias.astype(np.float32), spec).dtype == np.float32
+        # float32 products, then the float64 bias: as if the float32 conv were cast and then biased
+        want = conv2d(x, kernel, None, spec).astype(np.float64) + bias[None, :, None, None]
+        assert np.array_equal(out, want)
+
+    def test_stem_conv_memory_is_bounded_by_the_tile(self):
+        # The full im2col matrix of this conv is 88 MB; input 9.8 MB, output 26 MB.
+        rng = np.random.default_rng(3)
+        x = rng.standard_normal((1, 3, 640, 640))
+        kernel = rng.standard_normal((32, 3, 6, 6))
+        bias = np.zeros(32)
+        tracemalloc.start()
+        try:
+            conv2d(x, kernel, bias, ConvSpec(3, 32, 6, stride=2, padding=2))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
 
 
 # ---------------------------------------------------------------- batchnorm
