@@ -227,8 +227,9 @@ def _windows(x: Tensor4, spec: ConvSpec) -> np.ndarray:
 
 def _tiles(n: int, h_out: int, row_bytes: int):
     """(first sample, end sample, first row, end row) blocks of the output,
-    each with at most TILE_BYTES of columns: a block of output rows of one
-    sample, or a group of whole samples when one sample's columns fit."""
+    each with at most TILE_BYTES of columns (one output row if a row holds
+    more): a block of output rows of one sample, or a group of whole samples
+    when one sample's columns fit. row_bytes=0 asks for one tile."""
     rows = TILE_BYTES // row_bytes if row_bytes else n * h_out
     if rows >= h_out:
         group = rows // h_out
@@ -258,7 +259,7 @@ def conv2d(x: Tensor4, kernel: np.ndarray, bias: np.ndarray | None, spec: ConvSp
     # or when the weights exceed 1/16 of a tile: each tile's GEMM re-reads the
     # whole weight matrix, and on the 640x640 configs splitting convs with
     # weights of 0.5 MB and more was slower than building their full matrix.
-    one_tile = spec.k == 1 and spec.stride == 1 and spec.padding == 0 or 16 * weights.nbytes > TILE_BYTES
+    one_tile = (spec.k == 1 and spec.stride == 1 and spec.padding == 0) or 16 * weights.nbytes > TILE_BYTES
     for s0, s1, r0, r1 in _tiles(n, h_out, 0 if one_tile else weights.shape[1] * w_out * x.itemsize):
         cols = win[s0:s1, ..., r0:r1, :].reshape(s1 - s0, weights.shape[1], (r1 - r0) * w_out)
         tile = out[s0:s1, :, r0 * w_out : r1 * w_out]

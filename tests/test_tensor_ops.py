@@ -273,6 +273,22 @@ TILED_CASES = {
 }
 
 
+def tiled_conv2d(monkeypatch, tile_bytes, x, kernel, bias, spec):
+    """conv2d with TILE_BYTES set to tile_bytes; returns (out, the output shape of each tile's GEMM)."""
+    tiles = []
+    matmul = np.matmul
+
+    def recording_matmul(a, b, out):
+        tiles.append(out.shape)
+        return matmul(a, b, out=out)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(tensor_ops, "TILE_BYTES", tile_bytes)
+        patch.setattr(np, "matmul", recording_matmul)
+        out = conv2d(x, kernel, bias, spec)
+    return out, tiles
+
+
 class TestConv2dTiles:
     """The tiled im2col conv against a direct oracle, with TILE_BYTES shrunk."""
 
@@ -283,17 +299,7 @@ class TestConv2dTiles:
         x = rng.standard_normal((n, c_in, h, w))
         kernel = rng.standard_normal((c_out, c_in, k, k))
         bias = rng.standard_normal(c_out) if with_bias else None
-        tiles = []
-        matmul = np.matmul
-
-        def recording_matmul(a, b, out):
-            tiles.append(out.shape)
-            return matmul(a, b, out=out)
-
-        monkeypatch.setattr(tensor_ops, "TILE_BYTES", tile_bytes)
-        monkeypatch.setattr(np, "matmul", recording_matmul)
-        out = conv2d(x, kernel, bias, ConvSpec(c_in, c_out, k, s, p))
-        monkeypatch.undo()
+        out, tiles = tiled_conv2d(monkeypatch, tile_bytes, x, kernel, bias, ConvSpec(c_in, c_out, k, s, p))
         assert [t[2] for t in tiles] == widths
         assert sum(t[0] * t[2] for t in tiles) == out.shape[0] * out.shape[2] * out.shape[3]
         assert max_rel_err(out, conv_by_einsum(x, kernel, bias, s, p)) < 1e-12
@@ -302,25 +308,22 @@ class TestConv2dTiles:
         rng = np.random.default_rng(1)
         x = rng.standard_normal((1, 4, 9, 9))
         kernel = rng.standard_normal((8, 4, 3, 3))
-        monkeypatch.setattr(tensor_ops, "TILE_BYTES", 16 * kernel.nbytes - 8)
-        calls = []
-        matmul = np.matmul
-        monkeypatch.setattr(np, "matmul", lambda a, b, out: calls.append(out.shape) or matmul(a, b, out=out))
-        out = conv2d(x, kernel, None, ConvSpec(4, 8, 3, padding=1))
-        monkeypatch.undo()
-        assert calls == [(1, 8, 81)]
+        spec = ConvSpec(4, 8, 3, padding=1)
+        out, tiles = tiled_conv2d(monkeypatch, 16 * kernel.nbytes - 8, x, kernel, None, spec)
+        assert tiles == [(1, 8, 81)]
         assert max_rel_err(out, conv_by_einsum(x, kernel, None, 1, 1)) < 1e-12
 
     @pytest.mark.parametrize("tiled", [False, True])
     def test_output_dtype_is_the_promoted_dtype_of_all_three_operands(self, tiled, monkeypatch):
-        if tiled:
-            monkeypatch.setattr(tensor_ops, "TILE_BYTES", 2000)
         rng = np.random.default_rng(2)
         x = rng.standard_normal((2, 3, 8, 8)).astype(np.float32)
         kernel = rng.standard_normal((2, 3, 3, 3)).astype(np.float32)
         bias = rng.standard_normal(2)
         spec = ConvSpec(3, 2, 3, padding=1)
-        out = conv2d(x, kernel, bias, spec)
+        # tiled: 4 of the 8 output rows per tile, as float32 columns take 864 bytes a row
+        tile_bytes = 16 * kernel.nbytes if tiled else tensor_ops.TILE_BYTES
+        out, tiles = tiled_conv2d(monkeypatch, tile_bytes, x, kernel, bias, spec)
+        assert len(tiles) == (4 if tiled else 1)
         assert out.dtype == np.float64
         assert conv2d(x, kernel, None, spec).dtype == np.float32
         assert conv2d(x, kernel, bias.astype(np.float32), spec).dtype == np.float32
