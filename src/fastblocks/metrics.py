@@ -2,14 +2,11 @@
 
 Matching is greedy in descending confidence (stable: input order breaks
 ties). Each detection may claim the unmatched ground-truth box of the same
-image with the highest IoU at or above the threshold; IoU ties go to the
-lowest ground-truth index, and a ground truth is used at most once. Each
-category is matched once for all IoU thresholds. Images are independent, so
-matching steps over within-image ranks: step s matches the s-th detection of
-every image at once, for every threshold, as one (images, thresholds, ground
-truths) array operation. Images are padded to a common ground-truth count
-only within a bucket of images whose counts round up to the same power of
-two, so padding at most doubles the array cells.
+image and category with the highest IoU at or above the threshold; IoU ties
+go to the lowest ground-truth index, and a ground truth is used at most once.
+Each (category, image) pair is thus an independent matching group, as in
+COCO's evaluation, and `evaluate` matches every group of every category for
+all IoU thresholds in one pass.
 
 AP is the 101-point interpolation: precision is first made monotonically
 nonincreasing from the right, then sampled at recalls {0, 0.01, ..., 1.00}
@@ -115,61 +112,76 @@ def match_detections(
 
     Returns (labels, unmatched_gt_counts), one entry per threshold; each labels
     row is in descending-confidence order (stable), the order pr_curve consumes.
+    A detection never claims a ground truth of another category; records of
+    several categories are labelled category by category, in ascending order.
     """
     _check_thresholds(iou_thresholds)
-    order = np.argsort([-d.confidence for d in detections], kind="stable")
-    # image -> (its ground-truth indices, its detections' ranks); a detection in
-    # an image without ground truth is a false positive at every threshold
-    by_image: dict[str, tuple[list[int], list[int]]] = {}
-    for idx, gt in enumerate(ground_truths):
-        by_image.setdefault(gt.image_id, ([], []))[0].append(idx)
-    for rank, i in enumerate(order):
-        if detections[i].image_id in by_image:
-            by_image[detections[i].image_id][1].append(rank)
-    # Images whose ground-truth counts round up to the same power of two share
-    # one padded array, so padding never exceeds the real ground truths.
-    buckets: dict[int, list[tuple[list[int], list[int]]]] = {}
-    for gts, ranks in by_image.values():
-        if ranks:
-            buckets.setdefault(1 << (len(gts) - 1).bit_length(), []).append((gts, ranks))
-    det_boxes = _corners([detections[i].box for i in order])
-    gt_boxes = _corners([gt.box for gt in ground_truths])
-    thresholds = np.array(iou_thresholds, dtype=np.float64)
-    labels = np.zeros((len(thresholds), len(detections)), dtype=bool)
-    for width, images in buckets.items():
-        _match_bucket(images, width, det_boxes, gt_boxes, thresholds, labels)
+    labels = _match(detections, ground_truths, iou_thresholds)[0]
     return [row.tolist() for row in labels], (len(ground_truths) - labels.sum(axis=1)).tolist()
 
 
-def _match_bucket(images, width, det_boxes, gt_boxes, thresholds, labels) -> None:
-    """Match the images of one bucket, writing their detections' columns of `labels`.
+def _match(detections, ground_truths, thresholds):
+    """Greedy labels of every detection at every threshold, in one pass over all groups.
 
-    Step s matches the s-th ranked detection of every image that has one, for
-    every threshold at once; images are independent, so this is the greedy
-    rule run image by image.
+    A group is one (category, image) pair, keyed by category index × image
+    count + image index. Detections are ranked once, by category and then by
+    descending confidence (stable), so each category's ranks are one run in
+    its own confidence order. Groups are independent, so matching steps over
+    within-group ranks: step s matches the s-th ranked detection of every
+    group, for every threshold, as one (groups, thresholds, ground truths)
+    array operation. Groups are padded to a common ground-truth count only
+    within a bucket of groups whose counts round up to the same power of two,
+    so padding at most doubles the array cells.
+
+    Returns the (thresholds, detections) labels in rank order, the distinct
+    categories (ascending) and each category's detection and ground-truth counts.
     """
-    # Most detections first: the images still matching at step s are a prefix.
-    images = sorted(images, key=lambda image: -len(image[1]))
-    counts = np.array([len(ranks) for _, ranks in images])
-    n_gts = [len(gts) for gts, _ in images]
-    # Padded corners are NaN, whose IoU never reaches a threshold.
-    corners = np.full((len(images), width, 4), np.nan)
-    slots = np.arange(sum(n_gts)) - np.repeat(np.cumsum(n_gts) - n_gts, n_gts)
-    corners[np.repeat(np.arange(len(images)), n_gts), slots] = gt_boxes[[g for gts, _ in images for g in gts]]
-    flat_ranks = np.array([r for _, ranks in images for r in ranks])
-    starts = np.cumsum(counts) - counts
-    active = np.searchsorted(-counts, -np.arange(counts[0]), side="left")
-    matched = np.zeros((len(images), len(thresholds), width), dtype=bool)
-    for step, k in enumerate(active):
-        ranks = flat_ranks[starts[:k] + step]
-        overlaps = _iou_matrix(det_boxes[ranks, None], corners[:k])  # (k, 1, width)
-        free = ~matched[:k] & (overlaps >= thresholds[:, None])
-        # argmax takes the first maximum: the lowest ground-truth index on IoU ties
-        best = np.where(free, overlaps, -1.0).argmax(axis=2)
-        hit = np.take_along_axis(free, best[..., None], axis=2)[..., 0]
-        image, t = hit.nonzero()
-        matched[image, t, best[image, t]] = True
-        labels[:, ranks] = hit.T
+    thresholds = np.array(thresholds, dtype=np.float64)
+    records = [*detections, *ground_truths]
+    images: dict[str, int] = {}
+    image = np.array([images.setdefault(r.image_id, len(images)) for r in records], dtype=np.int64)
+    categories, category = np.unique([r.category for r in records], return_inverse=True)
+    boxes = _corners([r.box for r in records])
+    n = len(detections)
+    order = np.lexsort(([-d.confidence for d in detections], category[:n]))
+    keys = category * len(images) + image
+    det_keys, det_boxes = keys[:n][order], boxes[:n][order]
+    gt_keys, gt_boxes = keys[n:], boxes[n:]
+
+    # Both kinds grouped by key, keeping input and rank order within a group.
+    gt_order = np.argsort(gt_keys, kind="stable")
+    groups, gt_starts, group_gts = np.unique(gt_keys[gt_order], return_index=True, return_counts=True)
+    by_key = np.argsort(det_keys, kind="stable")
+    det_starts = np.searchsorted(det_keys[by_key], groups)
+    # Detections of a group without ground truth are never visited: false positives at every threshold.
+    counts = np.searchsorted(det_keys[by_key], groups, side="right") - det_starts
+    widths = 1 << np.frexp(group_gts - 1)[1]  # frexp's exponent is the bit length of n - 1
+
+    labels = np.zeros((len(thresholds), n), dtype=bool)
+    for width in np.unique(widths[counts > 0]):
+        # Most detections first: the groups still matching at step s are a prefix.
+        bucket = np.flatnonzero((widths == width) & (counts > 0))
+        bucket = bucket[np.argsort(-counts[bucket], kind="stable")]
+        sizes = group_gts[bucket]
+        # Padded corners are NaN, whose IoU never reaches a threshold.
+        corners = np.full((len(bucket), width, 4), np.nan)
+        slots = np.arange(sizes.sum()) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+        rows = gt_order[np.repeat(gt_starts[bucket], sizes) + slots]
+        corners[np.repeat(np.arange(len(bucket)), sizes), slots] = gt_boxes[rows]
+        active = np.searchsorted(-counts[bucket], -np.arange(counts[bucket[0]]), side="left")
+        matched = np.zeros((len(bucket), len(thresholds), width), dtype=bool)
+        for step, k in enumerate(active):
+            ranks = by_key[det_starts[bucket[:k]] + step]
+            overlaps = _iou_matrix(det_boxes[ranks, None], corners[:k])  # (k, 1, width)
+            free = ~matched[:k] & (overlaps >= thresholds[:, None])
+            # argmax takes the first maximum: the lowest ground-truth index on IoU ties
+            best = np.where(free, overlaps, -1.0).argmax(axis=2)
+            hit = np.take_along_axis(free, best[..., None], axis=2)[..., 0]
+            g, t = hit.nonzero()
+            matched[g, t, best[g, t]] = True
+            labels[:, ranks] = hit.T
+    n_dets, n_gts = (np.bincount(c, minlength=len(categories)) for c in (category[:n], category[n:]))
+    return labels, categories, n_dets, n_gts
 
 
 def _pr(labels: np.ndarray, total_gt: int) -> tuple[np.ndarray, np.ndarray]:
@@ -242,7 +254,7 @@ def evaluate(
 ) -> EvalResult:
     """Category-partitioned AP evaluation plus pooled precision/recall.
 
-    Each category is matched once, for all distinct thresholds together; its
+    One matching pass serves every category and every distinct threshold; its
     matches at the map50 threshold also give the pooled TP/FP/FN. Categories
     with zero ground truths and zero detections are excluded from the means; a
     dataset whose every category lacks ground truth is rejected as degenerate.
@@ -252,29 +264,16 @@ def evaluate(
     if not ground_truths:
         raise DegenerateInputError("no category has any ground truth boxes")
 
-    det_by_cat: dict[int, list[Detection]] = {}
-    for det in detections:
-        det_by_cat.setdefault(det.category, []).append(det)
-    gt_by_cat: dict[int, list[GroundTruth]] = {}
-    for gt in ground_truths:
-        gt_by_cat.setdefault(gt.category, []).append(gt)
-
-    categories = sorted(set(det_by_cat) | set(gt_by_cat))
     distinct = tuple(dict.fromkeys(thresholds))
     primary = 0.5 if 0.5 in thresholds else thresholds[0]
-    pooled = distinct.index(primary)
+    labels, categories, n_dets, n_gts = _match(detections, ground_truths, distinct)
     per_category: dict[int, dict[float, float]] = {}
-    tp = fp = fn = 0
-    for cat in categories:
-        gts = gt_by_cat.get(cat, [])
-        labels, unmatched = match_detections(det_by_cat.get(cat, []), gts, distinct)
-        hits = np.array(labels, dtype=bool)
-        precision, recall = _pr(hits, len(gts))
+    runs = np.split(labels, np.cumsum(n_dets)[:-1], axis=1)
+    for cat, hits, n_gt in zip(categories.tolist(), runs, n_gts.tolist()):
+        precision, recall = _pr(hits, n_gt)
         per_category[cat] = {t: _ap(p, r) for t, p, r in zip(distinct, precision, recall)}
-        found = int(np.count_nonzero(hits[pooled]))
-        tp += found
-        fp += hits.shape[1] - found
-        fn += unmatched[pooled]
+    tp = int(np.count_nonzero(labels[distinct.index(primary)]))
+    fp, fn = len(detections) - tp, len(ground_truths) - tp
 
     map50 = sum(per_category[c][primary] for c in categories) / len(categories)
     map5095 = sum(sum(aps.values()) / len(aps) for aps in per_category.values()) / len(categories)

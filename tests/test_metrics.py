@@ -21,6 +21,7 @@ from fastblocks.metrics import (
     BBox,
     Detection,
     GroundTruth,
+    _match,
     average_precision,
     evaluate,
     iou,
@@ -164,6 +165,11 @@ class TestMatching:
         gts = [gt("a", UNIT)]
         dets = [det("b", 0.9, UNIT)]  # same box, wrong image
         (labels,), (fn,) = match_detections(dets, gts, (0.5,))
+        assert labels == [False]
+        assert fn == 1
+
+    def test_matching_is_per_category(self):
+        (labels,), (fn,) = match_detections([det("a", 0.9, UNIT, category=1)], [gt("a", UNIT)], (0.5,))
         assert labels == [False]
         assert fn == 1
 
@@ -363,30 +369,27 @@ class TestEvaluate:
 
 
 class TestSingleMatchingPass:
-    """evaluate matches each category once, for its distinct thresholds, and
-    the pooled precision/recall come from the matches at the map50 threshold."""
+    """evaluate matches once, for every category and its distinct thresholds,
+    and the pooled precision/recall come from the matches at the map50 threshold."""
 
     @pytest.fixture()
     def calls(self, monkeypatch):
         seen = []
 
-        def counting(dets, gts, iou_thresholds):
-            seen.append(iou_thresholds)
-            return match_detections(dets, gts, iou_thresholds)
+        def counting(dets, gts, thresholds):
+            seen.append(thresholds)
+            return _match(dets, gts, thresholds)
 
-        monkeypatch.setattr("fastblocks.metrics.match_detections", counting)
+        monkeypatch.setattr("fastblocks.metrics._match", counting)
         return seen
 
-    def test_one_call_per_category_and_distinct_threshold(self, calls):
-        evaluate([det("a", 0.9, UNIT)], [gt("a", UNIT)], (0.5,))
-        assert calls == [(0.5,)]
-        calls.clear()
+    def test_one_matching_call_with_the_distinct_thresholds(self, calls):
         two_categories = [gt("a", UNIT), gt("a", UNIT, category=1)]
         evaluate([det("a", 0.9, UNIT)], two_categories, RANGE_THRESHOLDS)
-        assert calls == [RANGE_THRESHOLDS] * 2
+        assert calls == [RANGE_THRESHOLDS]
         calls.clear()
         evaluate([det("a", 0.9, UNIT)], two_categories, (0.7, 0.5, 0.7))
-        assert calls == [(0.7, 0.5)] * 2
+        assert calls == [(0.7, 0.5)]
 
     def test_pooled_counts_use_the_requested_threshold(self):
         gts = [gt("a", UNIT)]
@@ -531,14 +534,18 @@ class TestEvaluateProperty:
         assert list(zip(labels, unclaimed)) == [brute_force_match(det_rows, gt_rows, t) for t in RANGE_THRESHOLDS]
 
 
-def test_padding_memory_stays_bounded_beside_one_crowded_image():
-    """Images are padded only to their own bucket's width, not to the crowded image's."""
+@pytest.mark.parametrize("sparse_categories", [1, 5])
+def test_padding_memory_stays_bounded_beside_one_crowded_image(sparse_categories):
+    """Groups are padded only to their own bucket's width, not to the crowded image's,
+    also when the sparse images are spread over several categories."""
     rng = np.random.default_rng(0)
     corners = rng.uniform(0, 900, (2000, 2))
     boxes = np.hstack([corners, corners + rng.uniform(10, 100, (2000, 2))]).tolist()
     images = ["crowded"] * 1000 + [f"sparse{i}" for i in range(1000)]
-    gts = [gt(image, box) for image, box in zip(images, boxes)]
-    dets = [det(image, float(conf), box) for image, box, conf in zip(images, boxes, rng.random(2000))]
+    categories = [0] * 1000 + [i % sparse_categories for i in range(1000)]
+    gts = [gt(image, box, cat) for image, box, cat in zip(images, boxes, categories)]
+    confidences = rng.random(2000).tolist()
+    dets = [det(image, conf, box, cat) for image, box, conf, cat in zip(images, boxes, confidences, categories)]
     tracemalloc.start()
     try:
         evaluate(dets, gts, RANGE_THRESHOLDS)
