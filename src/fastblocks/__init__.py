@@ -40,6 +40,7 @@ from .config import (
 from .errors import DegenerateInputError, ParseError, TrainingDiverged, ValidationError
 from .gradcheck import GradCheckFailure, GradReport, gradcheck, standard_suite
 from .metrics import (
+    Annotations,
     BBox,
     Detection,
     EvalResult,

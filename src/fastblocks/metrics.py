@@ -19,14 +19,20 @@ Annotation files are whitespace-delimited, one box per line:
     detections:    image_id category x1 y1 x2 y2 confidence
 
 Both kinds are read by one parser over `errors.tokenize`: lines end at `\n`,
-and `#` starts a comment. A box is valid when its corners are finite with
-x1 < x2 and y1 < y2, one check in `BBox`. Malformed lines raise ParseError
-with the line number.
+and `#` starts a comment. The loaders return `Annotations`, the file as
+columns (image ids, int64 categories, an (n, 4) corner array and, for
+detections, the confidences), which matching consumes as they are: no
+per-box object is built between the file and the AP. A box is valid when its
+corners are finite with x1 < x2 and y1 < y2, the rule of `BBox`; a
+confidence lies in [0, 1], the rule of `Detection`. Both rules are checked
+once per file, as vectorized masks. Malformed lines raise ParseError with the
+number of the first such line and the message of its first broken rule.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -73,9 +79,59 @@ class Detection:
             raise ValidationError(f"confidence must be in [0, 1], got {self.confidence}")
 
 
+@dataclass(frozen=True, eq=False)
+class Annotations(Sequence):
+    """Boxes as columns: row i holds image_id[i], category[i] (int64),
+    corners[i] (x1, y1, x2, y2) and, for detections, confidence[i];
+    confidence is None for ground truth.
+
+    A read-only sequence of records: item i is the GroundTruth or Detection
+    of row i, built on demand. Construction checks every row by the rules of
+    BBox and Detection at once, as vectorized masks.
+    """
+
+    image_id: list[str]
+    category: np.ndarray
+    corners: np.ndarray
+    confidence: np.ndarray | None = None
+
+    def __post_init__(self):
+        x1, y1, x2, y2 = self.corners.T
+        # NaN fails every comparison, so these masks reject it as BBox does.
+        valid = (-np.inf < x1) & (x1 < x2) & (x2 < np.inf) & (-np.inf < y1) & (y1 < y2) & (y2 < np.inf)
+        if self.confidence is not None:
+            valid &= (0.0 <= self.confidence) & (self.confidence <= 1.0)
+        if not valid.all():
+            # Building the first invalid row's record raises its rule's message.
+            self[int(np.argmin(valid))]
+
+    def __len__(self) -> int:
+        return len(self.image_id)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(len(self))[i]]
+        box = BBox(*self.corners[i].tolist())
+        if self.confidence is None:
+            return GroundTruth(self.image_id[i], int(self.category[i]), box)
+        return Detection(self.image_id[i], int(self.category[i]), box, float(self.confidence[i]))
+
+
 def _corners(boxes: list[BBox]) -> np.ndarray:
     """(n, 4) array of x1, y1, x2, y2 rows."""
     return np.array([(b.x1, b.y1, b.x2, b.y2) for b in boxes], dtype=np.float64).reshape(-1, 4)
+
+
+def _columns(records: Annotations | list[GroundTruth] | list[Detection]) -> Annotations:
+    """`records` as columns: an Annotations as it is, a list of records converted."""
+    if isinstance(records, Annotations):
+        return records
+    return Annotations(
+        [r.image_id for r in records],
+        np.array([r.category for r in records], dtype=np.int64),
+        _corners([r.box for r in records]),
+        np.array([r.confidence for r in records]) if all(isinstance(r, Detection) for r in records) else None,
+    )
 
 
 def _iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -106,14 +162,18 @@ def _check_thresholds(thresholds: tuple[float, ...]) -> None:
 
 
 def match_detections(
-    detections: list[Detection], ground_truths: list[GroundTruth], iou_thresholds: tuple[float, ...]
+    detections: Annotations | list[Detection],
+    ground_truths: Annotations | list[GroundTruth],
+    iou_thresholds: tuple[float, ...],
 ) -> tuple[list[list[bool]], list[int]]:
-    """Greedy TP/FP assignment for one category at every threshold, in one pass.
+    """Greedy TP/FP labels of every detection at every threshold, in one pass.
 
-    Returns (labels, unmatched_gt_counts), one entry per threshold; each labels
-    row is in descending-confidence order (stable), the order pr_curve consumes.
-    A detection never claims a ground truth of another category; records of
-    several categories are labelled category by category, in ascending order.
+    Returns (labels, unmatched_gt_counts), one entry per threshold. A
+    detection never claims a ground truth of another category. Each labels
+    row holds the categories one after another, in ascending category order,
+    and each category's labels in descending-confidence order (stable), the
+    order pr_curve consumes; with one category, the row is that category's
+    ranking. The counts pool every category.
     """
     _check_thresholds(iou_thresholds)
     labels = _match(detections, ground_truths, iou_thresholds)[0]
@@ -123,10 +183,11 @@ def match_detections(
 def _match(detections, ground_truths, thresholds):
     """Greedy labels of every detection at every threshold, in one pass over all groups.
 
-    A group is one (category, image) pair, keyed by category index × image
-    count + image index. Detections are ranked once, by category and then by
-    descending confidence (stable), so each category's ranks are one run in
-    its own confidence order. Groups are independent, so matching steps over
+    Both sides are taken as columns (see `_columns`). A group is one
+    (category, image) pair, keyed by category index × image count + image
+    index. Detections are ranked once, by category and then by descending
+    confidence (stable), so each category's ranks are one run in its own
+    confidence order. Groups are independent, so matching steps over
     within-group ranks: step s matches the s-th ranked detection of every
     group, for every threshold, as one (groups, thresholds, ground truths)
     array operation. Groups are padded to a common ground-truth count only
@@ -136,14 +197,14 @@ def _match(detections, ground_truths, thresholds):
     Returns the (thresholds, detections) labels in rank order, the distinct
     categories (ascending) and each category's detection and ground-truth counts.
     """
+    dets, gts = _columns(detections), _columns(ground_truths)
     thresholds = np.array(thresholds, dtype=np.float64)
-    records = [*detections, *ground_truths]
     images: dict[str, int] = {}
-    image = np.array([images.setdefault(r.image_id, len(images)) for r in records], dtype=np.int64)
-    categories, category = np.unique([r.category for r in records], return_inverse=True)
-    boxes = _corners([r.box for r in records])
-    n = len(detections)
-    order = np.lexsort(([-d.confidence for d in detections], category[:n]))
+    image = np.array([images.setdefault(i, len(images)) for i in dets.image_id + gts.image_id], dtype=np.int64)
+    categories, category = np.unique(np.concatenate([dets.category, gts.category]), return_inverse=True)
+    boxes = np.concatenate([dets.corners, gts.corners])
+    n = len(dets)
+    order = np.lexsort((-dets.confidence, category[:n]))
     keys = category * len(images) + image
     det_keys, det_boxes = keys[:n][order], boxes[:n][order]
     gt_keys, gt_boxes = keys[n:], boxes[n:]
@@ -248,8 +309,8 @@ class EvalResult:
 
 
 def evaluate(
-    detections: list[Detection],
-    ground_truths: list[GroundTruth],
+    detections: Annotations | list[Detection],
+    ground_truths: Annotations | list[GroundTruth],
     iou_thresholds: tuple[float, ...] = (0.5,),
 ) -> EvalResult:
     """Category-partitioned AP evaluation plus pooled precision/recall.
@@ -289,12 +350,33 @@ def evaluate(
     )
 
 
-def _parse(text: str, record, layout: str) -> list:
-    """One `record` per line holding the fields that `layout` names: an image
-    id, an integer category, then numbers, the four box corners first and
-    then whatever `record` takes after its box."""
+def _parse(text: str, record, layout: str) -> Annotations:
+    """The lines of `text` as columns, each line holding the fields that
+    `layout` names: an image id, an integer category, then numbers, the four
+    box corners first and then whatever `record` takes after its box."""
     names = layout.split()
-    records = []
+    image_ids: list[str] = []
+    categories: list[int] = []
+    numbers: list[float] = []
+    try:
+        for _, (image_id, category, *values) in tokenize(text):
+            if len(values) != len(names) - 2:
+                break  # a field-count error, reported below
+            image_ids.append(image_id)
+            categories.append(int(category))
+            numbers.extend(map(float, values))
+        else:
+            rows = np.array(numbers, dtype=np.float64).reshape(-1, len(names) - 2)
+            return Annotations(
+                image_ids,
+                np.array(categories, dtype=np.int64),
+                rows[:, :4],
+                rows[:, 4] if record is Detection else None,
+            )
+    except (ValueError, OverflowError):  # a ValidationError is a ValueError
+        pass
+    # Some line breaks a rule: the first such line in file order is reported,
+    # with the message of the first rule it breaks.
     for lineno, tokens in tokenize(text):
         if len(tokens) != len(names):
             raise ParseError(f"expected {len(names)} fields ({layout}), got {len(tokens)}", lineno)
@@ -303,30 +385,32 @@ def _parse(text: str, record, layout: str) -> list:
             category = int(category)
         except ValueError:
             raise ParseError(f"category must be an integer, got '{category}'", lineno) from None
+        if not -(2**63) <= category < 2**63:
+            raise ParseError(f"category must fit in 64 bits, got '{tokens[1]}'", lineno)
         try:
             numbers = [float(v) for v in values]
         except ValueError:
             raise ParseError(f"{' '.join(names[2:])} must be numbers, got {' '.join(values)}", lineno) from None
         try:
-            records.append(record(image_id, category, BBox(*numbers[:4]), *numbers[4:]))
+            record(image_id, category, BBox(*numbers[:4]), *numbers[4:])
         except ValidationError as exc:
             raise ParseError(str(exc), lineno) from None
-    return records
 
 
-def parse_ground_truth_lines(text: str) -> list[GroundTruth]:
-    """`image_id category x1 y1 x2 y2`; '#' comments and blank lines skipped."""
+def parse_ground_truth_lines(text: str) -> Annotations:
+    """`image_id category x1 y1 x2 y2` per line, as columns; '#' comments and
+    blank lines skipped."""
     return _parse(text, GroundTruth, "image_id category x1 y1 x2 y2")
 
 
-def parse_detection_lines(text: str) -> list[Detection]:
+def parse_detection_lines(text: str) -> Annotations:
     """`image_id category x1 y1 x2 y2 confidence`; same comment rules."""
     return _parse(text, Detection, "image_id category x1 y1 x2 y2 confidence")
 
 
-def load_ground_truths(path) -> list[GroundTruth]:
+def load_ground_truths(path) -> Annotations:
     return parse_ground_truth_lines(read_text(path))
 
 
-def load_detections(path) -> list[Detection]:
+def load_detections(path) -> Annotations:
     return parse_detection_lines(read_text(path))

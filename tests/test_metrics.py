@@ -7,6 +7,7 @@ the 101 samples). It shares no code with the library and is the reference
 the fast implementation must match exactly.
 """
 
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -18,6 +19,7 @@ from fastblocks.config import parse_model_config
 from fastblocks.errors import DegenerateInputError, ParseError, ValidationError
 from fastblocks.metrics import (
     RANGE_THRESHOLDS,
+    Annotations,
     BBox,
     Detection,
     GroundTruth,
@@ -570,6 +572,27 @@ b 0 1 1 2 2 0.80
 """
 
 
+@st.composite
+def float_boxes(draw):
+    x1, y1 = draw(st.floats(-100.0, 100.0)), draw(st.floats(-100.0, 100.0))
+    return (x1, y1, x1 + draw(st.floats(1e-3, 50.0)), y1 + draw(st.floats(1e-3, 50.0)))
+
+
+FILE_ROWS = st.tuples(st.sampled_from(["a", "b", "img_07", "caf\u00e9"]), st.integers(-2, 2), float_boxes())
+
+
+@st.composite
+def annotation_text(draw, rows):
+    """`rows` of fields as annotation lines, among comment and blank lines, with
+    `\n` or `\r\n` endings and extra whitespace around and between fields."""
+    text = ""
+    for fields in rows:
+        text += "".join(draw(st.lists(st.sampled_from(["\n", "# a comment\n", " \t\r\n", "\t# x 0 1\n"]), max_size=2)))
+        text += draw(st.sampled_from(["", " ", "\t"])) + draw(st.sampled_from([" ", "  ", "\t", " \t "])).join(map(str, fields))
+        text += draw(st.sampled_from(["", "  ", " # trailing"])) + draw(st.sampled_from(["\n", "\r\n"]))
+    return text
+
+
 MALFORMED_LINES = [
     (parse_ground_truth_lines, "a 0 0 0 10", "6 fields"),
     (parse_ground_truth_lines, "a x 0 0 10 10", "integer"),
@@ -646,6 +669,75 @@ class TestFiles:
         with pytest.raises(ParseError, match="expected 6 fields .*, got 12") as err:
             parse_ground_truth_lines("a 0 0 0 1 1\rb 0 0 0 1 1\n")
         assert err.value.line == 1
+
+    @settings(derandomize=True, deadline=None, max_examples=100)
+    @given(
+        st.lists(FILE_ROWS, min_size=1, max_size=12),
+        st.lists(st.tuples(FILE_ROWS, st.floats(0.0, 1.0)), max_size=12),
+        st.data(),
+    )
+    def test_parsed_columns_equal_hand_built_records(self, gt_rows, det_rows, data):
+        gts = [gt(image, box, category) for image, category, box in gt_rows]
+        dets = [det(image, conf, box, category) for (image, category, box), conf in det_rows]
+        parsed_gts = parse_ground_truth_lines(data.draw(annotation_text([(i, c, *box) for i, c, box in gt_rows])))
+        parsed_dets = parse_detection_lines(
+            data.draw(annotation_text([(i, c, *box, conf) for (i, c, box), conf in det_rows]))
+        )
+        assert len(parsed_gts) == len(gts) and len(parsed_dets) == len(dets)
+        assert all(parsed_gts[i] == gts[i] for i in range(len(gts)))
+        assert all(parsed_dets[i] == dets[i] for i in range(len(dets)))
+        assert list(parsed_gts) == gts and parsed_dets[::-1] == dets[::-1]
+        assert evaluate(parsed_dets, parsed_gts, RANGE_THRESHOLDS) == evaluate(dets, gts, RANGE_THRESHOLDS)
+
+    @pytest.mark.parametrize("parse", [parse_ground_truth_lines, parse_detection_lines])
+    def test_first_malformed_line_wins(self, parse):
+        """Of two malformed lines, the first is reported with its own message,
+        whichever rules the two break: the field count, the integer and number
+        conversions, checked line by line, or the box and confidence rules,
+        checked over the whole file at once."""
+        first = {parse_ground_truth_lines: "a 0 0 0 10 10", parse_detection_lines: "a 0 0 0 10 10 0.5"}[parse]
+        lines = [line for p, line, _ in MALFORMED_LINES if p is parse]
+        for second, third in itertools.permutations(lines, 2):
+            with pytest.raises(ParseError) as alone:
+                parse(f"{first}\n{second}\n")
+            with pytest.raises(ParseError) as err:
+                parse(f"{first}\n{second}\n# note\n\n{third}\n")
+            assert err.value.line == 2
+            assert str(err.value) == str(alone.value)
+
+    @pytest.mark.parametrize("parse", [parse_ground_truth_lines, parse_detection_lines])
+    def test_category_beyond_64_bits_rejected_at_its_line(self, parse):
+        tail = {parse_ground_truth_lines: "", parse_detection_lines: " 0.5"}[parse]
+        assert parse(f"a {2**63 - 1} 0 0 1 1{tail}\nb {-(2**63)} 0 0 1 1{tail}\n")[1].category == -(2**63)
+        with pytest.raises(ParseError, match=f"category must fit in 64 bits, got '{2**63}'") as err:
+            parse(f"a 0 0 0 1 1{tail}\nb {2**63} 0 0 1 1{tail}\n")
+        assert err.value.line == 2
+
+    def test_annotations_check_every_row_on_construction(self):
+        zero_width = np.array([[0.0, 0.0, 1.0, 1.0], [0.0, 0.0, 0.0, 1.0]])
+        with pytest.raises(ValidationError, match="positive area"):
+            Annotations(["a", "b"], np.array([0, 0]), zero_width)
+        with pytest.raises(ValidationError, match=r"confidence must be in \[0, 1\], got nan"):
+            Annotations(["a", "b"], np.array([0, 0]), np.array([UNIT, UNIT]), np.array([0.5, np.nan]))
+
+    def test_loading_and_evaluating_build_no_box_objects(self, tmp_path, monkeypatch):
+        """The load path stays on columns: no BBox is built between the file and the AP."""
+        built = []
+        check = BBox.__post_init__
+
+        def counting_check(box):
+            built.append(box)
+            check(box)
+
+        monkeypatch.setattr(BBox, "__post_init__", counting_check)
+        (tmp_path / "gt.txt").write_text(GT_TEXT)
+        (tmp_path / "det.txt").write_text(DET_TEXT)
+        gts = load_ground_truths(tmp_path / "gt.txt")
+        dets = load_detections(tmp_path / "det.txt")
+        assert evaluate(dets, gts, RANGE_THRESHOLDS).map50 == 1.0
+        assert built == []
+        assert gts[0].box == BBox(0, 0, 10, 10)  # a record built on demand does run the check
+        assert len(built) == 2
 
     @pytest.mark.parametrize("loader", [load_ground_truths, load_detections])
     def test_undecodable_byte_is_a_parse_error_at_its_line(self, tmp_path, loader):
