@@ -12,12 +12,13 @@ is a validation error rather than a silent floor. `conv2d`, the one
 convolution kernel (pconv and pwconv delegate to it), is a matmul over the
 im2col matrix of the input, built one tile at a time: a block of output rows
 of one sample, or a group of whole samples, holding at most `TILE_BYTES` of
-columns, so that the tile is still in cache when its GEMM reads it. Each
-tile's GEMM writes straight into the preallocated output. A 1x1, stride-1,
-unpadded conv reads x itself as its columns, and a conv whose weights are too
-large to re-read per tile builds its full matrix; both are one tile of the
-same loop. `conv2d_grad` still builds the full im2col matrix for the kernel
-gradient and scatters its column gradient back.
+columns, or 16x the weights' bytes when that is more, so that each GEMM
+re-reads its weights at most once per 16x their size. Every tile's columns
+are copied into one workspace, allocated once per call at the size of the
+largest tile, and each tile's GEMM writes straight into the preallocated
+output. A 1x1, stride-1, unpadded conv reads x itself as its columns, in one
+tile and without a copy. `conv2d_grad` still builds the full im2col matrix
+for the kernel gradient and scatters its column gradient back.
 
 Batch norm is memory-bound, so it is written to make few passes over
 activation-sized arrays rather than to mirror the formula term by term. A
@@ -210,7 +211,8 @@ def _check_conv_args(x: Tensor4, kernel: np.ndarray, bias, spec: ConvSpec):
     return x
 
 
-# Bytes of im2col matrix built per conv2d tile: small enough that a tile is
+# Bytes of im2col matrix built per conv2d tile, unless 16x the weights is
+# more (see conv2d): small enough that a tile is
 # still in cache when its GEMM reads it back, instead of a round trip through
 # DRAM. Chosen by timing the convs of the 640x640 configs on one core with a
 # 2 MB L2: 2-8 MB tiles ran alike, 16 MB and whole matrices ran slower.
@@ -225,12 +227,12 @@ def _windows(x: Tensor4, spec: ConvSpec) -> np.ndarray:
     return sliding_window_view(x, (k, k), axis=(2, 3))[:, :, ::s, ::s].transpose(0, 1, 4, 5, 2, 3)
 
 
-def _tiles(n: int, h_out: int, row_bytes: int):
+def _tiles(n: int, h_out: int, row_bytes: int, limit: int):
     """(first sample, end sample, first row, end row) blocks of the output,
-    each with at most TILE_BYTES of columns (one output row if a row holds
+    each with at most `limit` bytes of columns (one output row if a row holds
     more): a block of output rows of one sample, or a group of whole samples
     when one sample's columns fit. row_bytes=0 asks for one tile."""
-    rows = TILE_BYTES // row_bytes if row_bytes else n * h_out
+    rows = limit // row_bytes if row_bytes else n * h_out
     if rows >= h_out:
         group = rows // h_out
         for s0 in range(0, n, group):
@@ -255,13 +257,21 @@ def conv2d(x: Tensor4, kernel: np.ndarray, bias: np.ndarray | None, spec: ConvSp
     win = _windows(x, spec)
     operands = (x, kernel) if bias is None else (x, kernel, bias)
     out = np.empty((n, spec.c_out, h_out * w_out), dtype=np.result_type(*operands))
-    # One tile when a 1x1, stride-1, unpadded conv's columns are a view of x,
-    # or when the weights exceed 1/16 of a tile: each tile's GEMM re-reads the
-    # whole weight matrix, and on the 640x640 configs splitting convs with
-    # weights of 0.5 MB and more was slower than building their full matrix.
-    one_tile = (spec.k == 1 and spec.stride == 1 and spec.padding == 0) or 16 * weights.nbytes > TILE_BYTES
-    for s0, s1, r0, r1 in _tiles(n, h_out, 0 if one_tile else weights.shape[1] * w_out * x.itemsize):
-        cols = win[s0:s1, ..., r0:r1, :].reshape(s1 - s0, weights.shape[1], (r1 - r0) * w_out)
+    # A 1x1, stride-1, unpadded conv's columns are a view of x: one tile, no
+    # copy. Any other conv is tiled, and each tile's GEMM re-reads the whole
+    # weight matrix, so a tile holds at least 16x the weights' bytes.
+    view = spec.k == 1 and spec.stride == 1 and spec.padding == 0
+    depth = weights.shape[1]
+    row_bytes = 0 if view else depth * w_out * x.itemsize
+    tiles = list(_tiles(n, h_out, row_bytes, max(TILE_BYTES, 16 * weights.nbytes)))
+    if not view:
+        workspace = np.empty(max((s1 - s0) * (r1 - r0) for s0, s1, r0, r1 in tiles) * depth * w_out, win.dtype)
+    for s0, s1, r0, r1 in tiles:
+        cols = win[s0:s1, ..., r0:r1, :]
+        if not view:  # the previous tile's columns are overwritten, not kept
+            np.copyto(workspace[: cols.size].reshape(cols.shape), cols)
+            cols = workspace[: cols.size]
+        cols = cols.reshape(s1 - s0, depth, (r1 - r0) * w_out)
         tile = out[s0:s1, :, r0 * w_out : r1 * w_out]
         np.matmul(weights, cols, out=tile)
         if bias is not None:  # added while the tile is still in cache
@@ -403,14 +413,15 @@ def sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Stable logistic from one e = exp(-|x|): 1/(1+e) for x >= 0, e/(1+e) below; 4 FLOPs per element.
 
     e is built in `out`, which may be `x` itself; the only temporaries are
-    the sign mask and the numerator buffer of `np.where`.
+    the sign mask and the numerator max(e, x >= 0): 1 where x >= 0 (there
+    e <= 1), e below, and NaN where x is NaN.
     """
     record_macs(4 * x.size)
     nonneg = x >= 0
     e = np.abs(x, out=out, dtype=np.result_type(x, 1.0))
     np.negative(e, out=e)
     np.exp(e, out=e)
-    num = np.where(nonneg, 1.0, e)
+    num = np.maximum(e, nonneg)
     e += 1.0
     return np.divide(num, e, out=e)
 

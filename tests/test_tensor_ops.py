@@ -304,13 +304,16 @@ class TestConv2dTiles:
         assert sum(t[0] * t[2] for t in tiles) == out.shape[0] * out.shape[2] * out.shape[3]
         assert max_rel_err(out, conv_by_einsum(x, kernel, bias, s, p)) < 1e-12
 
-    def test_large_weights_are_not_split(self, monkeypatch):
+    def test_large_weights_set_the_tile_to_16x_their_bytes(self, monkeypatch):
         rng = np.random.default_rng(1)
-        x = rng.standard_normal((1, 4, 9, 9))
+        x = rng.standard_normal((1, 4, 20, 20))
         kernel = rng.standard_normal((8, 4, 3, 3))
         spec = ConvSpec(4, 8, 3, padding=1)
+        # 16x the weights is 36,864 bytes: 6 of the 20 x 36 x 8 = 5,760-byte output rows
         out, tiles = tiled_conv2d(monkeypatch, 16 * kernel.nbytes - 8, x, kernel, None, spec)
-        assert tiles == [(1, 8, 81)]
+        assert [t[2] for t in tiles] == [120, 120, 120, 40]
+        column_bytes = kernel[0].size * x.itemsize
+        assert max(t[0] * t[2] for t in tiles) * column_bytes <= 16 * kernel.nbytes
         assert max_rel_err(out, conv_by_einsum(x, kernel, None, 1, 1)) < 1e-12
 
     @pytest.mark.parametrize("tiled", [False, True])
@@ -344,6 +347,22 @@ class TestConv2dTiles:
         finally:
             tracemalloc.stop()
         assert peak < 64 * 2**20
+
+    def test_large_weight_conv_memory_is_bounded_by_the_tile(self):
+        # yolov5s-like's 128->128 3x3 conv at 80x80: its full im2col matrix is
+        # 56 MB; input 6.6 MB, padded input 6.9 MB, output 6.6 MB. Its weights
+        # are 1.2 MB, so a tile holds at most 18.9 MB of columns.
+        rng = np.random.default_rng(4)
+        x = rng.standard_normal((1, 128, 80, 80))
+        kernel = rng.standard_normal((128, 128, 3, 3))
+        bias = np.zeros(128)
+        tracemalloc.start()
+        try:
+            conv2d(x, kernel, bias, ConvSpec(128, 128, 3, padding=1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40 * 2**20
 
 
 # ---------------------------------------------------------------- batchnorm
@@ -590,10 +609,17 @@ def test_sigmoid_is_bit_identical_to_the_two_branch_formula():
         out[~pos] = ex / (1.0 + ex)
         return out
 
-    tails = np.array([-745.0, -40.0, -20.0, -0.0, 0.0, 20.0, 40.0, 710.0])
+    tails = np.array([-np.inf, -745.0, -40.0, -20.0, -0.0, 0.0, 20.0, 40.0, 710.0, np.inf])
     grid = np.random.default_rng(0).normal(0.0, 10.0, 10_000)
-    for x in (tails, grid):
-        assert np.array_equal(sigmoid(x).view(np.int64), two_branch(x).view(np.int64))
+    for x in (tails, grid, grid.astype(np.float32), tails.astype(np.float32)):
+        got, want = sigmoid(x), two_branch(x)
+        assert got.dtype == want.dtype == x.dtype
+        assert np.array_equal(got.view(f"i{x.itemsize}"), want.view(f"i{x.itemsize}"))
+    nan = np.array([np.nan, -np.nan, 1.0, -1.0])
+    for x in (nan, nan.astype(np.float32)):
+        got = sigmoid(x)
+        assert np.array_equal(np.isnan(got), np.isnan(x))
+        assert np.array_equal(got[2:], two_branch(x)[2:])
 
 
 def test_residual_add_requires_matching_shapes():
