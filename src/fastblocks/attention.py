@@ -64,16 +64,23 @@ def _nam_forward(x: Tensor4, bn: BNParams, training: bool):
 def _nam_backward(cache, bn: BNParams, grad_out: Tensor4):
     """Backward of _nam_forward. Returns (grad_x, grad_gamma, grad_beta)."""
     x, y, w, s, mean, var = cache
-    ds = grad_out * x
-    dg = ds * s * (1.0 - s)
-    dy = dg * w[None, :, None, None]
-    dw = (dg * y).sum(axis=(0, 2, 3))
-    dx_bn, dgamma, dbeta = batchnorm_grad(x, bn, mean, var, dy)
+    # Two owned buffers, evaluated in the order of the formulas
+    # dg = grad_out * x * s * (1 - s), dw = sum(dg * y), dy = dg * w and
+    # grad_x = grad_out * s + dx_bn, so the results are those of the formulas.
+    dtype = np.result_type(grad_out, x, s)
+    dg = np.multiply(grad_out, x, out=np.empty(x.shape, dtype))
+    dg *= s
+    tmp = np.subtract(1.0, s, out=np.empty(x.shape, dtype))
+    dg *= tmp
+    dw = np.multiply(dg, y, out=tmp).sum(axis=(0, 2, 3))
+    del tmp  # freed before batch norm's backward allocates its own buffer
+    dg *= w[None, :, None, None]
+    dx_bn, dgamma, dbeta = batchnorm_grad(x, bn, mean, var, dg)
     # w_i = |gamma_i| / S differentiates to sign(gamma_j) * (delta_ij - w_i) / S.
     total = np.abs(bn.gamma).sum()
     dgamma_w = np.sign(bn.gamma) * (dw - np.dot(w, dw)) / total
-    grad_x = grad_out * s + dx_bn
-    return grad_x, dgamma + dgamma_w, dbeta
+    dx_bn += np.multiply(grad_out, s, out=dg)
+    return dx_bn, dgamma + dgamma_w, dbeta
 
 
 def nam_channel_forward(x: Tensor4, bn: BNParams, training: bool = True):

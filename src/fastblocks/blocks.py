@@ -11,7 +11,9 @@ FasterNet block (run by `layers.FasterNetBlock`) chains pconv -> pwconv
     out = x + pw2(relu(bn(pw1(pconv(x)))))
 
 The block owns two of its intermediates and reuses them: ReLU runs in place
-on the BN output, and the skip is added into pw2's output. The caller's x is
+on the BN output, and the skip is added into pw2's output. Its backward
+likewise applies ReLU's mask in place on pw2's input gradient and adds the
+skip's gradient into the pconv branch's. The caller's x and grad_out are
 never written.
 
 Initialization draws weights from uniform [-sqrt(6/fan_in), +sqrt(6/fan_in)]
@@ -36,7 +38,6 @@ from .tensor_ops import (
     conv2d,
     conv2d_grad,
     relu,
-    relu_grad,
     residual_add,
 )
 
@@ -188,13 +189,12 @@ def fasternet_block_grad(
     if cache is None:
         raise ValidationError("fasternet_block_grad needs the cache of a training-mode forward")
     x, t0, t1, t3, mean, var = cache
-    d4 = grad_out
-    d3, gw2, gb2 = pwconv_grad(t3, params.pw2_w, d4)
-    d2 = relu_grad(t3, d3)  # t3 = relu(t2) > 0 exactly where t2 > 0
-    d1, ggamma, gbeta = batchnorm_grad(t1, params.bn1, mean, var, d2)
+    d3, gw2, gb2 = pwconv_grad(t3, params.pw2_w, grad_out)
+    d3 *= t3 > 0  # relu's backward; t3 = relu(t2) > 0 exactly where t2 > 0
+    d1, ggamma, gbeta = batchnorm_grad(t1, params.bn1, mean, var, d3)
     d0, gw1, gb1 = pwconv_grad(t0, params.pw1_w, d1)
-    dx_branch, gpc = pconv_grad(x, params.pconv_w, spec.pconv_spec(), d0)
-    grad_x = grad_out + dx_branch
+    grad_x, gpc = pconv_grad(x, params.pconv_w, spec.pconv_spec(), d0)
+    grad_x += grad_out  # the skip's gradient
     grads = {
         "pconv_w": gpc,
         "pw1_w": gw1,

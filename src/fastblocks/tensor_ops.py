@@ -17,8 +17,17 @@ re-reads its weights at most once per 16x their size. Every tile's columns
 are copied into one workspace, allocated once per call at the size of the
 largest tile, and each tile's GEMM writes straight into the preallocated
 output. A 1x1, stride-1, unpadded conv reads x itself as its columns, in one
-tile and without a copy. `conv2d_grad` still builds the full im2col matrix
-for the kernel gradient and scatters its column gradient back.
+tile and without a copy.
+
+`conv2d_grad` runs through the same tiles, so it builds no full im2col
+matrix either: the kernel gradient is summed tile by tile. For stride 1
+with p <= k-1 the input gradient is itself a convolution, of grad_out with
+the kernel flipped and its channel axes swapped at padding k-1-p, and runs
+as one when c_out <= c_in. A widening conv (c_out > c_in), whose transposed
+columns would be c_out/c_in times the input, and any other stride, build
+the column gradient W^T @ grad_out and scatter it back onto the input
+(col2im); when the windows tile the input exactly (k == s, p == 0) that
+scatter is a transpose. Backward kernels report no MACs.
 
 Batch norm is memory-bound, so it is written to make few passes over
 activation-sized arrays rather than to mirror the formula term by term. A
@@ -244,6 +253,49 @@ def _tiles(n: int, h_out: int, row_bytes: int, limit: int):
                 yield s0, s0 + 1, r0, min(r0 + rows, h_out)
 
 
+def _column_tiles(x: Tensor4, spec: ConvSpec, weight_bytes: int):
+    """(first sample, end sample, first column, end column, cols) for each tile
+    of x's im2col matrix, `cols` being that tile's (samples, c_in*k*k,
+    output pixels) columns.
+
+    A 1x1, stride-1, unpadded conv's columns are a view of x: one tile, no
+    copy. Any other conv is tiled, and each tile's GEMM re-reads the whole
+    weight matrix, so a tile holds at least 16x the weights' bytes. Every
+    tile is copied into one workspace, which the next tile overwrites: a
+    caller must be done with `cols` before it asks for the next tile.
+    """
+    n, _, h, w = x.shape
+    h_out, w_out = spec.out_hw(h, w)
+    win = _windows(x, spec)
+    view = spec.k == 1 and spec.stride == 1 and spec.padding == 0
+    depth = spec.c_in * spec.k * spec.k
+    row_bytes = 0 if view else depth * w_out * x.itemsize
+    tiles = list(_tiles(n, h_out, row_bytes, max(TILE_BYTES, 16 * weight_bytes)))
+    if not view:
+        workspace = np.empty(max((s1 - s0) * (r1 - r0) for s0, s1, r0, r1 in tiles) * depth * w_out, win.dtype)
+    for s0, s1, r0, r1 in tiles:
+        cols = win[s0:s1, ..., r0:r1, :]
+        if not view:
+            np.copyto(workspace[: cols.size].reshape(cols.shape), cols)
+            cols = workspace[: cols.size]
+        yield s0, s1, r0 * w_out, r1 * w_out, cols.reshape(s1 - s0, depth, (r1 - r0) * w_out)
+
+
+def _conv(x: Tensor4, weights: np.ndarray, bias: np.ndarray | None, spec: ConvSpec, dtype) -> Tensor4:
+    """conv2d's arithmetic without its checks or MAC report: `weights` is the
+    (c_out, c_in*k*k) kernel matrix, and each tile's GEMM writes straight
+    into the output."""
+    n, _, h, w = x.shape
+    h_out, w_out = spec.out_hw(h, w)
+    out = np.empty((n, spec.c_out, h_out * w_out), dtype=dtype)
+    for s0, s1, c0, c1, cols in _column_tiles(x, spec, weights.nbytes):
+        tile = out[s0:s1, :, c0:c1]
+        np.matmul(weights, cols, out=tile)
+        if bias is not None:  # added while the tile is still in cache
+            tile += bias[:, None]
+    return out.reshape(n, spec.c_out, h_out, w_out)
+
+
 def conv2d(x: Tensor4, kernel: np.ndarray, bias: np.ndarray | None, spec: ConvSpec) -> Tensor4:
     """2-D cross-correlation with zero padding and integer stride.
 
@@ -251,33 +303,10 @@ def conv2d(x: Tensor4, kernel: np.ndarray, bias: np.ndarray | None, spec: ConvSp
     Returns (n, c_out, h_out, w_out) of dtype `np.result_type(x, kernel, bias)`.
     """
     x = _check_conv_args(x, kernel, bias, spec)
-    n, _, h, w = x.shape
-    h_out, w_out = spec.out_hw(h, w)
-    weights = kernel.reshape(spec.c_out, -1)
-    win = _windows(x, spec)
     operands = (x, kernel) if bias is None else (x, kernel, bias)
-    out = np.empty((n, spec.c_out, h_out * w_out), dtype=np.result_type(*operands))
-    # A 1x1, stride-1, unpadded conv's columns are a view of x: one tile, no
-    # copy. Any other conv is tiled, and each tile's GEMM re-reads the whole
-    # weight matrix, so a tile holds at least 16x the weights' bytes.
-    view = spec.k == 1 and spec.stride == 1 and spec.padding == 0
-    depth = weights.shape[1]
-    row_bytes = 0 if view else depth * w_out * x.itemsize
-    tiles = list(_tiles(n, h_out, row_bytes, max(TILE_BYTES, 16 * weights.nbytes)))
-    if not view:
-        workspace = np.empty(max((s1 - s0) * (r1 - r0) for s0, s1, r0, r1 in tiles) * depth * w_out, win.dtype)
-    for s0, s1, r0, r1 in tiles:
-        cols = win[s0:s1, ..., r0:r1, :]
-        if not view:  # the previous tile's columns are overwritten, not kept
-            np.copyto(workspace[: cols.size].reshape(cols.shape), cols)
-            cols = workspace[: cols.size]
-        cols = cols.reshape(s1 - s0, depth, (r1 - r0) * w_out)
-        tile = out[s0:s1, :, r0 * w_out : r1 * w_out]
-        np.matmul(weights, cols, out=tile)
-        if bias is not None:  # added while the tile is still in cache
-            tile += bias[:, None]
-    record_macs(n * h_out * w_out * kernel.size)
-    return out.reshape(n, spec.c_out, h_out, w_out)
+    out = _conv(x, kernel.reshape(spec.c_out, -1), bias, spec, np.result_type(*operands))
+    record_macs(out.shape[0] * out.shape[2] * out.shape[3] * kernel.size)
+    return out
 
 
 def conv2d_grad(
@@ -296,19 +325,27 @@ def conv2d_grad(
         )
     grad_out = grad_out.astype(np.result_type(grad_out, kernel), copy=False)
     g = grad_out.reshape(n, spec.c_out, h_out * w_out)
-    # The full im2col matrix dies before dcols, its same-sized gradient, is allocated.
-    cols = _windows(x, spec).reshape(n, -1, h_out * w_out)
-    grad_kernel = (g @ cols.transpose(0, 2, 1)).sum(axis=0).reshape(kernel.shape)
-    del cols
+    grad_kernel = np.zeros((spec.c_out, c_in * spec.k**2), np.result_type(g, x))
+    for s0, s1, c0, c1, cols in _column_tiles(x, spec, kernel.nbytes):
+        grad_kernel += (g[s0:s1, :, c0:c1] @ cols.transpose(0, 2, 1)).sum(axis=0)
+    del cols  # the last tile's view would keep the workspace alive
+    grad_kernel = grad_kernel.reshape(kernel.shape)
     grad_bias = grad_out.sum(axis=(0, 2, 3))
-    dcols = kernel.reshape(spec.c_out, -1).T @ g
     p, s, k = spec.padding, spec.stride, spec.k
-    if k == 1 and s == 1 and p == 0:  # the columns are the input itself
-        return dcols.reshape(x.shape), grad_kernel, grad_bias
+    if s == 1 and p <= k - 1 and (spec.c_out <= c_in or k == 1):
+        # The input gradient is grad_out convolved with the kernel flipped and
+        # its channel axes swapped, at padding k-1-p: a forward conv through
+        # the same tiles. Its columns are c_out/c_in times the input, so a
+        # widening conv keeps the scatter (a 1x1 is a view either way).
+        flipped = np.ascontiguousarray(kernel[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)).reshape(c_in, -1)
+        grad_x = _conv(grad_out, flipped, None, ConvSpec(spec.c_out, c_in, k, 1, k - 1 - p), g.dtype)
+        return grad_x, grad_kernel, grad_bias
 
+    dwin = (kernel.reshape(spec.c_out, -1).T @ g).reshape(n, c_in, k, k, h_out, w_out)
+    if k == s and p == 0:  # the windows tile the input exactly: col2im is a transpose
+        return dwin.transpose(0, 1, 4, 2, 5, 3).reshape(x.shape), grad_kernel, grad_bias
     # col2im: scatter each kernel offset's column gradient onto the padded input.
-    dwin = dcols.reshape(n, c_in, k, k, h_out, w_out)
-    dxp = np.zeros((n, c_in, h + 2 * p, w + 2 * p), dtype=dcols.dtype)
+    dxp = np.zeros((n, c_in, h + 2 * p, w + 2 * p), dtype=dwin.dtype)
     for a in range(k):
         for b in range(k):
             dxp[:, :, a : a + s * h_out : s, b : b + s * w_out : s] += dwin[:, :, a, b]

@@ -13,7 +13,7 @@ from fastblocks.attention import (
 )
 from fastblocks.errors import DegenerateInputError, ValidationError
 from fastblocks.layers import NAMChannel, NAMSpatial
-from fastblocks.tensor_ops import BNParams, batchnorm, sigmoid
+from fastblocks.tensor_ops import BNParams, batchnorm, batchnorm_grad, sigmoid
 
 from fdcheck import fd_grad, max_rel_err
 
@@ -276,3 +276,37 @@ def test_eval_gate_equals_the_allocating_composition():
         y, _, _ = batchnorm(units, gate.bn, training=False)
         s = sigmoid(y * nam_weights(gate.bn.gamma)[None, :, None, None])
         assert np.array_equal(gate.forward(x, training=False), (units * s).reshape(x.shape))
+
+
+def allocating_nam_backward(cache, bn, grad_out):
+    """The gate's backward as its formulas read, one temporary per operation."""
+    x, y, w, s, mean, var = cache
+    dg = grad_out * x * s * (1.0 - s)
+    dw = (dg * y).sum(axis=(0, 2, 3))
+    dx_bn, dgamma, dbeta = batchnorm_grad(x, bn, mean, var, dg * w[None, :, None, None])
+    dgamma_w = np.sign(bn.gamma) * (dw - np.dot(w, dw)) / np.abs(bn.gamma).sum()
+    return grad_out * s + dx_bn, dgamma + dgamma_w, dbeta
+
+
+def test_training_backward_equals_the_allocating_formulas_and_leaves_grad_out_alone():
+    # The backward works in two buffers of its own; it must still evaluate
+    # the formulas left to right and never write grad_out.
+    rng = np.random.default_rng(14)
+    x = rng.standard_normal((3, 6, 4, 5))
+    for forward, backward, bn in (
+        (nam_channel_forward, nam_channel_grad, random_bn(rng, 6)),
+        (nam_spatial_forward, nam_spatial_grad, random_bn(rng, 20)),
+    ):
+        _, cache = forward(x, bn)
+        grad_out = rng.standard_normal(x.shape)
+        before = grad_out.copy()
+        got = backward(cache, bn, grad_out)
+        assert np.array_equal(grad_out, before)
+        assert not np.shares_memory(got[0], grad_out)
+        if forward is nam_channel_forward:
+            want = allocating_nam_backward(cache, bn, grad_out)
+        else:
+            want = allocating_nam_backward(cache[0], bn, grad_out.reshape(18, 20, 1, 1))
+        assert np.array_equal(got[0], want[0].reshape(x.shape))
+        assert np.array_equal(got[1], want[1])
+        assert np.array_equal(got[2], want[2])

@@ -20,7 +20,7 @@ from fastblocks.config import parse_model_config
 from fastblocks.errors import ValidationError
 from fastblocks.layers import FasterNetBlock
 from fastblocks.model import build_model
-from fastblocks.tensor_ops import ConvSpec, conv2d, conv2d_grad, count_macs
+from fastblocks.tensor_ops import ConvSpec, batchnorm_grad, conv2d, conv2d_grad, count_macs, relu_grad
 
 from fdcheck import fd_grad, max_rel_err
 
@@ -269,6 +269,38 @@ class TestFasterNetBlock:
         out = block.forward(x, training=training)
         assert np.array_equal(x, before)
         assert not np.shares_memory(out, x)
+
+    def test_backward_equals_the_allocating_formulas_and_leaves_grad_out_alone(self):
+        # The backward masks and sums in the buffers it owns; it must still
+        # compute the chain rule as written, operation for operation.
+        spec = FasterNetBlockSpec(c=6, c_p=2)
+        params = init_params(spec, 3)
+        rng = np.random.default_rng(14)
+        x = rng.standard_normal((3, 6, 5, 4))
+        grad_out = rng.standard_normal(x.shape)
+        before = grad_out.copy()
+        _, cache = fasternet_block_forward(x, params, spec)
+        grad_x, grads = fasternet_block_grad(cache, params, spec, grad_out)
+        assert np.array_equal(grad_out, before)
+        assert not np.shares_memory(grad_x, grad_out)
+
+        _, t0, t1, t3, mean, var = cache
+        d3, gw2, gb2 = pwconv_grad(t3, params.pw2_w, grad_out)
+        d1, ggamma, gbeta = batchnorm_grad(t1, params.bn1, mean, var, relu_grad(t3, d3))
+        d0, gw1, gb1 = pwconv_grad(t0, params.pw1_w, d1)
+        dx_branch, gpc = pconv_grad(x, params.pconv_w, spec.pconv_spec(), d0)
+        assert np.array_equal(grad_x, grad_out + dx_branch)
+        want = {
+            "pconv_w": gpc,
+            "pw1_w": gw1,
+            "pw1_b": gb1,
+            "bn1_gamma": ggamma,
+            "bn1_beta": gbeta,
+            "pw2_w": gw2,
+            "pw2_b": gb2,
+        }
+        for key, value in want.items():
+            assert np.array_equal(grads[key], value), key
 
     def test_spec_validation(self):
         with pytest.raises(ValidationError):

@@ -365,6 +365,118 @@ class TestConv2dTiles:
         assert peak < 40 * 2**20
 
 
+# (n, c_in, c_out, h, w, k, s, p, transposed): transposed says whether the
+# input gradient runs as a forward conv of grad_out (a second tiled pass)
+# rather than through the column gradient.
+GRAD_PATHS = {
+    # stride 1, p <= k-1, c_out <= c_in: the flipped kernel at padding k-1-p
+    "transposed": (2, 3, 2, 9, 7, 3, 1, 1, True),
+    "transposed_unpadded": (2, 3, 3, 9, 7, 3, 1, 0, True),
+    "transposed_even_k": (2, 3, 2, 8, 7, 2, 1, 1, True),
+    # c_out > c_in: the transposed columns would outgrow the input; scatter
+    "widening": (2, 2, 3, 9, 7, 3, 1, 1, False),
+    # p > k-1: the transposed padding would be negative; scatter
+    "padding_beyond_k": (2, 3, 2, 6, 5, 2, 1, 2, False),
+    # k == s, p == 0: the windows tile the input; col2im is a transpose
+    "k_equals_s": (2, 3, 2, 16, 12, 2, 2, 0, False),
+    "stride_2_padded": (2, 3, 2, 9, 7, 3, 2, 1, False),
+    # a 1x1, stride-1, unpadded conv reads x, and grad_out, as its columns
+    "1x1_view": (2, 3, 2, 9, 7, 1, 1, 0, True),
+    "1x1_view_widening": (2, 2, 3, 9, 7, 1, 1, 0, True),
+}
+
+
+def traced_conv2d_grad(monkeypatch, x, kernel, spec, grad_out):
+    """conv2d_grad with TILE_BYTES shrunk to 8, so that a tile holds 16x the
+    weights' bytes; returns its gradients and, for each tiled pass, the
+    shape of the array tiled and its number of tiles."""
+    passes = []
+    column_tiles = tensor_ops._column_tiles
+
+    def recording_tiles(a, spec, weight_bytes):
+        passes.append([a.shape, 0])
+        for tile in column_tiles(a, spec, weight_bytes):
+            passes[-1][1] += 1
+            yield tile
+
+    with monkeypatch.context() as patch:
+        patch.setattr(tensor_ops, "TILE_BYTES", 8)
+        patch.setattr(tensor_ops, "_column_tiles", recording_tiles)
+        grads = conv2d_grad(x, kernel, spec, grad_out)
+    return grads, passes
+
+
+class TestConv2dGradPaths:
+    """Each input-gradient path of conv2d_grad, with the kernel gradient summed over several tiles."""
+
+    @pytest.mark.parametrize("case", GRAD_PATHS, ids=list(GRAD_PATHS))
+    def test_matches_finite_differences(self, case, monkeypatch):
+        n, c_in, c_out, h, w, k, s, p, transposed = GRAD_PATHS[case]
+        rng = np.random.default_rng(len(case))
+        spec = ConvSpec(c_in, c_out, k, s, p)
+        x = rng.standard_normal((n, c_in, h, w))
+        kernel = rng.standard_normal((c_out, c_in, k, k))
+        bias = rng.standard_normal(c_out)
+        v = rng.standard_normal((n, c_out, *spec.out_hw(h, w)))
+        (gx, gk, gb), passes = traced_conv2d_grad(monkeypatch, x, kernel, spec, v)
+
+        assert passes[0][0] == x.shape
+        if k > 1:  # a 1x1 view is one tile
+            assert passes[0][1] > 1
+        assert [a for a, _ in passes[1:]] == ([v.shape] if transposed else [])
+
+        def loss():
+            return float(np.sum(v * conv2d(x, kernel, bias, spec)))
+
+        # Linear loss: a large central-difference step has no truncation error.
+        assert max_rel_err(gx, fd_grad(loss, x, step=1e-3)) < 1e-6
+        assert max_rel_err(gk, fd_grad(loss, kernel, step=1e-3)) < 1e-6
+        assert max_rel_err(gb, fd_grad(loss, bias, step=1e-3)) < 1e-6
+
+    def test_reports_no_macs(self):
+        rng = np.random.default_rng(5)
+        spec = ConvSpec(3, 2, 3, padding=1)
+        x = rng.standard_normal((2, 3, 6, 6))
+        with count_macs() as counter:
+            conv2d_grad(x, rng.standard_normal((2, 3, 3, 3)), spec, rng.standard_normal((2, 2, 6, 6)))
+        assert counter.macs == 0
+
+    @staticmethod
+    def grad_peak(x, kernel, spec, grad_out):
+        tracemalloc.start()
+        try:
+            conv2d_grad(x, kernel, spec, grad_out)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_demo_pconv_memory_is_bounded_by_the_tiles(self):
+        # The demo's first pconv: 4 of 8 channels, 3x3, at 16x16, batch 256.
+        # Its full im2col matrix and column gradient are 18.9 MB each; the
+        # padded input and grad_out 2.7 MB each, the input gradient 2.1 MB.
+        rng = np.random.default_rng(6)
+        x = rng.standard_normal((256, 8, 16, 16))[:, :4]
+        grad_out = rng.standard_normal((256, 8, 16, 16))[:, :4]
+        kernel = rng.standard_normal((4, 4, 3, 3))
+        assert self.grad_peak(x, kernel, ConvSpec(4, 4, 3, padding=1), grad_out) < 12 * 2**20
+
+    @pytest.mark.parametrize(
+        "n, c_in, c_out, hw, limit_mib",
+        [
+            # the demo's stem: a 4.7 MB column gradient, a 0.7 MB padded input gradient
+            (256, 1, 8, 16, 5.4),
+            # a 3x3 at 80x80: a 29.5 MB column gradient, a 3.4 MB padded input gradient
+            (1, 64, 128, 80, 32.1),
+        ],
+    )
+    def test_widening_conv_memory_is_no_more_than_its_scatter(self, n, c_in, c_out, hw, limit_mib):
+        rng = np.random.default_rng(7)
+        x = rng.standard_normal((n, c_in, hw, hw))
+        grad_out = rng.standard_normal((n, c_out, hw, hw))
+        kernel = rng.standard_normal((c_out, c_in, 3, 3))
+        assert self.grad_peak(x, kernel, ConvSpec(c_in, c_out, 3, padding=1), grad_out) < limit_mib * 2**20
+
+
 # ---------------------------------------------------------------- batchnorm
 
 
