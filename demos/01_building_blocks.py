@@ -56,8 +56,8 @@ def main() -> None:
 
     # Zero the final projection and the block reduces to the identity,
     # which is why stacks of these train stably from the start.
-    block.block.pw2_w[:] = 0.0
-    block.block.pw2_b[:] = 0.0
+    block.pw2.weight[:] = 0.0
+    block.pw2.bias[:] = 0.0
     print(f"block : zeroed last projection -> identity: {np.array_equal(block.forward(x), x)}")
 
 

@@ -10,7 +10,6 @@ a demo training loop.
 
 from .attention import nam_weights
 from .blocks import (
-    FasterNetBlockParams,
     FasterNetBlockSpec,
     PConvSpec,
     PWConvSpec,

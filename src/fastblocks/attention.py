@@ -92,8 +92,6 @@ def nam_channel_forward(x: Tensor4, bn: BNParams, training: bool = True):
 
 
 def nam_channel_grad(cache, bn: BNParams, grad_out: Tensor4):
-    if cache is None:
-        raise ValidationError("nam_channel_grad needs the cache of a training-mode forward")
     return _nam_backward(cache, bn, grad_out)
 
 
@@ -109,8 +107,6 @@ def nam_spatial_forward(x: Tensor4, bn: BNParams, training: bool = True):
 
 
 def nam_spatial_grad(cache, bn: BNParams, grad_out: Tensor4):
-    if cache is None:
-        raise ValidationError("nam_spatial_grad needs the cache of a training-mode forward")
     inner, (n, c, h, w) = cache
     gt = grad_out.reshape(n * c, h * w, 1, 1)
     gx, dgamma, dbeta = _nam_backward(inner, bn, gt)

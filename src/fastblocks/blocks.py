@@ -5,19 +5,20 @@ c channels and passes the remaining c - c_p through untouched, so its cost
 falls with the square of the partial ratio p = c_p / c relative to a full
 convolution over the same map. Pointwise convolution (pwconv) is per-pixel
 channel mixing, a 1x1 `conv2d`; pconv runs `conv2d` on a channel slice. A
-FasterNet block (run by `layers.FasterNetBlock`) chains pconv -> pwconv
-(expand) -> BN -> relu -> pwconv (project) around an identity skip:
+FasterNet block chains pconv -> pwconv (expand) -> BN -> relu -> pwconv
+(project) around an identity skip:
 
     out = x + pw2(relu(bn(pw1(pconv(x)))))
 
-The block owns two of its intermediates and reuses them: ReLU runs in place
-on the BN output, and the skip is added into pw2's output. Its backward
-likewise applies ReLU's mask in place on pw2's input gradient and adds the
-skip's gradient into the pconv branch's. The caller's x and grad_out are
-never written.
+`layers.FasterNetBlock` holds the four part layers (`pconv`, `pw1`, `bn1`,
+`pw2`); `fasternet_block_forward` and `fasternet_block_grad` run the chain
+over them, and each part caches what its own backward needs. ReLU is not a
+part: it runs in place on bn1's output, and its backward mask is read from
+pw2's cached input. The skip is added into pw2's output, and its gradient
+into the pconv branch's. The caller's x and grad_out are never written.
 
 Initialization draws weights from uniform [-sqrt(6/fan_in), +sqrt(6/fan_in)]
-with fan_in = c_in * k^2; biases start at zero and BN at gamma=1, beta=0.
+with fan_in = c_in * k^2; biases start at zero.
 """
 
 from __future__ import annotations
@@ -28,18 +29,7 @@ from math import prod
 import numpy as np
 
 from .errors import ValidationError
-from .tensor_ops import (
-    BNParams,
-    ConvSpec,
-    Tensor4,
-    as_tensor4,
-    batchnorm,
-    batchnorm_grad,
-    conv2d,
-    conv2d_grad,
-    relu,
-    residual_add,
-)
+from .tensor_ops import ConvSpec, Tensor4, as_tensor4, conv2d, conv2d_grad, relu, residual_add
 
 
 @dataclass(frozen=True)
@@ -153,58 +143,20 @@ class FasterNetBlockSpec:
         return self.e * self.c
 
 
-@dataclass
-class FasterNetBlockParams:
-    """Weights for one FasterNet block, in the order init_params draws them.
-
-    pconv_w (c_p, c_p, k, k); pw1 (hidden, c) expands, pw2 (c, hidden)
-    projects back; bn1 normalizes the hidden channels.
-    """
-
-    pconv_w: np.ndarray
-    pw1_w: np.ndarray
-    pw1_b: np.ndarray
-    bn1: BNParams
-    pw2_w: np.ndarray
-    pw2_b: np.ndarray
+def fasternet_block_forward(block, x: Tensor4, training: bool = True) -> Tensor4:
+    """out = x + pw2(relu(bn1(pw1(pconv(x))))) over the parts of a `layers.FasterNetBlock`."""
+    t2 = block.bn1.forward(block.pw1.forward(block.pconv.forward(x, training), training), training)
+    t4 = block.pw2.forward(relu(t2, out=t2), training)
+    return residual_add(x, t4, out=t4)
 
 
-def fasternet_block_forward(
-    x: Tensor4, params: FasterNetBlockParams, spec: FasterNetBlockSpec, training: bool = True
-):
-    """out = x + pw2(relu(bn(pw1(pconv(x))))) and the cache fasternet_block_grad needs; None when not training."""
-    t0 = pconv(x, params.pconv_w, spec.pconv_spec())
-    t1 = pwconv(t0, params.pw1_w, params.pw1_b)
-    t2, mean, var = batchnorm(t1, params.bn1, training)
-    t3 = relu(t2, out=t2)
-    t4 = pwconv(t3, params.pw2_w, params.pw2_b)
-    out = residual_add(x, t4, out=t4)
-    return out, (x, t0, t1, t3, mean, var) if training else None
-
-
-def fasternet_block_grad(
-    cache, params: FasterNetBlockParams, spec: FasterNetBlockSpec, grad_out: Tensor4
-):
-    """Backward of the block. Returns (grad_x, grads dict keyed like the params)."""
-    if cache is None:
-        raise ValidationError("fasternet_block_grad needs the cache of a training-mode forward")
-    x, t0, t1, t3, mean, var = cache
-    d3, gw2, gb2 = pwconv_grad(t3, params.pw2_w, grad_out)
-    d3 *= t3 > 0  # relu's backward; t3 = relu(t2) > 0 exactly where t2 > 0
-    d1, ggamma, gbeta = batchnorm_grad(t1, params.bn1, mean, var, d3)
-    d0, gw1, gb1 = pwconv_grad(t0, params.pw1_w, d1)
-    grad_x, gpc = pconv_grad(x, params.pconv_w, spec.pconv_spec(), d0)
+def fasternet_block_grad(block, grad_out: Tensor4) -> Tensor4:
+    """Backward of the block through its parts, which fill their own grads. Returns grad_x."""
+    d3 = block.pw2.backward(grad_out)
+    d3 *= block.pw2._cached() > 0  # relu's backward; relu(t2) > 0 exactly where t2 > 0
+    grad_x = block.pconv.backward(block.pw1.backward(block.bn1.backward(d3)))
     grad_x += grad_out  # the skip's gradient
-    grads = {
-        "pconv_w": gpc,
-        "pw1_w": gw1,
-        "pw1_b": gb1,
-        "bn1_gamma": ggamma,
-        "bn1_beta": gbeta,
-        "pw2_w": gw2,
-        "pw2_b": gb2,
-    }
-    return grad_x, grads
+    return grad_x
 
 
 def _uniform_fan_in(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
@@ -218,9 +170,9 @@ def init_params(spec, seed_or_rng=0):
 
     The one initializer: each weighted layer's constructor draws its
     parameters here. ConvSpec -> (kernel, bias); PWConvSpec -> (weights,
-    bias); PConvSpec -> weights; FasterNetBlockSpec -> FasterNetBlockParams.
-    Weights ~ U[-sqrt(6/fan_in), +sqrt(6/fan_in)] with fan_in = c_in * k^2;
-    biases zero; BN gamma=1, beta=0, running stats (0, 1).
+    bias); PConvSpec -> weights. A FasterNet block's parts draw theirs in
+    order from one Generator: pconv, then pw1, then pw2. Weights ~
+    U[-sqrt(6/fan_in), +sqrt(6/fan_in)] with fan_in = c_in * k^2; biases zero.
     Accepts an integer seed or an existing numpy Generator, which
     `np.random.default_rng` returns unchanged.
     """
@@ -231,13 +183,4 @@ def init_params(spec, seed_or_rng=0):
         return _uniform_fan_in(rng, (spec.c_out, spec.c_in)), np.zeros(spec.c_out)
     if isinstance(spec, PConvSpec):
         return _uniform_fan_in(rng, (spec.c_p, spec.c_p, spec.k, spec.k))
-    if isinstance(spec, FasterNetBlockSpec):
-        return FasterNetBlockParams(
-            pconv_w=init_params(spec.pconv_spec(), rng),
-            pw1_w=_uniform_fan_in(rng, (spec.hidden, spec.c)),
-            pw1_b=np.zeros(spec.hidden),
-            bn1=BNParams.identity(spec.hidden),
-            pw2_w=_uniform_fan_in(rng, (spec.c, spec.hidden)),
-            pw2_b=np.zeros(spec.c),
-        )
     raise ValidationError(f"init_params does not know spec type {type(spec).__name__}")

@@ -11,7 +11,8 @@ apply a plain gradient-descent update. These objects are what the gradient
 checker and the model runner operate on, and the only way to run a FasterNet
 block or a NAM gate; the math itself lives in tensor_ops / blocks /
 attention. `BatchNorm`, `NAMChannel` and `NAMSpatial` hold their `BNParams`
-as `self.bn` (a FasterNet block's is `block.bn1`).
+as `self.bn`; a `FasterNetBlock` is built from `PConv`, `PWConv` and
+`BatchNorm` part layers, so its `BNParams` are `block.bn1.bn`.
 """
 
 from __future__ import annotations
@@ -169,33 +170,45 @@ class PWConv(Layer):
 
 
 class FasterNetBlock(Layer):
+    """x + pw2(relu(bn1(pw1(pconv(x))))) over four part layers (see `blocks`).
+
+    Its params and grads are the parts' under `<part>_<name>` keys, with
+    weight and bias shortened to w and b: pconv_w, pw1_w, ..., pw2_b.
+    """
+
     kind = "fasternet"
 
     def __init__(self, spec: blocks.FasterNetBlockSpec, rng=0):
         super().__init__()
         self.spec = spec
-        self.block = blocks.init_params(spec, rng)
+        rng = np.random.default_rng(rng)
+        self.pconv = PConv(spec.pconv_spec(), rng)
+        self.pw1 = PWConv(blocks.PWConvSpec(spec.c, spec.hidden), rng)
+        self.bn1 = BatchNorm(spec.hidden)
+        self.pw2 = PWConv(blocks.PWConvSpec(spec.hidden, spec.c), rng)
 
     def forward(self, x, training=True):
-        out, self._cache = blocks.fasternet_block_forward(x, self.block, self.spec, training)
-        return out
+        self._cache = training or None  # the parts hold the activations
+        return blocks.fasternet_block_forward(self, x, training)
 
     def backward(self, grad_out):
-        gx, grads = blocks.fasternet_block_grad(self._cached(), self.block, self.spec, grad_out)
-        self._grads = grads
-        return gx
+        self._cached()  # a missing cache is reported under this block's name, not a part's
+        return blocks.fasternet_block_grad(self, grad_out)
+
+    def _by_part(self, method: str) -> dict[str, np.ndarray]:
+        parts = {"pconv": self.pconv, "pw1": self.pw1, "bn1": self.bn1, "pw2": self.pw2}
+        short = {"weight": "w", "bias": "b"}
+        return {
+            f"{name}_{short.get(key, key)}": value
+            for name, part in parts.items()
+            for key, value in getattr(part, method)().items()
+        }
 
     def params(self):
-        b = self.block
-        return {
-            "pconv_w": b.pconv_w,
-            "pw1_w": b.pw1_w,
-            "pw1_b": b.pw1_b,
-            "bn1_gamma": b.bn1.gamma,
-            "bn1_beta": b.bn1.beta,
-            "pw2_w": b.pw2_w,
-            "pw2_b": b.pw2_b,
-        }
+        return self._by_part("params")
+
+    def param_grads(self):
+        return self._by_part("param_grads")
 
 
 class NAMChannel(Layer):

@@ -1,6 +1,8 @@
 """Tests for partial convolution, pointwise convolution, the FasterNet block,
 and parameter initialization."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -8,8 +10,6 @@ from fastblocks.blocks import (
     FasterNetBlockSpec,
     PConvSpec,
     PWConvSpec,
-    fasternet_block_forward,
-    fasternet_block_grad,
     init_params,
     pconv,
     pconv_grad,
@@ -209,39 +209,37 @@ class TestFasterNetBlock:
 
     def test_zero_projection_reduces_to_identity(self):
         block = FasterNetBlock(FasterNetBlockSpec(c=4, c_p=2), rng=0)
-        block.block.pw2_w[:] = 0.0
-        block.block.pw2_b[:] = 0.0
+        block.pw2.weight[:] = 0.0
+        block.pw2.bias[:] = 0.0
         x = np.random.default_rng(9).standard_normal((2, 4, 5, 5))
         assert np.array_equal(block.forward(x), x)
 
     def test_hidden_width_is_expansion_times_channels(self):
         spec = FasterNetBlockSpec(c=6, c_p=2, e=3)
         assert spec.hidden == 18
-        params = init_params(spec, 0)
-        assert params.pw1_w.shape == (18, 6)
-        assert params.pw2_w.shape == (6, 18)
-        assert params.bn1.channels == 18
+        block = FasterNetBlock(spec, rng=0)
+        assert block.pw1.weight.shape == (18, 6)
+        assert block.pw2.weight.shape == (6, 18)
+        assert block.bn1.bn.channels == 18
 
     def test_grad_keys_and_finite_differences(self):
         rng = np.random.default_rng(10)
         block = FasterNetBlock(FasterNetBlockSpec(c=4, c_p=2, k=3, e=2), rng=1)
-        params = block.block
+        params = block.params()
         x = rng.standard_normal((2, 4, 4, 4)) + 0.3
         v = rng.standard_normal(x.shape)
 
         block.forward(x, training=True)
         gx = block.backward(v)
         grads = block.param_grads()
-        assert set(grads) == {"pconv_w", "pw1_w", "pw1_b", "bn1_gamma", "bn1_beta", "pw2_w", "pw2_b"}
+        assert list(grads) == list(params) == ["pconv_w", "pw1_w", "pw1_b", "bn1_gamma", "bn1_beta", "pw2_w", "pw2_b"]
 
         def loss():
             return float(np.sum(v * block.forward(x, training=True)))
 
         assert max_rel_err(gx, fd_grad(loss, x)) < 1e-4
-        assert max_rel_err(grads["pconv_w"], fd_grad(loss, params.pconv_w)) < 1e-4
-        assert max_rel_err(grads["pw1_b"], fd_grad(loss, params.pw1_b)) < 1e-4
-        assert max_rel_err(grads["bn1_gamma"], fd_grad(loss, params.bn1.gamma)) < 1e-4
-        assert max_rel_err(grads["pw2_w"], fd_grad(loss, params.pw2_w)) < 1e-4
+        for key in ("pconv_w", "pw1_b", "bn1_gamma", "pw2_w"):
+            assert max_rel_err(grads[key], fd_grad(loss, params[key])) < 1e-4, key
 
     def test_eval_mode_uses_running_stats(self):
         block = FasterNetBlock(FasterNetBlockSpec(c=4, c_p=2), rng=0)
@@ -252,13 +250,13 @@ class TestFasterNetBlock:
         assert not np.allclose(train_out, eval_out)
 
     def test_grad_rejects_an_eval_mode_cache(self):
-        spec = FasterNetBlockSpec(c=4, c_p=2)
-        params = init_params(spec, 0)
+        block = FasterNetBlock(FasterNetBlockSpec(c=4, c_p=2), rng=0)
         x = np.random.default_rng(12).standard_normal((2, 4, 3, 3))
-        out, cache = fasternet_block_forward(x, params, spec, training=False)
-        assert cache is None
-        with pytest.raises(ValidationError, match="training-mode forward"):
-            fasternet_block_grad(cache, params, spec, np.ones_like(out))
+        block.forward(x, training=True)
+        out = block.forward(x, training=False)
+        assert block._cache is None
+        with pytest.raises(ValidationError, match="layer 'fasternet'.*training-mode forward"):
+            block.backward(np.ones_like(out))
 
     @pytest.mark.parametrize("training", [True, False])
     def test_forward_leaves_the_input_alone(self, training):
@@ -274,21 +272,24 @@ class TestFasterNetBlock:
         # The backward masks and sums in the buffers it owns; it must still
         # compute the chain rule as written, operation for operation.
         spec = FasterNetBlockSpec(c=6, c_p=2)
-        params = init_params(spec, 3)
+        block = FasterNetBlock(spec, rng=3)
         rng = np.random.default_rng(14)
         x = rng.standard_normal((3, 6, 5, 4))
         grad_out = rng.standard_normal(x.shape)
         before = grad_out.copy()
-        _, cache = fasternet_block_forward(x, params, spec)
-        grad_x, grads = fasternet_block_grad(cache, params, spec, grad_out)
+        block.forward(x)
+        grad_x = block.backward(grad_out)
+        grads = block.param_grads()
         assert np.array_equal(grad_out, before)
         assert not np.shares_memory(grad_x, grad_out)
 
-        _, t0, t1, t3, mean, var = cache
-        d3, gw2, gb2 = pwconv_grad(t3, params.pw2_w, grad_out)
-        d1, ggamma, gbeta = batchnorm_grad(t1, params.bn1, mean, var, relu_grad(t3, d3))
-        d0, gw1, gb1 = pwconv_grad(t0, params.pw1_w, d1)
-        dx_branch, gpc = pconv_grad(x, params.pconv_w, spec.pconv_spec(), d0)
+        # each part cached its own input: x, t0 = pconv(x), t1 = pw1(t0), t3 = relu(bn1(t1))
+        assert block.pconv._cache is x
+        t0, (t1, mean, var), t3 = block.pw1._cache, block.bn1._cache, block.pw2._cache
+        d3, gw2, gb2 = pwconv_grad(t3, block.pw2.weight, grad_out)
+        d1, ggamma, gbeta = batchnorm_grad(t1, block.bn1.bn, mean, var, relu_grad(t3, d3))
+        d0, gw1, gb1 = pwconv_grad(t0, block.pw1.weight, d1)
+        dx_branch, gpc = pconv_grad(x, block.pconv.weight, spec.pconv_spec(), d0)
         assert np.array_equal(grad_x, grad_out + dx_branch)
         want = {
             "pconv_w": gpc,
@@ -301,6 +302,31 @@ class TestFasterNetBlock:
         }
         for key, value in want.items():
             assert np.array_equal(grads[key], value), key
+
+    def test_training_forward_holds_three_maps_and_backward_peak_is_bounded(self):
+        # The parts keep t0 = pconv(x) (c channels), t1 = pw1(t0) and
+        # t3 = relu(bn1(t1)) (hidden channels each); x is the caller's. A
+        # ReLU part would cache one more hidden map. The backward frees each
+        # part's input gradient once the next part returns.
+        block = FasterNetBlock(FasterNetBlockSpec(c=8, c_p=4), rng=0)  # the demo's first block
+        rng = np.random.default_rng(15)
+        x = rng.standard_normal((256, 8, 16, 16))  # 4 MiB
+        grad_out = rng.standard_normal(x.shape)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            out = block.forward(x)
+            held = tracemalloc.get_traced_memory()[0] - before - out.nbytes
+            del out
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            block.backward(grad_out)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        t0, t1, t3 = x.nbytes, 2 * x.nbytes, 2 * x.nbytes
+        assert held <= t0 + t1 + t3 + 2**16  # 20 MiB, plus small vectors such as bn1's batch statistics
+        assert peak < 7 * x.nbytes  # 28 MiB; holding every input gradient to the end peaks at 32.5
 
     def test_spec_validation(self):
         with pytest.raises(ValidationError):
@@ -338,16 +364,22 @@ class TestInitParams:
 
     def test_block_params_layout(self):
         spec = FasterNetBlockSpec(c=8, c_p=4, k=3, e=2)
-        params = init_params(spec, 0)
-        assert params.pconv_w.shape == (4, 4, 3, 3)
-        assert params.pw1_w.shape == (16, 8)
-        assert np.array_equal(params.pw1_b, np.zeros(16))
-        assert np.array_equal(params.bn1.gamma, np.ones(16))
-        assert np.array_equal(params.bn1.beta, np.zeros(16))
-        assert np.array_equal(params.bn1.running_mean, np.zeros(16))
-        assert np.array_equal(params.bn1.running_var, np.ones(16))
-        assert params.pw2_w.shape == (8, 16)
-        assert np.array_equal(params.pw2_b, np.zeros(8))
+        block = FasterNetBlock(spec, rng=0)
+        params = block.params()
+        assert params["pconv_w"].shape == (4, 4, 3, 3)
+        assert params["pw1_w"].shape == (16, 8)
+        assert np.array_equal(params["pw1_b"], np.zeros(16))
+        assert np.array_equal(params["bn1_gamma"], np.ones(16))
+        assert np.array_equal(params["bn1_beta"], np.zeros(16))
+        assert np.array_equal(block.bn1.bn.running_mean, np.zeros(16))
+        assert np.array_equal(block.bn1.bn.running_var, np.ones(16))
+        assert params["pw2_w"].shape == (8, 16)
+        assert np.array_equal(params["pw2_b"], np.zeros(8))
+        # the parts draw in order from one Generator: pconv, pw1, pw2
+        rng = np.random.default_rng(0)
+        assert np.array_equal(params["pconv_w"], init_params(spec.pconv_spec(), rng))
+        assert np.array_equal(params["pw1_w"], init_params(PWConvSpec(8, 16), rng)[0])
+        assert np.array_equal(params["pw2_w"], init_params(PWConvSpec(16, 8), rng)[0])
 
     def test_shared_generator_advances(self):
         rng = np.random.default_rng(0)
@@ -358,3 +390,5 @@ class TestInitParams:
     def test_unknown_spec_rejected(self):
         with pytest.raises(ValidationError):
             init_params(object())
+        with pytest.raises(ValidationError, match="FasterNetBlockSpec"):
+            init_params(FasterNetBlockSpec(c=4, c_p=2))  # a block's parts draw their own

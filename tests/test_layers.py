@@ -61,10 +61,9 @@ def _normalizing_call(kind, rng):
     if kind == "fasternet_block":
         spec = FasterNetBlockSpec(4, 2)
         layer = layers.FasterNetBlock(spec, rng=rng)
-        params = layer.block
-        params.bn1 = _random_bn(rng, spec.hidden)
-        bn_in = pwconv(pconv(x, params.pconv_w, spec.pconv_spec()), params.pw1_w, params.pw1_b)
-        return (lambda training: layer.forward(x, training)), params.bn1, bn_in
+        layer.bn1.bn = _random_bn(rng, spec.hidden)
+        bn_in = pwconv(pconv(x, layer.pconv.weight, spec.pconv_spec()), layer.pw1.weight, layer.pw1.bias)
+        return (lambda training: layer.forward(x, training)), layer.bn1.bn, bn_in
     if kind == "nam_channel":
         layer = layers.NAMChannel(4)
         layer.bn = _random_bn(rng, 4)

@@ -76,6 +76,29 @@ class TestBuildModel:
             "3.gap_head.bias",
         }
 
+    def test_demo_param_keys_in_order(self):
+        # A fasternet block lists its parts' arrays under its own short keys.
+        text = resources.files("fastblocks").joinpath("configs", "demo-fasternet-nam.cfg").read_text()
+        block = ["pconv_w", "pw1_w", "pw1_b", "bn1_gamma", "bn1_beta", "pw2_w", "pw2_b"]
+        assert list(build_model(parse_model_config(text), seed=0).params()) == [
+            "0.conv.weight",
+            "0.conv.bias",
+            "1.bn.gamma",
+            "1.bn.beta",
+            *(f"3.fasternet.{key}" for key in block),
+            "4.nam_channel.gamma",
+            "4.nam_channel.beta",
+            "5.conv.weight",
+            "5.conv.bias",
+            "6.bn.gamma",
+            "6.bn.beta",
+            *(f"8.fasternet.{key}" for key in block),
+            "9.nam_spatial.gamma",
+            "9.nam_spatial.beta",
+            "10.gap_head.weight",
+            "10.gap_head.bias",
+        ]
+
     @pytest.mark.parametrize("config", ["yolov5s-like", "demo-fasternet-nam"])
     def test_each_layer_is_named_after_its_analyze_graph_row(self, config):
         text = resources.files("fastblocks").joinpath("configs", f"{config}.cfg").read_text()
