@@ -11,10 +11,13 @@ Each gate takes the `BNParams` its layer holds as `self.bn` (`layers.NAMChannel`
 
     out = x * sigmoid(w ⊙ BN(x))
 
-The gate computes this in the BN output's buffer, which it owns. An eval
-forward scales, squashes and applies the gate all in that buffer; a training
-forward keeps BN(x) for the backward and squashes into one more buffer. The
-caller's x is never written.
+The gate computes this in the BN output's buffer, which it owns: it scales
+BN(x) by w and squashes it there. An eval forward also applies the gate in
+that buffer; a training forward keeps the squashed gate s for the backward
+and writes its output to one more buffer. BN(x) is not kept: the backward
+rebuilds it from x and the cached batch statistics with the forward's own
+operations, so its results are those of a kept copy. The caller's x is
+never written.
 
 The gamma gradient flows through both the normalization and the weight
 vector, so the whole module is exactly differentiable.
@@ -55,15 +58,15 @@ def _nam_forward(x: Tensor4, bn: BNParams, training: bool):
     """Shared gating pipeline on an (n, units, h, w) tensor; no cache when not training."""
     y, mean, var = batchnorm(x, bn, training)
     w = nam_weights(bn.gamma)
-    g = elementwise_mul(y, w[None, :, None, None], out=None if training else y)
+    g = elementwise_mul(y, w[None, :, None, None], out=y)
     s = sigmoid(g, out=g)
     out = elementwise_mul(x, s, out=None if training else s)
-    return out, (x, y, w, s, mean, var) if training else None
+    return out, (x, w, s, mean, var) if training else None
 
 
 def _nam_backward(cache, bn: BNParams, grad_out: Tensor4):
     """Backward of _nam_forward. Returns (grad_x, grad_gamma, grad_beta)."""
-    x, y, w, s, mean, var = cache
+    x, w, s, mean, var = cache
     # Two owned buffers, evaluated in the order of the formulas
     # dg = grad_out * x * s * (1 - s), dw = sum(dg * y), dy = dg * w and
     # grad_x = grad_out * s + dx_bn, so the results are those of the formulas.
@@ -72,7 +75,11 @@ def _nam_backward(cache, bn: BNParams, grad_out: Tensor4):
     dg *= s
     tmp = np.subtract(1.0, s, out=np.empty(x.shape, dtype))
     dg *= tmp
-    dw = np.multiply(dg, y, out=tmp).sum(axis=(0, 2, 3))
+    # tmp becomes y = BN(x), rebuilt by `batchnorm`'s training operations in their order.
+    np.subtract(x, mean[None, :, None, None], out=tmp, dtype=dtype)
+    tmp *= (bn.gamma / np.sqrt(var + bn.eps))[None, :, None, None]
+    tmp += bn.beta[None, :, None, None]
+    dw = np.multiply(dg, tmp, out=tmp).sum(axis=(0, 2, 3))
     del tmp  # freed before batch norm's backward allocates its own buffer
     dg *= w[None, :, None, None]
     dx_bn, dgamma, dbeta = batchnorm_grad(x, bn, mean, var, dg)

@@ -15,7 +15,9 @@ FasterNet block chains pconv -> pwconv (expand) -> BN -> relu -> pwconv
 over them, and each part caches what its own backward needs. ReLU is not a
 part: it runs in place on bn1's output, and its backward mask is read from
 pw2's cached input. The skip is added into pw2's output, and its gradient
-into the pconv branch's. The caller's x and grad_out are never written.
+into the pconv branch's. The backward frees each part's cache as soon as
+that part's backward has run, so the later parts' gradients reuse its
+memory. The caller's x and grad_out are never written.
 
 Initialization draws weights from uniform [-sqrt(6/fan_in), +sqrt(6/fan_in)]
 with fan_in = c_in * k^2; biases start at zero.
@@ -150,13 +152,26 @@ def fasternet_block_forward(block, x: Tensor4, training: bool = True) -> Tensor4
     return residual_add(x, t4, out=t4)
 
 
+def _consume(part, grad_out: Tensor4) -> Tensor4:
+    """The part's backward, after which its cache is dropped."""
+    grad_in = part.backward(grad_out)
+    part._cache = None
+    return grad_in
+
+
 def fasternet_block_grad(block, grad_out: Tensor4) -> Tensor4:
-    """Backward of the block through its parts, which fill their own grads. Returns grad_x."""
-    d3 = block.pw2.backward(grad_out)
-    d3 *= block.pw2._cached() > 0  # relu's backward; relu(t2) > 0 exactly where t2 > 0
-    grad_x = block.pconv.backward(block.pw1.backward(block.bn1.backward(d3)))
-    grad_x += grad_out  # the skip's gradient
-    return grad_x
+    """Backward of the block through its parts, which fill their own grads. Returns grad_x.
+
+    Consumes the parts' caches: each is dropped once its part's backward has run.
+    """
+    mask = block.pw2._cached() > 0  # relu's backward; relu(t2) > 0 exactly where t2 > 0
+    grad = _consume(block.pw2, grad_out)
+    grad *= mask
+    del mask
+    for part in (block.bn1, block.pw1, block.pconv):
+        grad = _consume(part, grad)
+    grad += grad_out  # the skip's gradient
+    return grad
 
 
 def _uniform_fan_in(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:

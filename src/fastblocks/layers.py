@@ -5,7 +5,11 @@ and, if it has weights, a seed or Generator for `blocks.init_params`; its
 `name` starts as its `kind`, and `build_model` renames it after its
 `analyze_graph` row (`000:conv`). A training forward caches what an exact
 backward pass needs; an eval forward (training=False) is the inference path
-and keeps nothing, so backward needs a training forward first. Each layer
+and keeps nothing, so backward needs a training forward first. A layer's
+cache stays until its next forward replaces it, except that a
+`FasterNetBlock` frees its parts' caches inside its backward. `ReLU` caches
+its output; inside a model, a ReLU that directly follows a `BatchNorm` runs
+in place on BN's output, which nothing else holds. Each layer
 exposes its learnable arrays through params()/param_grads() and knows how to
 apply a plain gradient-descent update. These objects are what the gradient
 checker and the model runner operate on, and the only way to run a FasterNet
@@ -37,10 +41,16 @@ from .tensor_ops import (
 
 
 class Layer:
-    """Base: a training forward caches, backward consumes the cache and fills grads."""
+    """Base: a training forward caches, backward reads the cache and fills grads."""
 
     kind = "?"
-    _cache = None  # what the last forward kept for backward; None after an eval forward
+    # What the last forward kept for backward; None after an eval forward.
+    # Backward leaves it in place: when every layer dropped its cache there,
+    # the heap was empty between demo training steps, glibc returned the
+    # memory to the OS, and the next forward faulted it back in (about
+    # 13,000 minor faults per step, against about 1,400). Only `FasterNetBlock`
+    # frees its parts' caches in its backward, where the demo step's memory peaked.
+    _cache = None
 
     def __init__(self):
         self.name = self.kind
@@ -117,11 +127,17 @@ class BatchNorm(Layer):
 
 
 class ReLU(Layer):
+    """max(x, 0); caches its output, which is > 0 exactly where x is."""
+
     kind = "relu"
+    # Set by `build_model` alone, on a ReLU right after a BatchNorm: BN's
+    # output is held by nothing else (BN caches its input), so the ReLU writes into it.
+    in_place = False
 
     def forward(self, x, training=True):
-        self._cache = x if training else None
-        return relu(x)
+        out = relu(x, out=x if self.in_place else None)
+        self._cache = out if training else None
+        return out
 
     def backward(self, grad_out):
         return relu_grad(self._cached(), grad_out)
@@ -193,7 +209,9 @@ class FasterNetBlock(Layer):
 
     def backward(self, grad_out):
         self._cached()  # a missing cache is reported under this block's name, not a part's
-        return blocks.fasternet_block_grad(self, grad_out)
+        grad_x = blocks.fasternet_block_grad(self, grad_out)
+        self._cache = None  # the parts' caches are consumed
+        return grad_x
 
     def _by_part(self, method: str) -> dict[str, np.ndarray]:
         parts = {"pconv": self.pconv, "pw1": self.pw1, "bn1": self.bn1, "pw2": self.pw2}

@@ -94,8 +94,13 @@ def build_model(graph: GraphSpec, seed: int = 0) -> Model:
     rng = np.random.default_rng(seed)
     items = []
     for layer_id, node, spec, in_shape, _ in walk_graph(graph):  # re-validates pre-parsed graphs
-        items.append(KINDS[node.kind].build(spec, in_shape, rng))
-        items[-1].name = layer_id  # as analyze_graph ids the rows
+        item = KINDS[node.kind].build(spec, in_shape, rng)
+        item.name = layer_id  # as analyze_graph ids the rows
+        # BN's fresh output reaches a ReLU right after it and nothing else;
+        # a residual marker between them would hold it as the skip.
+        if isinstance(item, L.ReLU) and items and isinstance(items[-1], L.BatchNorm):
+            item.in_place = True
+        items.append(item)
     return Model(graph, items)
 
 

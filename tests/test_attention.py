@@ -1,6 +1,8 @@
 """Tests for the normalization-derived channel and spatial attention gates,
 run through their layers, `NAMChannel` and `NAMSpatial`."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -252,6 +254,24 @@ def test_gates_leave_the_input_alone(training):
         assert not np.shares_memory(out, x)
 
 
+def test_training_forward_keeps_the_gate_but_not_bn_of_x():
+    # The cache is (x, w, s, mean, var): x is the caller's, so the forward
+    # holds one new map, the gate s, besides its output; BN(x) is rebuilt in backward.
+    rng = np.random.default_rng(13)
+    for gate in gates(rng):
+        x = rng.standard_normal((64, 6, 4, 5))
+        gate.forward(x)  # first calls allocate numpy's own caches
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            out = gate.forward(x)
+            held = tracemalloc.get_traced_memory()[0] - before - out.nbytes
+        finally:
+            tracemalloc.stop()
+        assert x.nbytes <= held < x.nbytes + 2**12, gate.kind
+        assert not np.shares_memory(out, x)
+
+
 def test_eval_gate_equals_the_allocating_composition():
     # The eval gate works in the BN output's buffer; it must still compute
     # BN -> * w -> sigmoid -> * x, operation for operation.
@@ -266,7 +286,9 @@ def test_eval_gate_equals_the_allocating_composition():
 
 def allocating_nam_backward(cache, bn, grad_out):
     """The gate's backward as its formulas read, one temporary per operation."""
-    x, y, w, s, mean, var = cache
+    x, w, s, mean, var = cache
+    scale = (bn.gamma / np.sqrt(var + bn.eps))[None, :, None, None]
+    y = (x - mean[None, :, None, None]) * scale + bn.beta[None, :, None, None]  # BN(x), as the forward made it
     dg = grad_out * x * s * (1.0 - s)
     dw = (dg * y).sum(axis=(0, 2, 3))
     dx_bn, dgamma, dbeta = batchnorm_grad(x, bn, mean, var, dg * w[None, :, None, None])

@@ -258,6 +258,17 @@ class TestFasterNetBlock:
         with pytest.raises(ValidationError, match="layer 'fasternet'.*training-mode forward"):
             block.backward(np.ones_like(out))
 
+    def test_backward_consumes_the_part_caches(self):
+        block = FasterNetBlock(FasterNetBlockSpec(c=4, c_p=2), rng=0)
+        x = np.random.default_rng(16).standard_normal((2, 4, 3, 3))
+        out = block.forward(x)
+        block.backward(np.ones_like(out))
+        assert [part._cache for part in (block.pconv, block.pw1, block.bn1, block.pw2)] == [None] * 4
+        with pytest.raises(ValidationError, match="layer 'fasternet'.*training-mode forward"):
+            block.backward(np.ones_like(out))
+        block.forward(x)  # a new training forward makes backward possible again
+        block.backward(np.ones_like(out))
+
     @pytest.mark.parametrize("training", [True, False])
     def test_forward_leaves_the_input_alone(self, training):
         # ReLU and the skip add work in the block's own buffers, never in x.
@@ -278,14 +289,14 @@ class TestFasterNetBlock:
         grad_out = rng.standard_normal(x.shape)
         before = grad_out.copy()
         block.forward(x)
+        # each part cached its own input: x, t0 = pconv(x), t1 = pw1(t0), t3 = relu(bn1(t1))
+        assert block.pconv._cache is x
+        t0, (t1, mean, var), t3 = block.pw1._cache, block.bn1._cache, block.pw2._cache
         grad_x = block.backward(grad_out)
         grads = block.param_grads()
         assert np.array_equal(grad_out, before)
         assert not np.shares_memory(grad_x, grad_out)
 
-        # each part cached its own input: x, t0 = pconv(x), t1 = pw1(t0), t3 = relu(bn1(t1))
-        assert block.pconv._cache is x
-        t0, (t1, mean, var), t3 = block.pw1._cache, block.bn1._cache, block.pw2._cache
         d3, gw2, gb2 = pwconv_grad(t3, block.pw2.weight, grad_out)
         d1, ggamma, gbeta = batchnorm_grad(t1, block.bn1.bn, mean, var, relu_grad(t3, d3))
         d0, gw1, gb1 = pwconv_grad(t0, block.pw1.weight, d1)

@@ -179,3 +179,23 @@ def test_layer_kind_tags():
     assert layers.BatchNorm(1).kind == "bn"
     assert layers.ReLU().kind == "relu"
     assert layers.GapHead(1, 1).kind == "gap_head"
+
+
+@pytest.mark.parametrize("training", [True, False])
+def test_standalone_relu_leaves_its_input_alone(training):
+    x = np.random.default_rng(3).standard_normal((2, 3, 4, 4))
+    before = x.copy()
+    out = layers.ReLU().forward(x, training)
+    assert np.array_equal(x, before)
+    assert not np.shares_memory(out, x)
+    assert np.array_equal(out, np.maximum(before, 0.0))
+
+
+def test_relu_backward_masks_by_its_cached_output():
+    # out > 0 exactly where x > 0, NaN included (max(NaN, 0) is NaN, not > 0)
+    relu = layers.ReLU()
+    x = np.array([-1.0, 0.0, 2.0, np.nan, -0.0, 3.0]).reshape(1, 6, 1, 1)
+    out = relu.forward(x)
+    assert relu._cache is out
+    grad = relu.backward(np.full(x.shape, 5.0))
+    assert grad.ravel().tolist() == [0.0, 0.0, 5.0, 0.0, 0.0, 5.0]

@@ -6,6 +6,7 @@ from importlib import resources
 import numpy as np
 import pytest
 
+from fastblocks import layers as L
 from fastblocks.complexity import analyze_graph
 from fastblocks.config import parse_model_config, propagate_shapes
 from fastblocks.errors import TrainingDiverged, ValidationError
@@ -107,6 +108,48 @@ class TestBuildModel:
         rows = [row.layer_id for row in analyze_graph(graph).rows if row.layer_kind != "residual_add"]
         assert names == rows
         assert len(set(names)) == len(names)
+
+
+class TestInPlaceRelu:
+    """build_model lets a ReLU right after a BatchNorm overwrite BN's output."""
+
+    def demo(self):
+        text = resources.files("fastblocks").joinpath("configs", "demo-fasternet-nam.cfg").read_text()
+        return build_model(parse_model_config(text), seed=0)
+
+    @pytest.mark.parametrize("training", [True, False])
+    def test_relu_after_bn_writes_into_bn_output(self, training):
+        model = self.demo()
+        h = np.random.default_rng(0).standard_normal((4, 1, 16, 16))
+        outputs = []
+        for item in model.items:  # the demo has no residual markers
+            h = item.forward(h, training)
+            outputs.append(h)
+        pairs = [i for i, item in enumerate(model.items) if isinstance(item, L.ReLU)]
+        assert [model.items[i].name for i in pairs] == ["002:relu", "007:relu"]
+        for i in pairs:
+            assert isinstance(model.items[i - 1], L.BatchNorm)
+            assert np.shares_memory(outputs[i], outputs[i - 1])
+            assert outputs[i].min() >= 0.0
+
+    def test_a_residual_marker_between_bn_and_relu_keeps_bn_output(self):
+        graph = parse_model_config(
+            "input 2 4 4\nconv cin=2 cout=2 k=3 s=1 p=1\nbn c=2\nresidual_begin\nrelu\nresidual_end\n"
+        )
+        model = build_model(graph, seed=0)
+        relu = model.items[3]
+        assert isinstance(relu, L.ReLU) and not relu.in_place
+        x = np.random.default_rng(1).standard_normal((3, 2, 4, 4))
+        bn_out = model.items[1].forward(model.items[0].forward(x, True), True)
+        assert bn_out.min() < 0.0
+        assert np.array_equal(model.forward(x), bn_out + np.maximum(bn_out, 0.0))  # the skip kept BN's output
+
+    def test_only_a_relu_right_after_a_bn_is_marked(self):
+        graph = parse_model_config("input 2 4 4\nrelu\nbn c=2\nrelu\nrelu\n")
+        model = build_model(graph, seed=0)
+        # only the ReLU right after the bn: not the first layer, not a ReLU after a ReLU
+        assert [item.in_place for item in model.items if isinstance(item, L.ReLU)] == [False, True, False]
+        assert not L.ReLU().in_place
 
 
 class TestRunningStatistics:
@@ -320,6 +363,30 @@ class TestDemoTraining:
         three = parse_model_config("input 1 8 8\ngap_head classes=3\n", name="h3")
         with pytest.raises(ValidationError, match="classes=2"):
             run_demo_train(three, steps=1)
+
+    def test_one_demo_step_peaks_under_72_mib(self):
+        # A FasterNet block frees each part's cache as its backward runs, a
+        # ReLU after BN writes into BN's output and the NAM gates do not keep
+        # BN(x). Holding every cache through the block's backward peaks at 98.6 MiB.
+        text = resources.files("fastblocks").joinpath("configs", "demo-fasternet-nam.cfg").read_text()
+        graph = parse_model_config(text)
+        model = build_model(graph, seed=1)
+        x, labels = synthetic_dataset(graph.input_shape, n_samples=256, seed=1)
+
+        def step():
+            logits = model.forward(x, training=True)[:, :, 0, 0]
+            _, dlogits = softmax_cross_entropy(logits, labels)
+            model.backward(dlogits[:, :, None, None])
+            model.apply_gradients(0.05)
+
+        step()  # warm-up: the first calls allocate numpy's own caches
+        tracemalloc.start()
+        try:
+            step()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 72 * 2**20, f"{peak / 2**20:.1f} MiB"
 
     def test_divergence_is_reported(self):
         graph = parse_model_config(TINY_TRAINABLE, name="t")
