@@ -16,8 +16,14 @@ BN(x) by w and squashes it there. An eval forward also applies the gate in
 that buffer; a training forward keeps the squashed gate s for the backward
 and writes its output to one more buffer. BN(x) is not kept: the backward
 rebuilds it from x and the cached batch statistics with the forward's own
-operations, so its results are those of a kept copy. The caller's x is
-never written.
+operations (`batchnorm_rebuild`), so its results are those of a kept copy.
+
+The gate layers consume their cache in backward, so a second backward needs
+a new training forward. The forward never writes x. The backward writes
+into the cached x and s only when `in_place` is passed, which a layer does
+when `build_model` has marked it because nothing else holds its input:
+batch norm's input gradient then goes into x, and grad_out * s into s. The
+functional forms default to leaving both alone.
 
 The gamma gradient flows through both the normalization and the weight
 vector, so the whole module is exactly differentiable.
@@ -34,6 +40,7 @@ from .tensor_ops import (
     as_tensor4,
     batchnorm,
     batchnorm_grad,
+    batchnorm_rebuild,
     elementwise_mul,
     sigmoid,
 )
@@ -64,10 +71,14 @@ def _nam_forward(x: Tensor4, bn: BNParams, training: bool):
     return out, (x, w, s, mean, var) if training else None
 
 
-def _nam_backward(cache, bn: BNParams, grad_out: Tensor4):
-    """Backward of _nam_forward. Returns (grad_x, grad_gamma, grad_beta)."""
+def _nam_backward(cache, bn: BNParams, grad_out: Tensor4, in_place: bool = False):
+    """Backward of _nam_forward. Returns (grad_x, grad_gamma, grad_beta).
+
+    in_place: the cached x and s are the caller's to overwrite; batch norm's
+    input gradient is then written into x, and grad_out * s into s.
+    """
     x, w, s, mean, var = cache
-    # Two owned buffers, evaluated in the order of the formulas
+    # Owned buffers, evaluated in the order of the formulas
     # dg = grad_out * x * s * (1 - s), dw = sum(dg * y), dy = dg * w and
     # grad_x = grad_out * s + dx_bn, so the results are those of the formulas.
     dtype = np.result_type(grad_out, x, s)
@@ -75,18 +86,16 @@ def _nam_backward(cache, bn: BNParams, grad_out: Tensor4):
     dg *= s
     tmp = np.subtract(1.0, s, out=np.empty(x.shape, dtype))
     dg *= tmp
-    # tmp becomes y = BN(x), rebuilt by `batchnorm`'s training operations in their order.
-    np.subtract(x, mean[None, :, None, None], out=tmp, dtype=dtype)
-    tmp *= (bn.gamma / np.sqrt(var + bn.eps))[None, :, None, None]
-    tmp += bn.beta[None, :, None, None]
+    tmp = batchnorm_rebuild(x, bn, mean, var, out=tmp)  # y = BN(x), as the forward made it
     dw = np.multiply(dg, tmp, out=tmp).sum(axis=(0, 2, 3))
     del tmp  # freed before batch norm's backward allocates its own buffer
     dg *= w[None, :, None, None]
-    dx_bn, dgamma, dbeta = batchnorm_grad(x, bn, mean, var, dg)
+    own = in_place and x.dtype == s.dtype == dtype  # writing into x or s must not round
+    dx_bn, dgamma, dbeta = batchnorm_grad(x, bn, mean, var, dg, out=x if own else None)
     # w_i = |gamma_i| / S differentiates to sign(gamma_j) * (delta_ij - w_i) / S.
     total = np.abs(bn.gamma).sum()
     dgamma_w = np.sign(bn.gamma) * (dw - np.dot(w, dw)) / total
-    dx_bn += np.multiply(grad_out, s, out=dg)
+    dx_bn += np.multiply(grad_out, s, out=s if own else dg)
     return dx_bn, dgamma + dgamma_w, dbeta
 
 
@@ -98,8 +107,8 @@ def nam_channel_forward(x: Tensor4, bn: BNParams, training: bool = True):
     return _nam_forward(x, bn, training)
 
 
-def nam_channel_grad(cache, bn: BNParams, grad_out: Tensor4):
-    return _nam_backward(cache, bn, grad_out)
+def nam_channel_grad(cache, bn: BNParams, grad_out: Tensor4, in_place: bool = False):
+    return _nam_backward(cache, bn, grad_out, in_place)
 
 
 def nam_spatial_forward(x: Tensor4, bn: BNParams, training: bool = True):
@@ -113,8 +122,8 @@ def nam_spatial_forward(x: Tensor4, bn: BNParams, training: bool = True):
     return out.reshape(n, c, h, w), (cache, (n, c, h, w)) if training else None
 
 
-def nam_spatial_grad(cache, bn: BNParams, grad_out: Tensor4):
+def nam_spatial_grad(cache, bn: BNParams, grad_out: Tensor4, in_place: bool = False):
     inner, (n, c, h, w) = cache
     gt = grad_out.reshape(n * c, h * w, 1, 1)
-    gx, dgamma, dbeta = _nam_backward(inner, bn, gt)
+    gx, dgamma, dbeta = _nam_backward(inner, bn, gt, in_place)
     return gx.reshape(n, c, h, w), dgamma, dbeta

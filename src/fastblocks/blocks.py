@@ -12,12 +12,21 @@ FasterNet block chains pconv -> pwconv (expand) -> BN -> relu -> pwconv
 
 `layers.FasterNetBlock` holds the four part layers (`pconv`, `pw1`, `bn1`,
 `pw2`); `fasternet_block_forward` and `fasternet_block_grad` run the chain
-over them, and each part caches what its own backward needs. ReLU is not a
-part: it runs in place on bn1's output, and its backward mask is read from
-pw2's cached input. The skip is added into pw2's output, and its gradient
-into the pconv branch's. The backward frees each part's cache as soon as
-that part's backward has run, so the later parts' gradients reuse its
-memory. The caller's x and grad_out are never written.
+over them. ReLU is not a part: it runs in place on bn1's output. The skip is
+added into pw2's output, and its gradient into the pconv branch's.
+
+A training forward keeps one hidden-width map. With t0 = pconv(x),
+t1 = pw1(t0) and t3 = relu(bn1(t1)), pconv caches x (the caller's), bn1
+caches t1 and its batch statistics, and pw1 keeps only pconv's c_p
+convolved channels of t0: the rest are x's own. pw2 keeps nothing. The
+backward rebuilds t3 from bn1's cache with `batchnorm_rebuild` and
+`np.maximum`, and t0 from x and pw1's channels with pconv's own
+copy-then-assign, so both equal the forward's maps bit for bit. The relu
+mask is read from the rebuilt t3 before pw2's backward. pw2, bn1 and pw1
+then write their input gradients into their own inputs t3, t1 and t0,
+which nothing reads afterwards (`layers.FasterNetBlock` marks them
+`in_place`). Every part's cache is gone when the backward returns. The
+caller's x and grad_out are never written.
 
 Initialization draws weights from uniform [-sqrt(6/fan_in), +sqrt(6/fan_in)]
 with fan_in = c_in * k^2; biases start at zero.
@@ -31,7 +40,16 @@ from math import prod
 import numpy as np
 
 from .errors import ValidationError
-from .tensor_ops import ConvSpec, Tensor4, as_tensor4, conv2d, conv2d_grad, relu, residual_add
+from .tensor_ops import (
+    ConvSpec,
+    Tensor4,
+    as_tensor4,
+    batchnorm_rebuild,
+    conv2d,
+    conv2d_grad,
+    relu,
+    residual_add,
+)
 
 
 @dataclass(frozen=True)
@@ -115,11 +133,11 @@ def pwconv(x: Tensor4, weights: np.ndarray, bias: np.ndarray | None) -> Tensor4:
 
 
 def pwconv_grad(
-    x: Tensor4, weights: np.ndarray, grad_out: Tensor4
+    x: Tensor4, weights: np.ndarray, grad_out: Tensor4, out: Tensor4 | None = None
 ) -> tuple[Tensor4, np.ndarray, np.ndarray]:
-    """Gradients of sum(grad_out * pwconv(x, w, b)) w.r.t. x, w, b."""
+    """Gradients of sum(grad_out * pwconv(x, w, b)) w.r.t. x, w, b; grad_x goes into `out` as in `conv2d_grad`."""
     kernel, spec = _as_1x1(weights)
-    grad_x, grad_kernel, grad_b = conv2d_grad(x, kernel, spec, grad_out)
+    grad_x, grad_kernel, grad_b = conv2d_grad(x, kernel, spec, grad_out, out=out)
     return grad_x, grad_kernel[:, :, 0, 0], grad_b
 
 
@@ -147,29 +165,42 @@ class FasterNetBlockSpec:
 
 def fasternet_block_forward(block, x: Tensor4, training: bool = True) -> Tensor4:
     """out = x + pw2(relu(bn1(pw1(pconv(x))))) over the parts of a `layers.FasterNetBlock`."""
-    t2 = block.bn1.forward(block.pw1.forward(block.pconv.forward(x, training), training), training)
+    t0 = block.pconv.forward(x, training)
+    t1 = block.pw1.forward(t0, training)
+    if training:  # pw1 keeps pconv's convolved channels; the rest of t0 is x's own
+        block.pw1._cache = t0[:, : block.spec.c_p].copy()
+    del t0  # freed before bn1 allocates its output
+    t2 = block.bn1.forward(t1, training)
+    del t1
     t4 = block.pw2.forward(relu(t2, out=t2), training)
+    block.pw2._cache = None  # relu(t2) is rebuilt from bn1's cache in backward
     return residual_add(x, t4, out=t4)
-
-
-def _consume(part, grad_out: Tensor4) -> Tensor4:
-    """The part's backward, after which its cache is dropped."""
-    grad_in = part.backward(grad_out)
-    part._cache = None
-    return grad_in
 
 
 def fasternet_block_grad(block, grad_out: Tensor4) -> Tensor4:
     """Backward of the block through its parts, which fill their own grads. Returns grad_x.
 
-    Consumes the parts' caches: each is dropped once its part's backward has run.
+    Consumes the parts' caches. pw2's input is rebuilt from bn1's cache and
+    pw1's from pconv's; pw2, bn1 and pw1 write their input gradients into
+    their inputs (see `layers.FasterNetBlock`).
     """
-    mask = block.pw2._cached() > 0  # relu's backward; relu(t2) > 0 exactly where t2 > 0
-    grad = _consume(block.pw2, grad_out)
+    t1, mean, var = block.bn1._cached()
+    t3 = batchnorm_rebuild(t1, block.bn1.bn, mean, var)
+    block.pw2._cache = np.maximum(t3, 0.0, out=t3)  # relu(bn1(t1)), as the forward made it
+    mask = t3 > 0  # relu's backward; relu(t2) > 0 exactly where t2 > 0
+    del t1, t3
+    grad = block.pw2.backward(grad_out)
     grad *= mask
     del mask
-    for part in (block.bn1, block.pw1, block.pconv):
-        grad = _consume(part, grad)
+    grad = block.bn1.backward(grad)
+    x = block.pconv._cached()
+    t0 = x.astype(np.result_type(x, block.pconv.weight))  # pconv's own copy-then-assign
+    t0[:, : block.spec.c_p] = block.pw1._cached()
+    block.pw1._cache = t0
+    del t0
+    grad = block.pw1.backward(grad)
+    grad = block.pconv.backward(grad)
+    block.pconv._cache = None
     grad += grad_out  # the skip's gradient
     return grad
 

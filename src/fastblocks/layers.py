@@ -6,10 +6,16 @@ and, if it has weights, a seed or Generator for `blocks.init_params`; its
 `analyze_graph` row (`000:conv`). A training forward caches what an exact
 backward pass needs; an eval forward (training=False) is the inference path
 and keeps nothing, so backward needs a training forward first. A layer's
-cache stays until its next forward replaces it, except that a
-`FasterNetBlock` frees its parts' caches inside its backward. `ReLU` caches
-its output; inside a model, a ReLU that directly follows a `BatchNorm` runs
-in place on BN's output, which nothing else holds. Each layer
+cache stays until its next forward replaces it, except that the NAM gates
+consume theirs in backward, and a `FasterNetBlock` consumes its parts'.
+
+A layer is marked `in_place` when nothing else holds its input, so that it
+may overwrite it. `build_model` marks a ReLU that directly follows a
+`BatchNorm`: it writes its output into BN's, and caches that. It marks a NAM
+gate whose input is a fresh map that no caller, skip or ReLU cache holds:
+its backward writes its input gradient into its cached input. A
+`FasterNetBlock` marks its parts pw1, bn1 and pw2, whose backward does the
+same. A layer built outside a model or block is never marked. Each layer
 exposes its learnable arrays through params()/param_grads() and knows how to
 apply a plain gradient-descent update. These objects are what the gradient
 checker and the model runner operate on, and the only way to run a FasterNet
@@ -45,12 +51,17 @@ class Layer:
 
     kind = "?"
     # What the last forward kept for backward; None after an eval forward.
-    # Backward leaves it in place: when every layer dropped its cache there,
-    # the heap was empty between demo training steps, glibc returned the
-    # memory to the OS, and the next forward faulted it back in (about
-    # 13,000 minor faults per step, against about 1,400). Only `FasterNetBlock`
-    # frees its parts' caches in its backward, where the demo step's memory peaked.
+    # Most layers' backward leaves it in place: when every layer dropped its
+    # cache there, the heap was empty between demo training steps, glibc
+    # returned the memory to the OS, and the next forward faulted it back in
+    # (about 13,000 minor faults per step, against about 1,400). The NAM
+    # gates and a `FasterNetBlock`'s parts, whose caches held the demo
+    # step's peak, are consumed by their backward.
     _cache = None
+    # Set on a layer whose input nothing else holds (see the module
+    # docstring): the layer may overwrite its input once it is done with it.
+    # A marked layer whose backward writes into its cached input consumes the cache.
+    in_place = False
 
     def __init__(self):
         self.name = self.kind
@@ -72,6 +83,12 @@ class Layer:
         if self._cache is None:
             raise ValidationError(f"layer '{self.name}': backward needs a training-mode forward first")
         return self._cache
+
+    def _take(self):
+        """The cache, handed over to a backward that may overwrite it."""
+        cache = self._cached()
+        self._cache = None
+        return cache
 
     def apply_gradients(self, lr: float) -> None:
         grads = self.param_grads()
@@ -117,8 +134,8 @@ class BatchNorm(Layer):
         return out
 
     def backward(self, grad_out):
-        x, mean, var = self._cached()
-        gx, ggamma, gbeta = batchnorm_grad(x, self.bn, mean, var, grad_out)
+        x, mean, var = self._take() if self.in_place else self._cached()
+        gx, ggamma, gbeta = batchnorm_grad(x, self.bn, mean, var, grad_out, out=x if self.in_place else None)
         self._grads = {"gamma": ggamma, "beta": gbeta}
         return gx
 
@@ -130,9 +147,6 @@ class ReLU(Layer):
     """max(x, 0); caches its output, which is > 0 exactly where x is."""
 
     kind = "relu"
-    # Set by `build_model` alone, on a ReLU right after a BatchNorm: BN's
-    # output is held by nothing else (BN caches its input), so the ReLU writes into it.
-    in_place = False
 
     def forward(self, x, training=True):
         out = relu(x, out=x if self.in_place else None)
@@ -177,7 +191,8 @@ class PWConv(Layer):
         return blocks.pwconv(x, self.weight, self.bias)
 
     def backward(self, grad_out):
-        gx, gw, gb = blocks.pwconv_grad(self._cached(), self.weight, grad_out)
+        x = self._take() if self.in_place else self._cached()
+        gx, gw, gb = blocks.pwconv_grad(x, self.weight, grad_out, out=x if self.in_place else None)
         self._grads = {"weight": gw, "bias": gb}
         return gx
 
@@ -202,6 +217,9 @@ class FasterNetBlock(Layer):
         self.pw1 = PWConv(blocks.PWConvSpec(spec.c, spec.hidden), rng)
         self.bn1 = BatchNorm(spec.hidden)
         self.pw2 = PWConv(blocks.PWConvSpec(spec.hidden, spec.c), rng)
+        # The block owns these parts' inputs: bn1's is pw1's output, and its
+        # backward rebuilds pw1's and pw2's (see `blocks`).
+        self.pw1.in_place = self.bn1.in_place = self.pw2.in_place = True
 
     def forward(self, x, training=True):
         self._cache = training or None  # the parts hold the activations
@@ -241,7 +259,7 @@ class NAMChannel(Layer):
         return out
 
     def backward(self, grad_out):
-        gx, ggamma, gbeta = attention.nam_channel_grad(self._cached(), self.bn, grad_out)
+        gx, ggamma, gbeta = attention.nam_channel_grad(self._take(), self.bn, grad_out, in_place=self.in_place)
         self._grads = {"gamma": ggamma, "beta": gbeta}
         return gx
 
@@ -267,7 +285,7 @@ class NAMSpatial(Layer):
         return out
 
     def backward(self, grad_out):
-        gx, ggamma, gbeta = attention.nam_spatial_grad(self._cached(), self.bn, grad_out)
+        gx, ggamma, gbeta = attention.nam_spatial_grad(self._take(), self.bn, grad_out, in_place=self.in_place)
         self._grads = {"gamma": ggamma, "beta": gbeta}
         return gx
 

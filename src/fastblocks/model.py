@@ -96,9 +96,17 @@ def build_model(graph: GraphSpec, seed: int = 0) -> Model:
     for layer_id, node, spec, in_shape, _ in walk_graph(graph):  # re-validates pre-parsed graphs
         item = KINDS[node.kind].build(spec, in_shape, rng)
         item.name = layer_id  # as analyze_graph ids the rows
+        prev = items[-1] if items else None
         # BN's fresh output reaches a ReLU right after it and nothing else;
         # a residual marker between them would hold it as the skip.
-        if isinstance(item, L.ReLU) and items and isinstance(items[-1], L.BatchNorm):
+        if isinstance(item, L.ReLU) and isinstance(prev, L.BatchNorm):
+            item.in_place = True
+        # A gate's input is free to overwrite once the gate's backward has
+        # read it, unless it is the caller's (first item), the skip's (after
+        # residual_begin) or a ReLU's cached output.
+        if isinstance(item, (L.NAMChannel, L.NAMSpatial)) and (
+            isinstance(prev, ResidualEnd) or (isinstance(prev, L.Layer) and not isinstance(prev, L.ReLU))
+        ):
             item.in_place = True
         items.append(item)
     return Model(graph, items)

@@ -38,7 +38,7 @@ sum(g * xhat), and rewrites one centred copy of the input in place into the
 closed-form input gradient. Eval mode folds the running statistics into a
 per-channel scale and shift. Work buffers take the promoted dtype of the
 operands (float64 parameters make a float32 input's output float64) and
-never alias a caller's array.
+never alias a caller's array, except one the caller passes as `out=`.
 
 Multiply-accumulate counting: within a `count_macs()` block every forward op
 reports the work it actually performed, derived from the operand shapes at
@@ -47,10 +47,13 @@ batch norm, 1/element for relu and elementwise multiply/add, 4/element for
 sigmoid). This is the measured side of the two-route cost check; the
 closed-form side lives in `complexity`.
 
-`relu`, `sigmoid`, `elementwise_mul` and `residual_add` take numpy's `out=`:
-a caller that owns a buffer (for example a batch-norm output nothing else
-holds) can have the result written there, `x` itself included, instead of
-allocating. They report the same MACs either way.
+`relu`, `sigmoid`, `elementwise_mul`, `residual_add`, `conv2d_grad`,
+`batchnorm_grad` and `batchnorm_rebuild` take numpy's `out=`: a caller
+that owns a buffer (for example a batch-norm output nothing else holds, or
+a backward's cached input) can have the result written there, `x` itself
+included, instead of allocating. The two gradient kernels write their input
+gradient there; `conv2d_grad` copies into it on the paths whose arithmetic
+cannot write in place. They report the same MACs either way.
 """
 
 from __future__ import annotations
@@ -281,19 +284,23 @@ def _column_tiles(x: Tensor4, spec: ConvSpec, weight_bytes: int):
         yield s0, s1, r0 * w_out, r1 * w_out, cols.reshape(s1 - s0, depth, (r1 - r0) * w_out)
 
 
-def _conv(x: Tensor4, weights: np.ndarray, bias: np.ndarray | None, spec: ConvSpec, dtype) -> Tensor4:
+def _conv(
+    x: Tensor4, weights: np.ndarray, bias: np.ndarray | None, spec: ConvSpec, dtype, out: Tensor4 | None = None
+) -> Tensor4:
     """conv2d's arithmetic without its checks or MAC report: `weights` is the
     (c_out, c_in*k*k) kernel matrix, and each tile's GEMM writes straight
-    into the output."""
+    into the output: `out` if given (C-contiguous, of `dtype`), else a new array."""
     n, _, h, w = x.shape
     h_out, w_out = spec.out_hw(h, w)
-    out = np.empty((n, spec.c_out, h_out * w_out), dtype=dtype)
+    if out is None:
+        out = np.empty((n, spec.c_out, h_out, w_out), dtype=dtype)
+    flat = out.reshape(n, spec.c_out, h_out * w_out)
     for s0, s1, c0, c1, cols in _column_tiles(x, spec, weights.nbytes):
-        tile = out[s0:s1, :, c0:c1]
+        tile = flat[s0:s1, :, c0:c1]
         np.matmul(weights, cols, out=tile)
         if bias is not None:  # added while the tile is still in cache
             tile += bias[:, None]
-    return out.reshape(n, spec.c_out, h_out, w_out)
+    return out
 
 
 def conv2d(x: Tensor4, kernel: np.ndarray, bias: np.ndarray | None, spec: ConvSpec) -> Tensor4:
@@ -310,11 +317,13 @@ def conv2d(x: Tensor4, kernel: np.ndarray, bias: np.ndarray | None, spec: ConvSp
 
 
 def conv2d_grad(
-    x: Tensor4, kernel: np.ndarray, spec: ConvSpec, grad_out: Tensor4
+    x: Tensor4, kernel: np.ndarray, spec: ConvSpec, grad_out: Tensor4, out: Tensor4 | None = None
 ) -> tuple[Tensor4, np.ndarray, np.ndarray]:
     """Gradients of sum(grad_out * conv2d(x, ...)) w.r.t. input, kernel, bias.
 
-    All three have dtype `np.result_type(grad_out, kernel)`.
+    All three have dtype `np.result_type(grad_out, kernel)`. The input
+    gradient is written into `out` when given, which may be `x` itself (the
+    kernel gradient is summed before it is written) but not `grad_out`.
     """
     x = _check_conv_args(x, kernel, None, spec)
     n, c_in, h, w = x.shape
@@ -338,18 +347,23 @@ def conv2d_grad(
         # the same tiles. Its columns are c_out/c_in times the input, so a
         # widening conv keeps the scatter (a 1x1 is a view either way).
         flipped = np.ascontiguousarray(kernel[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)).reshape(c_in, -1)
-        grad_x = _conv(grad_out, flipped, None, ConvSpec(spec.c_out, c_in, k, 1, k - 1 - p), g.dtype)
-        return grad_x, grad_kernel, grad_bias
-
-    dwin = (kernel.reshape(spec.c_out, -1).T @ g).reshape(n, c_in, k, k, h_out, w_out)
-    if k == s and p == 0:  # the windows tile the input exactly: col2im is a transpose
-        return dwin.transpose(0, 1, 4, 2, 5, 3).reshape(x.shape), grad_kernel, grad_bias
-    # col2im: scatter each kernel offset's column gradient onto the padded input.
-    dxp = np.zeros((n, c_in, h + 2 * p, w + 2 * p), dtype=dwin.dtype)
-    for a in range(k):
-        for b in range(k):
-            dxp[:, :, a : a + s * h_out : s, b : b + s * w_out : s] += dwin[:, :, a, b]
-    grad_x = dxp[:, :, p : p + h, p : p + w] if p else dxp
+        direct = out is not None and out.flags.c_contiguous and out.dtype == g.dtype
+        grad_x = _conv(
+            grad_out, flipped, None, ConvSpec(spec.c_out, c_in, k, 1, k - 1 - p), g.dtype, out if direct else None
+        )
+    else:
+        dwin = (kernel.reshape(spec.c_out, -1).T @ g).reshape(n, c_in, k, k, h_out, w_out)
+        if k == s and p == 0:  # the windows tile the input exactly: col2im is a transpose
+            grad_x = dwin.transpose(0, 1, 4, 2, 5, 3).reshape(x.shape)
+        else:  # col2im: scatter each kernel offset's column gradient onto the padded input.
+            dxp = np.zeros((n, c_in, h + 2 * p, w + 2 * p), dtype=dwin.dtype)
+            for a in range(k):
+                for b in range(k):
+                    dxp[:, :, a : a + s * h_out : s, b : b + s * w_out : s] += dwin[:, :, a, b]
+            grad_x = dxp[:, :, p : p + h, p : p + w] if p else dxp
+    if out is not None and grad_x is not out:  # a path that cannot write into out
+        np.copyto(out, grad_x)
+        grad_x = out
     return grad_x, grad_kernel, grad_bias
 
 
@@ -376,6 +390,7 @@ def batchnorm(
         n, _, h, w = x.shape
         var = np.einsum("nchw,nchw->c", out, out) / (n * h * w)
         params.update_running(mean, var)
+        # `batchnorm_rebuild` repeats the centring and these two passes.
         out *= (params.gamma / np.sqrt(var + params.eps))[None, :, None, None]
         out += params.beta[None, :, None, None]
     else:
@@ -388,12 +403,28 @@ def batchnorm(
     return out, mean, var
 
 
+def batchnorm_rebuild(
+    x: Tensor4, params: BNParams, batch_mean: np.ndarray, batch_var: np.ndarray, out: Tensor4 | None = None
+) -> Tensor4:
+    """A training `batchnorm`'s output, rebuilt from its input and the batch
+    statistics it returned, by the forward's own operations in their order:
+    equal to it bit for bit. Written into `out` when given, else into a new
+    array. Reports no MACs: a backward pass calls it to recompute an output
+    it did not keep.
+    """
+    out = np.subtract(x, batch_mean[None, :, None, None], out=out, dtype=np.result_type(x, params.gamma))
+    out *= (params.gamma / np.sqrt(batch_var + params.eps))[None, :, None, None]
+    out += params.beta[None, :, None, None]
+    return out
+
+
 def batchnorm_grad(
     x: Tensor4,
     params: BNParams,
     batch_mean: np.ndarray,
     batch_var: np.ndarray,
     grad_out: Tensor4,
+    out: Tensor4 | None = None,
 ) -> tuple[Tensor4, np.ndarray, np.ndarray]:
     """Training-mode batch norm backward, differentiating through the batch stats.
 
@@ -402,7 +433,8 @@ def batchnorm_grad(
     closed form is grad_x = gamma * inv * (g - sum(g)/m - xhat * sum(g*xhat)/m);
     sum(g) and sum(g*xhat) are also grad_beta and grad_gamma. It runs as those
     two per-channel reductions plus in-place passes over one centred buffer
-    of dtype `np.result_type(x, grad_out, params.gamma)`.
+    of dtype `np.result_type(x, grad_out, params.gamma)`: `out` when given,
+    which may be `x` itself but not `grad_out`, else a new array.
     Returns (grad_x, grad_gamma, grad_beta).
     """
     x = as_tensor4(x)
@@ -412,7 +444,7 @@ def batchnorm_grad(
     n, _, h, w = x.shape
     m = n * h * w
     inv = 1.0 / np.sqrt(batch_var + params.eps)
-    xc = np.subtract(x, batch_mean[None, :, None, None], dtype=dtype)
+    xc = np.subtract(x, batch_mean[None, :, None, None], out=out, dtype=dtype)
     grad_beta = np.einsum("nchw->c", grad_out, dtype=dtype)
     grad_gamma = np.einsum("nchw,nchw->c", grad_out, xc) * inv
     # xc * inv * grad_gamma / m is the xhat term; the buffer becomes grad_x.

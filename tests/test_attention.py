@@ -318,3 +318,56 @@ def test_training_backward_equals_the_allocating_formulas_and_leaves_grad_out_al
         assert np.array_equal(got[0], want[0].reshape(x.shape))
         assert np.array_equal(got[1], want[1])
         assert np.array_equal(got[2], want[2])
+
+
+def test_a_marked_gate_writes_its_input_gradient_into_its_input():
+    # build_model marks a gate whose input nothing else holds: batch norm's
+    # input gradient then goes into the cached x, bit-identical to a
+    # standalone gate's, which leaves x alone.
+    rng = np.random.default_rng(15)
+    for marked, plain in zip(gates(np.random.default_rng(16)), gates(np.random.default_rng(16))):
+        marked.in_place = True
+        x = rng.standard_normal((3, 6, 4, 5))
+        grad_out = rng.standard_normal(x.shape)
+        owned = x.copy()
+        marked.forward(owned)
+        plain.forward(x)
+        before = x.copy()
+        got = marked.backward(grad_out)
+        want = plain.backward(grad_out)
+        assert np.shares_memory(got, owned), marked.kind
+        assert np.array_equal(x, before), plain.kind
+        assert np.array_equal(got, want), marked.kind
+        for key in ("gamma", "beta"):
+            assert np.array_equal(marked.param_grads()[key], plain.param_grads()[key]), (marked.kind, key)
+
+
+@pytest.mark.parametrize("in_place", [False, True])
+def test_backward_consumes_the_cache(in_place):
+    rng = np.random.default_rng(17)
+    for gate in gates(rng):
+        gate.in_place = in_place
+        x = rng.standard_normal((3, 6, 4, 5))
+        out = gate.forward(x)
+        gate.backward(np.ones_like(out))
+        assert gate._cache is None
+        with pytest.raises(ValidationError, match=f"layer '{gate.kind}'.*training-mode forward"):
+            gate.backward(np.ones_like(out))
+        gate.forward(x)  # a new training forward makes backward possible again
+        gate.backward(np.ones_like(out))
+
+
+def test_a_marked_gate_leaves_an_input_it_would_round_alone():
+    # A float32 input (say a residual sum of float32 maps) cannot hold the
+    # float64 gradient: the marked gate allocates it, as a standalone one does.
+    rng = np.random.default_rng(18)
+    for marked, plain in zip(gates(np.random.default_rng(19)), gates(np.random.default_rng(19))):
+        marked.in_place = True
+        x = rng.standard_normal((3, 6, 4, 5)).astype(np.float32)
+        grad_out = rng.standard_normal(x.shape)
+        before = x.copy()
+        marked.forward(x)
+        plain.forward(x.copy())
+        got, want = marked.backward(grad_out), plain.backward(grad_out)
+        assert np.array_equal(x, before), marked.kind
+        assert got.dtype == np.float64 and np.array_equal(got, want), marked.kind

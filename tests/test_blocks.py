@@ -280,8 +280,9 @@ class TestFasterNetBlock:
         assert not np.shares_memory(out, x)
 
     def test_backward_equals_the_allocating_formulas_and_leaves_grad_out_alone(self):
-        # The backward masks and sums in the buffers it owns; it must still
-        # compute the chain rule as written, operation for operation.
+        # The backward rebuilds pw1's and pw2's inputs and masks and sums in
+        # the buffers it owns; it must still compute the chain rule as
+        # written, operation for operation.
         spec = FasterNetBlockSpec(c=6, c_p=2)
         block = FasterNetBlock(spec, rng=3)
         rng = np.random.default_rng(14)
@@ -289,9 +290,16 @@ class TestFasterNetBlock:
         grad_out = rng.standard_normal(x.shape)
         before = grad_out.copy()
         block.forward(x)
-        # each part cached its own input: x, t0 = pconv(x), t1 = pw1(t0), t3 = relu(bn1(t1))
+        # pconv caches x, pw1 the c_p convolved channels of t0 = pconv(x),
+        # bn1 t1 = pw1(t0) and its batch statistics; pw2 caches nothing.
         assert block.pconv._cache is x
-        t0, (t1, mean, var), t3 = block.pw1._cache, block.bn1._cache, block.pw2._cache
+        assert block.pw2._cache is None
+        t0 = pconv(x, block.pconv.weight, spec.pconv_spec())
+        assert np.array_equal(block.pw1._cache, t0[:, : spec.c_p])
+        t1, mean, var = (a.copy() for a in block.bn1._cache)  # the backward overwrites t1
+        bn = block.bn1.bn
+        scale = (bn.gamma / np.sqrt(var + bn.eps))[None, :, None, None]
+        t3 = np.maximum((t1 - mean[None, :, None, None]) * scale + bn.beta[None, :, None, None], 0.0)
         grad_x = block.backward(grad_out)
         grads = block.param_grads()
         assert np.array_equal(grad_out, before)
@@ -314,11 +322,12 @@ class TestFasterNetBlock:
         for key, value in want.items():
             assert np.array_equal(grads[key], value), key
 
-    def test_training_forward_holds_three_maps_and_backward_peak_is_bounded(self):
-        # The parts keep t0 = pconv(x) (c channels), t1 = pw1(t0) and
-        # t3 = relu(bn1(t1)) (hidden channels each); x is the caller's. A
-        # ReLU part would cache one more hidden map. The backward frees each
-        # part's input gradient once the next part returns.
+    def test_training_forward_holds_t1_and_the_convolved_channels_and_backward_peak_is_bounded(self):
+        # The parts keep t1 = pw1(t0) (hidden channels) and pconv's c_p
+        # convolved channels of t0; x is the caller's. t0's other channels
+        # are x's own and relu(bn1(t1)) is rebuilt from bn1's cache, so
+        # neither is kept. The backward writes pw2's, bn1's and pw1's input
+        # gradients into their dead inputs.
         block = FasterNetBlock(FasterNetBlockSpec(c=8, c_p=4), rng=0)  # the demo's first block
         rng = np.random.default_rng(15)
         x = rng.standard_normal((256, 8, 16, 16))  # 4 MiB
@@ -330,14 +339,28 @@ class TestFasterNetBlock:
             held = tracemalloc.get_traced_memory()[0] - before - out.nbytes
             del out
             tracemalloc.reset_peak()
-            start = tracemalloc.get_traced_memory()[0]
             block.backward(grad_out)
-            peak = tracemalloc.get_traced_memory()[1] - start
+            peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
-        t0, t1, t3 = x.nbytes, 2 * x.nbytes, 2 * x.nbytes
-        assert held <= t0 + t1 + t3 + 2**16  # 20 MiB, plus small vectors such as bn1's batch statistics
-        assert peak < 7 * x.nbytes  # 28 MiB; holding every input gradient to the end peaks at 32.5
+        t0_convolved, t1 = x.nbytes // 2, 2 * x.nbytes
+        assert held <= t0_convolved + t1 + 2**16  # 10 MiB, plus small vectors such as bn1's batch statistics
+        # 20 MiB, caches included; keeping t0 and relu(bn1(t1)) as well peaks at 29
+        assert peak < 5 * x.nbytes
+
+    def test_eval_forward_peak_holds_no_extra_map(self):
+        # An eval forward keeps each map only until the next part has read
+        # it: its peak is bn1's input and output, 2 + 2 maps of x's size.
+        block = FasterNetBlock(FasterNetBlockSpec(c=128, c_p=32), rng=0)
+        x = np.random.default_rng(17).standard_normal((1, 128, 80, 80))  # 6.25 MiB
+        block.forward(x, training=False)  # first calls allocate numpy's own caches
+        tracemalloc.start()
+        try:
+            block.forward(x, training=False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * x.nbytes + 2**14  # a t0 kept through bn1 would add 6.25 MiB
 
     def test_spec_validation(self):
         with pytest.raises(ValidationError):

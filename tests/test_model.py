@@ -152,6 +152,59 @@ class TestInPlaceRelu:
         assert not L.ReLU().in_place
 
 
+class TestInPlaceGates:
+    """build_model lets a NAM gate whose input nothing else holds write into it in backward."""
+
+    GRAPH = """input 4 4 4
+nam_channel c=4
+relu
+nam_channel c=4
+fasternet c=4 cp=2
+nam_spatial c=4 h=4 w=4
+nam_channel c=4
+residual_begin
+nam_channel c=4
+residual_end
+nam_spatial c=4 h=4 w=4
+conv cin=4 cout=4 k=1
+nam_channel c=4
+gap_head classes=2
+"""
+
+    def test_gates_after_a_fresh_map_are_marked(self):
+        model = build_model(parse_model_config(self.GRAPH), seed=0)
+        marks = {item.name: item.in_place for item in model.items if isinstance(item, (L.NAMChannel, L.NAMSpatial))}
+        assert marks == {
+            "000:nam_channel": False,  # the caller's input
+            "002:nam_channel": False,  # a ReLU caches its output
+            "004:nam_spatial": True,  # after fasternet
+            "005:nam_channel": True,  # after nam_spatial
+            "007:nam_channel": False,  # the skip holds it
+            "009:nam_spatial": True,  # after residual_end
+            "011:nam_channel": True,  # after conv
+        }
+        assert not L.NAMChannel(4).in_place and not L.NAMSpatial(4, 4).in_place
+
+    def test_marked_gates_give_the_standalone_results(self):
+        # Every gate is bit-identical to an unmarked copy, and the model's
+        # input gradient and parameter gradients with them.
+        graph = parse_model_config(self.GRAPH)
+        marked, plain = build_model(graph, seed=3), build_model(graph, seed=3)
+        for item in plain.items:
+            if isinstance(item, (L.NAMChannel, L.NAMSpatial)):
+                item.in_place = False
+        x = np.random.default_rng(4).standard_normal((3, 4, 4, 4))
+        before = x.copy()
+        grad_out = np.random.default_rng(5).standard_normal((3, 2, 1, 1))
+        marked.forward(x)
+        plain.forward(x)
+        got, want = marked.backward(grad_out), plain.backward(grad_out)
+        assert np.array_equal(got, want)
+        assert np.array_equal(x, before)
+        for (key, g), (_, w) in zip(marked.param_grads().items(), plain.param_grads().items()):
+            assert np.array_equal(g, w), key
+
+
 class TestRunningStatistics:
     def test_eval_forward_matches_train_forward_after_warm_up(self):
         # Training forwards must update the running statistics that eval mode
@@ -364,10 +417,14 @@ class TestDemoTraining:
         with pytest.raises(ValidationError, match="classes=2"):
             run_demo_train(three, steps=1)
 
-    def test_one_demo_step_peaks_under_72_mib(self):
-        # A FasterNet block frees each part's cache as its backward runs, a
-        # ReLU after BN writes into BN's output and the NAM gates do not keep
-        # BN(x). Holding every cache through the block's backward peaks at 98.6 MiB.
+    def test_one_demo_step_peaks_under_52_mib(self):
+        # A FasterNet block keeps t1 and pconv's convolved channels and
+        # writes its parts' input gradients into their dead inputs, a ReLU
+        # after BN writes into BN's output, and the NAM gates do not keep
+        # BN(x), consume their cache and write into their owned input.
+        # Holding every cache through the block's backward peaks at 98.6 MiB;
+        # a block that keeps all of t0 and relu(bn1(t1)), with gates that
+        # allocate their input gradient, at 64.6 MiB.
         text = resources.files("fastblocks").joinpath("configs", "demo-fasternet-nam.cfg").read_text()
         graph = parse_model_config(text)
         model = build_model(graph, seed=1)
@@ -386,7 +443,7 @@ class TestDemoTraining:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 72 * 2**20, f"{peak / 2**20:.1f} MiB"
+        assert peak < 52 * 2**20, f"{peak / 2**20:.1f} MiB"
 
     def test_divergence_is_reported(self):
         graph = parse_model_config(TINY_TRAINABLE, name="t")

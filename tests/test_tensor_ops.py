@@ -19,6 +19,7 @@ from fastblocks.tensor_ops import (
     batchnorm,
     batchnorm_grad,
     batchnorm_grad_eval,
+    batchnorm_rebuild,
     conv2d,
     conv2d_grad,
     count_macs,
@@ -386,7 +387,7 @@ GRAD_PATHS = {
 }
 
 
-def traced_conv2d_grad(monkeypatch, x, kernel, spec, grad_out):
+def traced_conv2d_grad(monkeypatch, x, kernel, spec, grad_out, out=None):
     """conv2d_grad with TILE_BYTES shrunk to 8, so that a tile holds 16x the
     weights' bytes; returns its gradients and, for each tiled pass, the
     shape of the array tiled and its number of tiles."""
@@ -402,7 +403,7 @@ def traced_conv2d_grad(monkeypatch, x, kernel, spec, grad_out):
     with monkeypatch.context() as patch:
         patch.setattr(tensor_ops, "TILE_BYTES", 8)
         patch.setattr(tensor_ops, "_column_tiles", recording_tiles)
-        grads = conv2d_grad(x, kernel, spec, grad_out)
+        grads = conv2d_grad(x, kernel, spec, grad_out, out=out)
     return grads, passes
 
 
@@ -432,6 +433,25 @@ class TestConv2dGradPaths:
         assert max_rel_err(gx, fd_grad(loss, x, step=1e-3)) < 1e-6
         assert max_rel_err(gk, fd_grad(loss, kernel, step=1e-3)) < 1e-6
         assert max_rel_err(gb, fd_grad(loss, bias, step=1e-3)) < 1e-6
+
+    @pytest.mark.parametrize("into", ["new", "x", "strided"])
+    @pytest.mark.parametrize("case", GRAD_PATHS, ids=list(GRAD_PATHS))
+    def test_out_receives_the_allocating_results_bit_for_bit(self, case, into, monkeypatch):
+        # out may be x itself: the kernel gradient, summed over several
+        # tiles of x, must be complete before the input gradient overwrites
+        # it. A strided out cannot take the GEMM's output and is copied into.
+        n, c_in, c_out, h, w, k, s, p, _ = GRAD_PATHS[case]
+        rng = np.random.default_rng(len(case))
+        spec = ConvSpec(c_in, c_out, k, s, p)
+        x = rng.standard_normal((n, c_in, h, w))
+        kernel = rng.standard_normal((c_out, c_in, k, k))
+        v = rng.standard_normal((n, c_out, *spec.out_hw(h, w)))
+        want, _ = traced_conv2d_grad(monkeypatch, x, kernel, spec, v)
+        out = {"new": np.empty_like(x), "x": x.copy(), "strided": np.empty((n, c_in, h, 2 * w))[..., ::2]}[into]
+        got, _ = traced_conv2d_grad(monkeypatch, out if into == "x" else x, kernel, spec, v, out=out)
+        assert got[0] is out
+        for g, wanted in zip(got, want):
+            assert np.array_equal(g, wanted)
 
     def test_reports_no_macs(self):
         rng = np.random.default_rng(5)
@@ -590,6 +610,40 @@ class TestBatchNormGrad:
         assert max_rel_err(gx, fd_grad(loss, x)) < 1e-6
         assert max_rel_err(ggamma, fd_grad(loss, params.gamma)) < 1e-6
         assert max_rel_err(gbeta, fd_grad(loss, params.beta)) < 1e-6
+
+    @pytest.mark.parametrize("into_x", [False, True])
+    def test_out_receives_the_allocating_results_bit_for_bit(self, into_x):
+        rng = np.random.default_rng(13)
+        x = rng.standard_normal((3, 4, 5, 6))
+        params = BNParams(
+            gamma=rng.uniform(0.5, 1.5, 4),
+            beta=rng.uniform(-0.5, 0.5, 4),
+            running_mean=np.zeros(4),
+            running_var=np.ones(4),
+        )
+        v = rng.standard_normal(x.shape)
+        _, mean, var = batchnorm(x, params, training=True)
+        want = batchnorm_grad(x, params, mean, var, v)
+        out = x.copy() if into_x else np.empty_like(x)
+        got = batchnorm_grad(out if into_x else x, params, mean, var, v, out=out)
+        assert got[0] is out
+        for g, wanted in zip(got, want):
+            assert np.array_equal(g, wanted)
+
+    def test_rebuilt_training_output_is_the_forwards_bit_for_bit(self):
+        rng = np.random.default_rng(14)
+        x = rng.standard_normal((3, 4, 5, 6))
+        params = BNParams(
+            gamma=rng.uniform(0.5, 1.5, 4),
+            beta=rng.uniform(-0.5, 0.5, 4),
+            running_mean=np.zeros(4),
+            running_var=np.ones(4),
+        )
+        out, mean, var = batchnorm(x, params, training=True)
+        assert np.array_equal(batchnorm_rebuild(x, params, mean, var), out)
+        buf = np.empty_like(x)
+        assert batchnorm_rebuild(x, params, mean, var, out=buf) is buf
+        assert np.array_equal(buf, out)
 
     def test_constant_batch_stays_finite(self):
         # zero variance exercises the eps floor
