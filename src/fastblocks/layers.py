@@ -10,10 +10,11 @@ cache stays until its next forward replaces it, except that the NAM gates
 consume theirs in backward, and a `FasterNetBlock` consumes its parts'.
 
 A layer is marked `in_place` when nothing else holds its input, so that it
-may overwrite it. `build_model` marks a ReLU that directly follows a
-`BatchNorm`: it writes its output into BN's, and caches that. It marks a NAM
-gate whose input is a fresh map that no caller, skip or ReLU cache holds:
-its backward writes its input gradient into its cached input. A
+may overwrite it. In `build_model` an item owns its input unless it is the
+first item (the caller's input) or directly follows `residual_begin` (the
+skip's) or a `ReLU` (which caches its output); it marks the ReLUs and NAM
+gates that own theirs. A ReLU writes its output into its input and caches
+that; a gate's backward writes its input gradient into its cached input. A
 `FasterNetBlock` marks its parts pw1, bn1 and pw2, whose backward does the
 same. A layer built outside a model or block is never marked. Each layer
 exposes its learnable arrays through params()/param_grads() and knows how to

@@ -2,7 +2,10 @@
 
 build_model turns a validated GraphSpec into layer objects with seeded
 initialization; the same (graph, seed) pair always yields bit-identical
-parameters because draws happen in layer order from one generator.
+parameters because draws happen in layer order from one generator. It marks
+`in_place` each ReLU and NAM gate that owns its input, a fresh map nothing
+else holds: every item does, except the first (the caller's input) and one
+right after `residual_begin` (the skip's) or a ReLU (which caches its output).
 
 run_demo_train fits a graph ending in `gap_head classes=2` to a synthetic
 two-class dataset (bright centered square on dark noise vs plain dark noise)
@@ -96,17 +99,9 @@ def build_model(graph: GraphSpec, seed: int = 0) -> Model:
     for layer_id, node, spec, in_shape, _ in walk_graph(graph):  # re-validates pre-parsed graphs
         item = KINDS[node.kind].build(spec, in_shape, rng)
         item.name = layer_id  # as analyze_graph ids the rows
-        prev = items[-1] if items else None
-        # BN's fresh output reaches a ReLU right after it and nothing else;
-        # a residual marker between them would hold it as the skip.
-        if isinstance(item, L.ReLU) and isinstance(prev, L.BatchNorm):
-            item.in_place = True
-        # A gate's input is free to overwrite once the gate's backward has
-        # read it, unless it is the caller's (first item), the skip's (after
-        # residual_begin) or a ReLU's cached output.
-        if isinstance(item, (L.NAMChannel, L.NAMSpatial)) and (
-            isinstance(prev, ResidualEnd) or (isinstance(prev, L.Layer) and not isinstance(prev, L.ReLU))
-        ):
+        # The ownership rule of the module docstring.
+        owns_input = bool(items) and not isinstance(items[-1], (ResidualBegin, L.ReLU))
+        if owns_input and isinstance(item, (L.ReLU, L.NAMChannel, L.NAMSpatial)):
             item.in_place = True
         items.append(item)
     return Model(graph, items)

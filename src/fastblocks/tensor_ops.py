@@ -20,14 +20,14 @@ output. A 1x1, stride-1, unpadded conv reads x itself as its columns, in one
 tile and without a copy.
 
 `conv2d_grad` runs through the same tiles, so it builds no full im2col
-matrix either: the kernel gradient is summed tile by tile. For stride 1
-with p <= k-1 the input gradient is itself a convolution, of grad_out with
-the kernel flipped and its channel axes swapped at padding k-1-p, and runs
-as one when c_out <= c_in. A widening conv (c_out > c_in), whose transposed
-columns would be c_out/c_in times the input, and any other stride, build
-the column gradient W^T @ grad_out and scatter it back onto the input
-(col2im); when the windows tile the input exactly (k == s, p == 0) that
-scatter is a transpose. Backward kernels report no MACs.
+matrix or column gradient: the kernel gradient is summed tile by tile, and
+the input gradient takes one of two paths. For stride 1 with p <= k-1 it is
+a convolution of grad_out with the kernel flipped and its channel axes
+swapped at padding k-1-p, and runs as one when c_out <= c_in. A widening
+conv (c_out > c_in), whose transposed columns would be c_out/c_in times the
+input, and any other stride or padding run a col2im: each tile's column
+gradient W^T @ grad_out is scatter-added onto the padded input, one kernel
+offset at a time. Backward kernels report no MACs.
 
 Batch norm is memory-bound, so it is written to make few passes over
 activation-sized arrays rather than to mirror the formula term by term. A
@@ -239,12 +239,13 @@ def _windows(x: Tensor4, spec: ConvSpec) -> np.ndarray:
     return sliding_window_view(x, (k, k), axis=(2, 3))[:, :, ::s, ::s].transpose(0, 1, 4, 5, 2, 3)
 
 
-def _tiles(n: int, h_out: int, row_bytes: int, limit: int):
+def _tiles(n: int, h_out: int, row_bytes: int, weight_bytes: int):
     """(first sample, end sample, first row, end row) blocks of the output,
-    each with at most `limit` bytes of columns (one output row if a row holds
-    more): a block of output rows of one sample, or a group of whole samples
+    each with at most TILE_BYTES of columns, or 16x the weights' bytes if
+    more, as each tile's GEMM re-reads the weights (one output row if a row
+    holds more): a block of rows of one sample, or a group of whole samples
     when one sample's columns fit. row_bytes=0 asks for one tile."""
-    rows = limit // row_bytes if row_bytes else n * h_out
+    rows = max(TILE_BYTES, 16 * weight_bytes) // row_bytes if row_bytes else n * h_out
     if rows >= h_out:
         group = rows // h_out
         for s0 in range(0, n, group):
@@ -262,10 +263,9 @@ def _column_tiles(x: Tensor4, spec: ConvSpec, weight_bytes: int):
     output pixels) columns.
 
     A 1x1, stride-1, unpadded conv's columns are a view of x: one tile, no
-    copy. Any other conv is tiled, and each tile's GEMM re-reads the whole
-    weight matrix, so a tile holds at least 16x the weights' bytes. Every
-    tile is copied into one workspace, which the next tile overwrites: a
-    caller must be done with `cols` before it asks for the next tile.
+    copy. Any other conv is tiled by `_tiles`, and every tile is copied into
+    one workspace, which the next tile overwrites: a caller must be done
+    with `cols` before it asks for the next tile.
     """
     n, _, h, w = x.shape
     h_out, w_out = spec.out_hw(h, w)
@@ -273,7 +273,7 @@ def _column_tiles(x: Tensor4, spec: ConvSpec, weight_bytes: int):
     view = spec.k == 1 and spec.stride == 1 and spec.padding == 0
     depth = spec.c_in * spec.k * spec.k
     row_bytes = 0 if view else depth * w_out * x.itemsize
-    tiles = list(_tiles(n, h_out, row_bytes, max(TILE_BYTES, 16 * weight_bytes)))
+    tiles = list(_tiles(n, h_out, row_bytes, weight_bytes))
     if not view:
         workspace = np.empty(max((s1 - s0) * (r1 - r0) for s0, s1, r0, r1 in tiles) * depth * w_out, win.dtype)
     for s0, s1, r0, r1 in tiles:
@@ -345,22 +345,25 @@ def conv2d_grad(
         # The input gradient is grad_out convolved with the kernel flipped and
         # its channel axes swapped, at padding k-1-p: a forward conv through
         # the same tiles. Its columns are c_out/c_in times the input, so a
-        # widening conv keeps the scatter (a 1x1 is a view either way).
+        # widening conv runs the col2im below (a 1x1 is a view either way).
         flipped = np.ascontiguousarray(kernel[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)).reshape(c_in, -1)
         direct = out is not None and out.flags.c_contiguous and out.dtype == g.dtype
         grad_x = _conv(
             grad_out, flipped, None, ConvSpec(spec.c_out, c_in, k, 1, k - 1 - p), g.dtype, out if direct else None
         )
     else:
-        dwin = (kernel.reshape(spec.c_out, -1).T @ g).reshape(n, c_in, k, k, h_out, w_out)
-        if k == s and p == 0:  # the windows tile the input exactly: col2im is a transpose
-            grad_x = dwin.transpose(0, 1, 4, 2, 5, 3).reshape(x.shape)
-        else:  # col2im: scatter each kernel offset's column gradient onto the padded input.
-            dxp = np.zeros((n, c_in, h + 2 * p, w + 2 * p), dtype=dwin.dtype)
+        # col2im by tiles of output rows: scatter-add each kernel offset of a
+        # tile's column gradient W^T @ g onto the padded input, last tile
+        # first, so that each pixel sums its offsets in (a, b) order however
+        # the rows are tiled.
+        weights_t = kernel.reshape(spec.c_out, -1).T
+        dxp = np.zeros((n, c_in, h + 2 * p, w + 2 * p), dtype=g.dtype)
+        for s0, s1, r0, r1 in reversed(list(_tiles(n, h_out, c_in * k * k * w_out * g.itemsize, kernel.nbytes))):
+            dwin = (weights_t @ g[s0:s1, :, r0 * w_out : r1 * w_out]).reshape(s1 - s0, c_in, k, k, r1 - r0, w_out)
             for a in range(k):
                 for b in range(k):
-                    dxp[:, :, a : a + s * h_out : s, b : b + s * w_out : s] += dwin[:, :, a, b]
-            grad_x = dxp[:, :, p : p + h, p : p + w] if p else dxp
+                    dxp[s0:s1, :, a + s * r0 : a + s * r1 : s, b : b + s * w_out : s] += dwin[:, :, a, b]
+        grad_x = dxp[:, :, p : p + h, p : p + w] if p else dxp
     if out is not None and grad_x is not out:  # a path that cannot write into out
         np.copyto(out, grad_x)
         grad_x = out

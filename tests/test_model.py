@@ -111,7 +111,7 @@ class TestBuildModel:
 
 
 class TestInPlaceRelu:
-    """build_model lets a ReLU right after a BatchNorm overwrite BN's output."""
+    """build_model lets a ReLU whose input nothing else holds overwrite it."""
 
     def demo(self):
         text = resources.files("fastblocks").joinpath("configs", "demo-fasternet-nam.cfg").read_text()
@@ -145,11 +145,47 @@ class TestInPlaceRelu:
         assert np.array_equal(model.forward(x), bn_out + np.maximum(bn_out, 0.0))  # the skip kept BN's output
 
     def test_only_a_relu_right_after_a_bn_is_marked(self):
+        """Of these three ReLUs only the one after the bn owns its input: the
+        first item's input is the caller's, and a ReLU caches its output."""
         graph = parse_model_config("input 2 4 4\nrelu\nbn c=2\nrelu\nrelu\n")
         model = build_model(graph, seed=0)
-        # only the ReLU right after the bn: not the first layer, not a ReLU after a ReLU
         assert [item.in_place for item in model.items if isinstance(item, L.ReLU)] == [False, True, False]
         assert not L.ReLU().in_place
+
+    GRAPH = """input 4 4 4
+conv cin=4 cout=4 k=3 s=1 p=1
+relu
+residual_begin
+nam_channel c=4
+relu
+residual_end
+relu
+fasternet c=4 cp=2
+relu
+gap_head classes=2
+"""
+
+    def test_relus_after_any_fresh_map_are_marked(self):
+        model = build_model(parse_model_config(self.GRAPH), seed=0)
+        marks = {item.name: item.in_place for item in model.items if isinstance(item, L.ReLU)}
+        assert marks == {"001:relu": True, "004:relu": True, "006:relu": True, "008:relu": True}
+
+    @pytest.mark.parametrize("training", [True, False])
+    def test_marked_relus_give_the_unmarked_results(self, training):
+        graph = parse_model_config(self.GRAPH)
+        marked, plain = build_model(graph, seed=3), build_model(graph, seed=3)
+        for item in plain.items:
+            if isinstance(item, L.ReLU):
+                item.in_place = False
+        x = np.random.default_rng(4).standard_normal((3, 4, 4, 4))
+        before = x.copy()
+        assert np.array_equal(marked.forward(x, training), plain.forward(x, training))
+        assert np.array_equal(x, before)
+        if training:
+            grad_out = np.random.default_rng(5).standard_normal((3, 2, 1, 1))
+            assert np.array_equal(marked.backward(grad_out), plain.backward(grad_out))
+            for (key, g), (_, w) in zip(marked.param_grads().items(), plain.param_grads().items()):
+                assert np.array_equal(g, w), key
 
 
 class TestInPlaceGates:

@@ -367,8 +367,8 @@ class TestConv2dTiles:
 
 
 # (n, c_in, c_out, h, w, k, s, p, transposed): transposed says whether the
-# input gradient runs as a forward conv of grad_out (a second tiled pass)
-# rather than through the column gradient.
+# input gradient runs as a forward conv of grad_out (a second im2col pass)
+# rather than as a col2im of the column gradient, tile by tile.
 GRAD_PATHS = {
     # stride 1, p <= k-1, c_out <= c_in: the flipped kernel at padding k-1-p
     "transposed": (2, 3, 2, 9, 7, 3, 1, 1, True),
@@ -378,9 +378,11 @@ GRAD_PATHS = {
     "widening": (2, 2, 3, 9, 7, 3, 1, 1, False),
     # p > k-1: the transposed padding would be negative; scatter
     "padding_beyond_k": (2, 3, 2, 6, 5, 2, 1, 2, False),
-    # k == s, p == 0: the windows tile the input; col2im is a transpose
+    # k == s, p == 0: the windows tile the input, so each pixel gets one offset
     "k_equals_s": (2, 3, 2, 16, 12, 2, 2, 0, False),
     "stride_2_padded": (2, 3, 2, 9, 7, 3, 2, 1, False),
+    # the stem's shape, k=6 s=2 p=2: row tiles whose windows overlap
+    "k6_s2": (2, 2, 2, 14, 10, 6, 2, 2, False),
     # a 1x1, stride-1, unpadded conv reads x, and grad_out, as its columns
     "1x1_view": (2, 3, 2, 9, 7, 1, 1, 0, True),
     "1x1_view_widening": (2, 2, 3, 9, 7, 1, 1, 0, True),
@@ -389,26 +391,32 @@ GRAD_PATHS = {
 
 def traced_conv2d_grad(monkeypatch, x, kernel, spec, grad_out, out=None):
     """conv2d_grad with TILE_BYTES shrunk to 8, so that a tile holds 16x the
-    weights' bytes; returns its gradients and, for each tiled pass, the
-    shape of the array tiled and its number of tiles."""
-    passes = []
-    column_tiles = tensor_ops._column_tiles
+    weights' bytes; returns its gradients, the shape of the array each im2col
+    pass tiled, and the number of tiles of each pass, im2col or col2im."""
+    im2col, tilings = [], []
+    column_tiles, tiles = tensor_ops._column_tiles, tensor_ops._tiles
 
-    def recording_tiles(a, spec, weight_bytes):
-        passes.append([a.shape, 0])
-        for tile in column_tiles(a, spec, weight_bytes):
-            passes[-1][1] += 1
+    def recording_column_tiles(a, spec, weight_bytes):
+        im2col.append(a.shape)
+        yield from column_tiles(a, spec, weight_bytes)
+
+    def recording_tiles(*args):
+        tilings.append(0)
+        for tile in tiles(*args):
+            tilings[-1] += 1
             yield tile
 
     with monkeypatch.context() as patch:
         patch.setattr(tensor_ops, "TILE_BYTES", 8)
-        patch.setattr(tensor_ops, "_column_tiles", recording_tiles)
+        patch.setattr(tensor_ops, "_column_tiles", recording_column_tiles)
+        patch.setattr(tensor_ops, "_tiles", recording_tiles)
         grads = conv2d_grad(x, kernel, spec, grad_out, out=out)
-    return grads, passes
+    return grads, im2col, tilings
 
 
 class TestConv2dGradPaths:
-    """Each input-gradient path of conv2d_grad, with the kernel gradient summed over several tiles."""
+    """Each input-gradient path of conv2d_grad, with the kernel gradient summed
+    over several tiles, and the col2im scattered from several."""
 
     @pytest.mark.parametrize("case", GRAD_PATHS, ids=list(GRAD_PATHS))
     def test_matches_finite_differences(self, case, monkeypatch):
@@ -419,12 +427,16 @@ class TestConv2dGradPaths:
         kernel = rng.standard_normal((c_out, c_in, k, k))
         bias = rng.standard_normal(c_out)
         v = rng.standard_normal((n, c_out, *spec.out_hw(h, w)))
-        (gx, gk, gb), passes = traced_conv2d_grad(monkeypatch, x, kernel, spec, v)
+        (gx, gk, gb), im2col, tilings = traced_conv2d_grad(monkeypatch, x, kernel, spec, v)
 
-        assert passes[0][0] == x.shape
+        # The kernel gradient tiles x; the input gradient tiles grad_out's
+        # columns (transposed) or the column gradient's (col2im).
+        assert im2col == ([x.shape, v.shape] if transposed else [x.shape])
+        assert len(tilings) == 2
         if k > 1:  # a 1x1 view is one tile
-            assert passes[0][1] > 1
-        assert [a for a, _ in passes[1:]] == ([v.shape] if transposed else [])
+            assert tilings[0] > 1
+        if not transposed:
+            assert tilings[1] > 1
 
         def loss():
             return float(np.sum(v * conv2d(x, kernel, bias, spec)))
@@ -446,12 +458,26 @@ class TestConv2dGradPaths:
         x = rng.standard_normal((n, c_in, h, w))
         kernel = rng.standard_normal((c_out, c_in, k, k))
         v = rng.standard_normal((n, c_out, *spec.out_hw(h, w)))
-        want, _ = traced_conv2d_grad(monkeypatch, x, kernel, spec, v)
+        want, _, _ = traced_conv2d_grad(monkeypatch, x, kernel, spec, v)
         out = {"new": np.empty_like(x), "x": x.copy(), "strided": np.empty((n, c_in, h, 2 * w))[..., ::2]}[into]
-        got, _ = traced_conv2d_grad(monkeypatch, out if into == "x" else x, kernel, spec, v, out=out)
+        got, _, _ = traced_conv2d_grad(monkeypatch, out if into == "x" else x, kernel, spec, v, out=out)
         assert got[0] is out
         for g, wanted in zip(got, want):
             assert np.array_equal(g, wanted)
+
+    @pytest.mark.parametrize("case", [case for case, path in GRAD_PATHS.items() if not path[-1]])
+    def test_col2im_input_gradient_does_not_depend_on_the_tiles(self, case, monkeypatch):
+        # Each pixel sums its kernel offsets in (a, b) order, however the
+        # output rows are tiled: several tiles give the one tile's result.
+        n, c_in, c_out, h, w, k, s, p, _ = GRAD_PATHS[case]
+        rng = np.random.default_rng(len(case))
+        spec = ConvSpec(c_in, c_out, k, s, p)
+        x = rng.standard_normal((n, c_in, h, w))
+        kernel = rng.standard_normal((c_out, c_in, k, k))
+        v = rng.standard_normal((n, c_out, *spec.out_hw(h, w)))
+        (gx, _, _), _, tilings = traced_conv2d_grad(monkeypatch, x, kernel, spec, v)
+        assert tilings[1] > 1
+        assert np.array_equal(gx, conv2d_grad(x, kernel, spec, v)[0])
 
     def test_reports_no_macs(self):
         rng = np.random.default_rng(5)
@@ -483,10 +509,12 @@ class TestConv2dGradPaths:
     @pytest.mark.parametrize(
         "n, c_in, c_out, hw, limit_mib",
         [
-            # the demo's stem: a 4.7 MB column gradient, a 0.7 MB padded input gradient
+            # the demo's stem: 4.7 MB of column gradient in all, one tile of
+            # it (4.2 MB), a 0.7 MB padded input gradient
             (256, 1, 8, 16, 5.4),
-            # a 3x3 at 80x80: a 29.5 MB column gradient, a 3.4 MB padded input gradient
-            (1, 64, 128, 80, 32.1),
+            # a 3x3 at 80x80: its weights are 0.6 MB, so a tile holds at most 9.4 MB of
+            # the 29.5 MB column gradient; a 3.4 MB padded input gradient
+            (1, 64, 128, 80, 24),
         ],
     )
     def test_widening_conv_memory_is_no_more_than_its_scatter(self, n, c_in, c_out, hw, limit_mib):
@@ -495,6 +523,15 @@ class TestConv2dGradPaths:
         grad_out = rng.standard_normal((n, c_out, hw, hw))
         kernel = rng.standard_normal((c_out, c_in, 3, 3))
         assert self.grad_peak(x, kernel, ConvSpec(c_in, c_out, 3, padding=1), grad_out) < limit_mib * 2**20
+
+    def test_stem_conv_grad_memory_is_bounded_by_the_tiles(self):
+        # The 640x640 stem, 3->32 k=6 s=2 p=2: its full column gradient is
+        # 88 MB, the padded input gradient 10 MB, a tile 4.2 MB of columns.
+        rng = np.random.default_rng(8)
+        x = rng.standard_normal((1, 3, 640, 640))
+        grad_out = rng.standard_normal((1, 32, 320, 320))
+        kernel = rng.standard_normal((32, 3, 6, 6))
+        assert self.grad_peak(x, kernel, ConvSpec(3, 32, 6, stride=2, padding=2), grad_out) < 20 * 2**20
 
 
 # ---------------------------------------------------------------- batchnorm
