@@ -11,12 +11,24 @@ Each gate takes the `BNParams` its layer holds as `self.bn` (`layers.NAMChannel`
 
     out = x * sigmoid(w ⊙ BN(x))
 
-The gate computes this in the BN output's buffer, which it owns: it scales
-BN(x) by w and squashes it there. An eval forward also applies the gate in
-that buffer; a training forward keeps the squashed gate s for the backward
-and writes its output to one more buffer. BN(x) is not kept: the backward
-rebuilds it from x and the cached batch statistics with the forward's own
-operations (`batchnorm_rebuild`), so its results are those of a kept copy.
+A training forward computes this in the BN output's buffer, which it owns:
+it scales BN(x) by w and squashes it there, keeps the squashed gate s for
+the backward and writes its output to one more buffer. BN(x) is not kept:
+the backward rebuilds it from x and the cached batch statistics with the
+forward's own operations (`batchnorm_rebuild`), so its results are those of
+a kept copy.
+
+An eval forward normalizes with the running statistics, so its gate is a
+fixed per-unit affine map of x followed by the squash. With
+scale = gamma / sqrt(var + eps), a = w * scale and b = w * (beta - mean * scale):
+
+    out = x * sigmoid(a ⊙ x + b) = x / (1 + exp(-(a ⊙ x + b)))
+
+It runs in one buffer of dtype `np.result_type(x, gamma)`, in five passes:
+multiply, add, exp, add one, divide. Where exp overflows, x / inf = ±0 is
+the limit. It reports the 8 MACs per element that `kinds` gives the gate.
+Its rounding differs from the composition above, within a relative 1e-14
+where |a ⊙ x + b| <= 10 (see the tests).
 
 The gate layers consume their cache in backward, so a second backward needs
 a new training forward. The forward never writes x. The backward writes
@@ -42,6 +54,7 @@ from .tensor_ops import (
     batchnorm_grad,
     batchnorm_rebuild,
     elementwise_mul,
+    record_macs,
     sigmoid,
 )
 
@@ -63,12 +76,30 @@ def nam_weights(scales: np.ndarray) -> np.ndarray:
 
 def _nam_forward(x: Tensor4, bn: BNParams, training: bool):
     """Shared gating pipeline on an (n, units, h, w) tensor; no cache when not training."""
+    if not training:
+        return _nam_eval(x, bn), None
     y, mean, var = batchnorm(x, bn, training)
     w = nam_weights(bn.gamma)
     g = elementwise_mul(y, w[None, :, None, None], out=y)
     s = sigmoid(g, out=g)
-    out = elementwise_mul(x, s, out=None if training else s)
-    return out, (x, w, s, mean, var) if training else None
+    return elementwise_mul(x, s), (x, w, s, mean, var)
+
+
+def _nam_eval(x: Tensor4, bn: BNParams) -> Tensor4:
+    """The eval gate folded into x / (1 + exp(-(a ⊙ x + b))), in one new buffer."""
+    scale = bn.gamma / np.sqrt(bn.running_var + bn.eps)
+    w = nam_weights(bn.gamma)
+    a = w * scale
+    b = w * (bn.beta - bn.running_mean * scale)
+    # -(a ⊙ x + b) as (-a) ⊙ x - b: negation is exact, so these are the same values.
+    out = np.multiply(x, -a[None, :, None, None], dtype=np.result_type(x, bn.gamma))
+    out -= b[None, :, None, None]
+    with np.errstate(over="ignore"):  # exp(+big) = inf, and x / inf = ±0 is the gate's limit
+        np.exp(out, out=out)
+    out += 1.0
+    np.divide(x, out, out=out)
+    record_macs(8 * x.size)
+    return out
 
 
 def _nam_backward(cache, bn: BNParams, grad_out: Tensor4, in_place: bool = False):

@@ -15,13 +15,20 @@ FasterNet block chains pconv -> pwconv (expand) -> BN -> relu -> pwconv
 over them. ReLU is not a part: it runs in place on bn1's output. The skip is
 added into pw2's output, and its gradient into the pconv branch's.
 
+pconv allocates its output once: it copies only the c - c_p pass-through
+channels of x, and `conv2d(..., out=)` writes the convolved channels
+straight into the first c_p, in training and eval alike, with the values
+of a separate conv. An eval forward keeps nothing, and bn1 (marked
+`in_place` by its block) writes its output into pw1's: its peak is pw1's
+or pw2's input and output, three maps of x's size.
+
 A training forward keeps one hidden-width map. With t0 = pconv(x),
 t1 = pw1(t0) and t3 = relu(bn1(t1)), pconv caches x (the caller's), bn1
 caches t1 and its batch statistics, and pw1 keeps only pconv's c_p
 convolved channels of t0: the rest are x's own. pw2 keeps nothing. The
 backward rebuilds t3 from bn1's cache with `batchnorm_rebuild` and
-`np.maximum`, and t0 from x and pw1's channels with pconv's own
-copy-then-assign, so both equal the forward's maps bit for bit. The relu
+`np.maximum`, and t0 from x's pass-through channels and pw1's, as pconv
+assembles it, so both equal the forward's maps bit for bit. The relu
 mask is read from the rebuilt t3 before pw2's backward. pw2, bn1 and pw1
 then write their input gradients into their own inputs t3, t1 and t0,
 which nothing reads afterwards (`layers.FasterNetBlock` marks them
@@ -96,13 +103,21 @@ class PWConvSpec:
             raise ValidationError("PWConvSpec channel counts must be >= 1")
 
 
+def _with_pass_through(x: Tensor4, weights: np.ndarray, c_p: int) -> Tensor4:
+    """A new array shaped like x, of pconv's dtype, holding x's channels
+    [c_p, c); channels [0, c_p) are left for the caller to fill."""
+    out = np.empty(x.shape, np.result_type(x, weights))  # conv2d's dtype for this input
+    out[:, c_p:] = x[:, c_p:]
+    return out
+
+
 def pconv(x: Tensor4, weights: np.ndarray, spec: PConvSpec) -> Tensor4:
-    """Convolve channels [0, c_p); copy channels [c_p, c) bit-identically."""
+    """Convolve channels [0, c_p) straight into the output; copy channels [c_p, c) bit-identically."""
     x = as_tensor4(x)
     if x.shape[1] != spec.c:
         raise ValidationError(f"input channel dim {x.shape[1]} does not match PConvSpec.c {spec.c}")
-    out = x.astype(np.result_type(x, weights))  # conv2d's dtype for this input
-    out[:, : spec.c_p] = conv2d(x[:, : spec.c_p], weights, None, spec.conv_spec())
+    out = _with_pass_through(x, weights, spec.c_p)
+    conv2d(x[:, : spec.c_p], weights, None, spec.conv_spec(), out=out[:, : spec.c_p])
     return out
 
 
@@ -194,7 +209,7 @@ def fasternet_block_grad(block, grad_out: Tensor4) -> Tensor4:
     del mask
     grad = block.bn1.backward(grad)
     x = block.pconv._cached()
-    t0 = x.astype(np.result_type(x, block.pconv.weight))  # pconv's own copy-then-assign
+    t0 = _with_pass_through(x, block.pconv.weight, block.spec.c_p)  # pconv(x), as the forward made it
     t0[:, : block.spec.c_p] = block.pw1._cached()
     block.pw1._cache = t0
     del t0

@@ -16,12 +16,15 @@ skip's) or a `ReLU` (which caches its output); it marks the ReLUs and NAM
 gates that own theirs. A ReLU writes its output into its input and caches
 that; a gate's backward writes its input gradient into its cached input. A
 `FasterNetBlock` marks its parts pw1, bn1 and pw2, whose backward does the
-same. A layer built outside a model or block is never marked. Each layer
-exposes its learnable arrays through params()/param_grads() and knows how to
-apply a plain gradient-descent update. These objects are what the gradient
-checker and the model runner operate on, and the only way to run a FasterNet
-block or a NAM gate; the math itself lives in tensor_ops / blocks /
-attention. `BatchNorm`, `NAMChannel` and `NAMSpatial` hold their `BNParams`
+same; bn1's eval forward also writes its output into its input, pw1's
+output, unless that would round it. The block's pconv writes its convolved
+channels straight into its output (see `blocks`). build_model marks no
+top-level `BatchNorm`. A layer built outside a model or block is never
+marked. Each layer exposes its learnable arrays through
+params()/param_grads() and knows how to apply a plain gradient-descent
+update. These objects are what the gradient checker and the model runner
+operate on, and the only way to run a FasterNet block or a NAM gate; the
+math itself lives in tensor_ops / blocks / attention. `BatchNorm`, `NAMChannel` and `NAMSpatial` hold their `BNParams`
 as `self.bn`; a `FasterNetBlock` is built from `PConv`, `PWConv` and
 `BatchNorm` part layers, so its `BNParams` are `block.bn1.bn`.
 """
@@ -130,7 +133,10 @@ class BatchNorm(Layer):
         self.bn = BNParams.identity(channels)
 
     def forward(self, x, training=True):
-        out, mean, var = batchnorm(x, self.bn, training)
+        # A marked layer's eval forward writes into its input, unless that would round it;
+        # a training forward caches the input for backward.
+        own = self.in_place and not training and x.dtype == np.result_type(x, self.bn.gamma)
+        out, mean, var = batchnorm(x, self.bn, training, out=x if own else None)
         self._cache = (x, mean, var) if training else None
         return out
 

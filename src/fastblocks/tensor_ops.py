@@ -44,16 +44,24 @@ Multiply-accumulate counting: within a `count_macs()` block every forward op
 reports the work it actually performed, derived from the operand shapes at
 the call site (one MAC = one FLOP, bias adds excluded for conv, 2/element for
 batch norm, 1/element for relu and elementwise multiply/add, 4/element for
-sigmoid). This is the measured side of the two-route cost check; the
-closed-form side lives in `complexity`.
+sigmoid). A count is that of the formula, not of the passes that run it:
+sigmoid takes 7, and the folded eval NAM gate (`attention`) reports the
+8/element that `kinds` gives BN -> * w -> sigmoid -> * x for its 5. This is
+the measured side of the two-route cost check; the closed-form side lives
+in `complexity`.
 
-`relu`, `sigmoid`, `elementwise_mul`, `residual_add`, `conv2d_grad`,
-`batchnorm_grad` and `batchnorm_rebuild` take numpy's `out=`: a caller
-that owns a buffer (for example a batch-norm output nothing else holds, or
-a backward's cached input) can have the result written there, `x` itself
-included, instead of allocating. The two gradient kernels write their input
-gradient there; `conv2d_grad` copies into it on the paths whose arithmetic
-cannot write in place. They report the same MACs either way.
+`conv2d`, `batchnorm`, `relu`, `sigmoid`, `elementwise_mul`,
+`residual_add`, `conv2d_grad`, `batchnorm_grad` and `batchnorm_rebuild`
+take numpy's `out=`: a caller that owns a buffer (for example a batch-norm
+output nothing else holds, or a backward's cached input) can have the
+result written there instead of allocating, with the values a new array
+would hold. Every kernel but `conv2d` may write into `x` itself; `conv2d`
+writes into any array of its output's shape that does not overlap x and
+whose channel maps are each contiguous, such as the first c_p channels of
+pconv's output. The two
+gradient kernels write their input gradient there; `conv2d_grad` copies
+into it on the paths whose arithmetic cannot write in place. They report
+the same MACs either way.
 """
 
 from __future__ import annotations
@@ -289,12 +297,13 @@ def _conv(
 ) -> Tensor4:
     """conv2d's arithmetic without its checks or MAC report: `weights` is the
     (c_out, c_in*k*k) kernel matrix, and each tile's GEMM writes straight
-    into the output: `out` if given (C-contiguous, of `dtype`), else a new array."""
+    into the output: `out` if given (of `dtype`, each channel's map
+    contiguous), else a new array."""
     n, _, h, w = x.shape
     h_out, w_out = spec.out_hw(h, w)
     if out is None:
         out = np.empty((n, spec.c_out, h_out, w_out), dtype=dtype)
-    flat = out.reshape(n, spec.c_out, h_out * w_out)
+    flat = out.reshape(n, spec.c_out, h_out * w_out)  # a view: conv2d checks that out's maps are contiguous
     for s0, s1, c0, c1, cols in _column_tiles(x, spec, weights.nbytes):
         tile = flat[s0:s1, :, c0:c1]
         np.matmul(weights, cols, out=tile)
@@ -303,15 +312,29 @@ def _conv(
     return out
 
 
-def conv2d(x: Tensor4, kernel: np.ndarray, bias: np.ndarray | None, spec: ConvSpec) -> Tensor4:
+def conv2d(
+    x: Tensor4, kernel: np.ndarray, bias: np.ndarray | None, spec: ConvSpec, out: Tensor4 | None = None
+) -> Tensor4:
     """2-D cross-correlation with zero padding and integer stride.
 
     x: (n, c_in, h, w); kernel: (c_out, c_in, k, k); bias: (c_out,) or None.
-    Returns (n, c_out, h_out, w_out) of dtype `np.result_type(x, kernel, bias)`.
+    Returns (n, c_out, h_out, w_out) of dtype `np.result_type(x, kernel, bias)`,
+    written into `out` when given: an array of that shape and dtype whose
+    every channel map is contiguous, such as a channel slice of a larger
+    map, that does not overlap x. The values are those of a new array.
     """
     x = _check_conv_args(x, kernel, bias, spec)
     operands = (x, kernel) if bias is None else (x, kernel, bias)
-    out = _conv(x, kernel.reshape(spec.c_out, -1), bias, spec, np.result_type(*operands))
+    dtype = np.result_type(*operands)
+    if out is not None:
+        shape = (x.shape[0], spec.c_out, *spec.out_hw(x.shape[2], x.shape[3]))
+        if out.shape != shape or out.dtype != dtype:
+            raise ValidationError(f"conv2d out is {out.dtype}{out.shape}, expected {dtype}{shape}")
+        if not out[0, 0].flags.c_contiguous:
+            raise ValidationError("conv2d out must hold each channel's map contiguously")
+        if np.may_share_memory(out, x):
+            raise ValidationError("conv2d out must not overlap its input")
+    out = _conv(x, kernel.reshape(spec.c_out, -1), bias, spec, dtype, out)
     record_macs(out.shape[0] * out.shape[2] * out.shape[3] * kernel.size)
     return out
 
@@ -371,7 +394,7 @@ def conv2d_grad(
 
 
 def batchnorm(
-    x: Tensor4, params: BNParams, training: bool
+    x: Tensor4, params: BNParams, training: bool, out: Tensor4 | None = None
 ) -> tuple[Tensor4, np.ndarray, np.ndarray]:
     """Per-channel batch normalization: gamma * (x - mu) / sqrt(var + eps) + beta.
 
@@ -379,7 +402,9 @@ def batchnorm(
     population divisor n*h*w; eval mode consumes the running statistics.
     Returns (out, mean, var) where mean/var are the statistics actually used.
     A training call also folds mean/var into params' running statistics.
-    `out` has dtype `np.result_type(x, params.gamma)` and never aliases `x`.
+    `out` has dtype `np.result_type(x, params.gamma)`. It is written into the
+    `out` given, which may be `x` itself, with the values of a new array;
+    otherwise it is a new array and never aliases `x`.
     """
     x = as_tensor4(x)
     if x.shape[1] != params.channels:
@@ -389,7 +414,7 @@ def batchnorm(
     dtype = np.result_type(x, params.gamma)
     if training:
         mean = x.mean(axis=(0, 2, 3), dtype=dtype)
-        out = np.subtract(x, mean[None, :, None, None], dtype=dtype)
+        out = np.subtract(x, mean[None, :, None, None], out=out, dtype=dtype)
         n, _, h, w = x.shape
         var = np.einsum("nchw,nchw->c", out, out) / (n * h * w)
         params.update_running(mean, var)
@@ -400,7 +425,7 @@ def batchnorm(
         mean = params.running_mean.copy()
         var = params.running_var.copy()
         scale = params.gamma / np.sqrt(var + params.eps)
-        out = np.multiply(x, scale[None, :, None, None], dtype=dtype)
+        out = np.multiply(x, scale[None, :, None, None], out=out, dtype=dtype)
         out += (params.beta - mean * scale)[None, :, None, None]
     record_macs(2 * x.size)
     return out, mean, var

@@ -2,6 +2,7 @@
 run through their layers, `NAMChannel` and `NAMSpatial`."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from fastblocks.attention import (
 )
 from fastblocks.errors import DegenerateInputError, ValidationError
 from fastblocks.layers import NAMChannel, NAMSpatial
-from fastblocks.tensor_ops import BNParams, batchnorm, batchnorm_grad, sigmoid
+from fastblocks.tensor_ops import BNParams, batchnorm, batchnorm_grad, count_macs, sigmoid
 
 from fdcheck import fd_grad, max_rel_err
 
@@ -272,16 +273,117 @@ def test_training_forward_keeps_the_gate_but_not_bn_of_x():
         assert not np.shares_memory(out, x)
 
 
-def test_eval_gate_equals_the_allocating_composition():
-    # The eval gate works in the BN output's buffer; it must still compute
-    # BN -> * w -> sigmoid -> * x, operation for operation.
+def eval_gates(rng, h=4, w=5, c=6):
+    """A channel and a spatial gate with random running statistics, so that
+    the eval fold a = w * scale, b = w * (beta - mean * scale) is not trivial."""
+    made = []
+    for gate, units in ((NAMChannel(c), c), (NAMSpatial(h, w), h * w)):
+        gate.bn = BNParams(
+            gamma=rng.uniform(0.5, 1.5, units) * rng.choice([-1.0, 1.0], units),
+            beta=rng.uniform(-0.5, 0.5, units),
+            running_mean=rng.uniform(-1.0, 1.0, units),
+            running_var=rng.uniform(0.25, 4.0, units),
+        )
+        made.append(gate)
+    return made
+
+
+def unit_view(gate, x):
+    """x as the gate's (n, units, h, w) BN input: the spatial gate folds (h, w) into the units."""
+    return x if gate.kind == "nam_channel" else x.reshape(-1, gate.h * gate.w, 1, 1)
+
+
+def eval_fold(bn):
+    """(a, b) of the eval gate x * sigmoid(a ⊙ x + b), as (1, units, 1, 1) arrays."""
+    scale = bn.gamma / np.sqrt(bn.running_var + bn.eps)
+    w = nam_weights(bn.gamma)
+    return (w * scale)[None, :, None, None], (w * (bn.beta - bn.running_mean * scale))[None, :, None, None]
+
+
+# The eval gate's documented tolerance against the allocating composition,
+# element by element where |a ⊙ x + b| <= 10: a few ulps (at most 9.9e-16
+# measured over 200 seeds of the inputs below).
+EVAL_GATE_RTOL = 1e-14
+
+
+def test_eval_gate_matches_the_allocating_composition():
+    # The eval gate folds BN -> * w -> sigmoid -> * x into x / (1 + exp(-(a ⊙ x + b))):
+    # the same function, rounded differently, so it is held to EVAL_GATE_RTOL.
     rng = np.random.default_rng(13)
-    for gate in gates(rng):
-        x = rng.standard_normal((3, 6, 4, 5))
-        units = x if gate.kind == "nam_channel" else x.reshape(18, 20, 1, 1)
+    for gate in eval_gates(rng):
+        x = rng.standard_normal((5, 6, 4, 5)) * 3.0
+        units = unit_view(gate, x)
+        a, b = eval_fold(gate.bn)
+        assert np.abs(a * units + b).max() <= 10.0
         y, _, _ = batchnorm(units, gate.bn, training=False)
-        s = sigmoid(y * nam_weights(gate.bn.gamma)[None, :, None, None])
-        assert np.array_equal(gate.forward(x, training=False), (units * s).reshape(x.shape))
+        want = (units * sigmoid(y * nam_weights(gate.bn.gamma)[None, :, None, None])).reshape(x.shape)
+        got = gate.forward(x, training=False)
+        assert np.all(np.abs(got - want) <= EVAL_GATE_RTOL * np.abs(want)), gate.kind
+
+
+def test_eval_gate_saturates_without_warnings():
+    # Far out, the gate passes x or shuts to a zero of x's sign. exp(-(a ⊙ x + b))
+    # overflows there, and x / inf = ±0 is the limit, not a RuntimeWarning.
+    rng = np.random.default_rng(20)
+    for gate in eval_gates(rng):
+        gate.bn.running_var[:] = 1e-4  # a large enough that |a ⊙ x| > 710 at |x| = 1000
+        x = np.where(rng.random((2, 6, 4, 5)) < 0.5, -1000.0, 1000.0)
+        a, _ = eval_fold(gate.bn)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = gate.forward(x, training=False)
+        open_ = unit_view(gate, x) * a > 0
+        assert np.array_equal(unit_view(gate, out), np.where(open_, unit_view(gate, x), 0.0)), gate.kind
+        assert np.array_equal(np.signbit(out), np.signbit(x)), gate.kind
+
+
+def test_eval_gate_propagates_nan():
+    rng = np.random.default_rng(21)
+    for gate in eval_gates(rng):
+        x = rng.standard_normal((2, 6, 4, 5))
+        x[1, 2, 3, 4] = np.nan
+        out = gate.forward(x, training=False)
+        assert np.isnan(out[1, 2, 3, 4]), gate.kind
+        assert np.isnan(out).sum() == 1, gate.kind
+
+
+def test_eval_gate_of_a_float32_input_is_float64():
+    # Like batch norm, the gate computes in the promoted dtype: a float32 input
+    # gives the output of its exact float64 cast.
+    rng = np.random.default_rng(22)
+    for gate in eval_gates(rng):
+        x = rng.standard_normal((2, 6, 4, 5)).astype(np.float32)
+        out = gate.forward(x, training=False)
+        assert out.dtype == np.float64, gate.kind
+        assert np.array_equal(out, gate.forward(x.astype(np.float64), training=False)), gate.kind
+
+
+def test_eval_gate_reports_the_kinds_mac_count():
+    rng = np.random.default_rng(23)
+    for gate in eval_gates(rng):
+        x = rng.standard_normal((2, 6, 4, 5))
+        with count_macs() as counter:
+            gate.forward(x, training=False)
+        assert counter.macs == 8 * x.size, gate.kind
+
+
+def test_eval_gate_holds_one_map():
+    # The eval gate works in its output buffer alone. Beyond it, the peak holds
+    # numpy's iteration buffer for a broadcast operand (np.getbufsize() float64s,
+    # 64 KiB) and a few per-unit vectors. An allocating gate's BN output, sigmoid
+    # numerator and sign mask add two maps and more.
+    rng = np.random.default_rng(24)
+    for gate in eval_gates(rng, h=8, w=8, c=32):
+        x = rng.standard_normal((64, 32, 8, 8))  # 1 MiB
+        gate.forward(x, training=False)  # first calls allocate numpy's own caches
+        tracemalloc.start()
+        try:
+            out = gate.forward(x, training=False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.nbytes == x.nbytes
+        assert peak <= x.nbytes + 8 * np.getbufsize() + 2**13, gate.kind
 
 
 def allocating_nam_backward(cache, bn, grad_out):

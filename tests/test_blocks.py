@@ -20,7 +20,17 @@ from fastblocks.config import parse_model_config
 from fastblocks.errors import ValidationError
 from fastblocks.layers import FasterNetBlock
 from fastblocks.model import build_model
-from fastblocks.tensor_ops import ConvSpec, batchnorm_grad, conv2d, conv2d_grad, count_macs, relu_grad
+from fastblocks import tensor_ops
+from fastblocks.tensor_ops import (
+    ConvSpec,
+    batchnorm,
+    batchnorm_grad,
+    conv2d,
+    conv2d_grad,
+    count_macs,
+    relu,
+    relu_grad,
+)
 
 from fdcheck import fd_grad, max_rel_err
 
@@ -38,6 +48,23 @@ class TestPConv:
         assert out.shape == x.shape
         assert np.array_equal(out[:, 2:], x[:, 2:])
         assert not np.array_equal(out[:, :2], x[:, :2])
+
+    @pytest.mark.parametrize("n, c, c_p, k", [(1, 8, 2, 3), (3, 6, 3, 5), (2, 4, 4, 3), (3, 5, 2, 1)])
+    def test_equals_the_allocating_copy_then_assign(self, n, c, c_p, k, monkeypatch):
+        # pconv convolves straight into its output's first c_p channels and
+        # copies only the rest; the values are those of copying all of x and
+        # assigning a separately allocated conv over it.
+        monkeypatch.setattr(tensor_ops, "TILE_BYTES", 4096)  # several tiles
+        rng = np.random.default_rng(n + c + k)
+        spec = PConvSpec(c, c_p, k)
+        x = rng.standard_normal((n, c, 7, 6))
+        w = rng.standard_normal((c_p, c_p, k, k))
+        want = x.copy()
+        want[:, :c_p] = conv2d(x[:, :c_p], w, None, spec.conv_spec())
+        with count_macs() as counter:
+            got = pconv(x, w, spec)
+        assert np.array_equal(got, want)
+        assert counter.macs == n * 7 * 6 * w.size
 
     def test_integer_input_matches_its_float_cast(self):
         x = np.arange(100).reshape(1, 4, 5, 5) % 3
@@ -350,7 +377,9 @@ class TestFasterNetBlock:
 
     def test_eval_forward_peak_holds_no_extra_map(self):
         # An eval forward keeps each map only until the next part has read
-        # it: its peak is bn1's input and output, 2 + 2 maps of x's size.
+        # it, and bn1 normalizes pw1's output in place: the peak is pw1's or
+        # pw2's input and output, 1 + 2 or 2 + 1 maps of x's size. A bn1
+        # output of its own would add 12.5 MiB, a t0 kept through bn1 6.25.
         block = FasterNetBlock(FasterNetBlockSpec(c=128, c_p=32), rng=0)
         x = np.random.default_rng(17).standard_normal((1, 128, 80, 80))  # 6.25 MiB
         block.forward(x, training=False)  # first calls allocate numpy's own caches
@@ -360,7 +389,29 @@ class TestFasterNetBlock:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 4 * x.nbytes + 2**14  # a t0 kept through bn1 would add 6.25 MiB
+        assert peak <= 3 * x.nbytes + 2**14
+
+    def test_eval_forward_equals_the_allocating_composition(self):
+        # The eval forward writes pconv's conv into its output and bn1's
+        # output into pw1's; its values are those of the chain run with a new
+        # array per step.
+        spec = FasterNetBlockSpec(c=6, c_p=2, e=3)
+        block = FasterNetBlock(spec, rng=4)
+        rng = np.random.default_rng(18)
+        bn = block.bn1.bn
+        bn.running_mean[:] = rng.uniform(-1.0, 1.0, bn.channels)
+        bn.running_var[:] = rng.uniform(0.5, 2.0, bn.channels)
+        bn.gamma[:] = rng.uniform(0.5, 1.5, bn.channels)
+        x = rng.standard_normal((3, 6, 5, 4))
+        before = x.copy()
+        t0 = x.copy()
+        t0[:, : spec.c_p] = conv2d(x[:, : spec.c_p], block.pconv.weight, None, spec.pconv_spec().conv_spec())
+        t1 = pwconv(t0, block.pw1.weight, block.pw1.bias)
+        t2, _, _ = batchnorm(t1, bn, training=False)
+        want = x + pwconv(relu(t2), block.pw2.weight, block.pw2.bias)
+        assert np.array_equal(block.forward(x, training=False), want)
+        assert np.array_equal(x, before)
+        assert [part._cache for part in (block.pconv, block.pw1, block.bn1, block.pw2)] == [None] * 4
 
     def test_spec_validation(self):
         with pytest.raises(ValidationError):

@@ -112,6 +112,44 @@ class TestConv2d:
         with pytest.raises(ValidationError):
             conv2d(np.zeros((1, 2, 4, 4)), np.zeros((1, 2, 3, 3)), None, ConvSpec(2, 1, 1))
 
+    @pytest.mark.parametrize("n", [1, 3])
+    @pytest.mark.parametrize("k, s, p, with_bias", [(3, 1, 1, False), (3, 2, 1, True), (1, 1, 0, True)])
+    def test_out_into_a_channel_slice_is_bit_identical(self, n, k, s, p, with_bias, monkeypatch):
+        # pconv writes its convolved channels into a slice of its output; each
+        # tile's GEMM must write there what it writes into a new array.
+        monkeypatch.setattr(tensor_ops, "TILE_BYTES", 2048)  # several tiles, of rows and of samples
+        rng = np.random.default_rng(n + k + s)
+        x = rng.standard_normal((n, 5, 9, 9))
+        kernel = rng.standard_normal((4, 5, k, k))
+        bias = rng.standard_normal(4) if with_bias else None
+        spec = ConvSpec(5, 4, k, s, p)
+        with count_macs() as allocating:
+            want = conv2d(x, kernel, bias, spec)
+        host = np.full((n, 7, *want.shape[2:]), np.nan)
+        with count_macs() as into:
+            got = conv2d(x, kernel, bias, spec, out=host[:, 2:6])
+        assert np.shares_memory(got, host) and got.base is host
+        assert np.array_equal(got, want)
+        assert np.array_equal(host[:, 2:6], want)
+        assert np.isnan(host[:, :2]).all() and np.isnan(host[:, 6:]).all()
+        assert into.macs == allocating.macs
+
+    def test_out_is_validated(self):
+        x = np.zeros((2, 3, 4, 4))
+        kernel = np.zeros((2, 3, 3, 3))
+        spec = ConvSpec(3, 2, 3, padding=1)
+        for bad, match in [
+            (np.empty((2, 2, 4, 3)), "expected"),
+            (np.empty((2, 2, 4, 4), np.float32), "expected"),
+            (np.empty((2, 2, 4, 8))[..., ::2], "contiguously"),
+            (np.empty((2, 2, 4, 4)).transpose(0, 1, 3, 2), "contiguously"),
+        ]:
+            with pytest.raises(ValidationError, match=match):
+                conv2d(x, kernel, None, spec, out=bad)
+        both = np.zeros((2, 5, 4, 4))
+        with pytest.raises(ValidationError, match="overlap"):
+            conv2d(both[:, :3], kernel, None, spec, out=both[:, 3:])
+
 
 class TestConv2dGrad:
     def test_matches_finite_differences(self):
@@ -596,6 +634,30 @@ class TestBatchNorm:
     def test_channel_mismatch_rejected(self):
         with pytest.raises(ValidationError):
             batchnorm(np.zeros((1, 3, 2, 2)), BNParams.identity(2), training=True)
+
+    @pytest.mark.parametrize("training", [True, False])
+    @pytest.mark.parametrize("into_x", [False, True])
+    def test_out_receives_the_allocating_results_bit_for_bit(self, training, into_x):
+        rng = np.random.default_rng(12)
+        x = rng.standard_normal((3, 4, 5, 6))
+
+        def make():  # one copy per call, as a training call updates its running statistics
+            return BNParams(
+                gamma=np.array([0.5, 1.5, -1.0, 2.0]),
+                beta=np.array([0.1, -0.2, 0.3, 0.0]),
+                running_mean=np.array([0.2, -0.1, 0.0, 0.4]),
+                running_var=np.array([0.5, 2.0, 1.0, 1.5]),
+            )
+
+        want_params, got_params = make(), make()
+        want = batchnorm(x, want_params, training)
+        out = x.copy() if into_x else np.empty_like(x)
+        got = batchnorm(out if into_x else x, got_params, training, out=out)
+        assert got[0] is out
+        for g, wanted in zip(got, want):
+            assert np.array_equal(g, wanted)
+        assert np.array_equal(got_params.running_mean, want_params.running_mean)
+        assert np.array_equal(got_params.running_var, want_params.running_var)
 
     def test_params_shape_validation(self):
         with pytest.raises(ValidationError):
