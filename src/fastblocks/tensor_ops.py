@@ -58,10 +58,9 @@ result written there instead of allocating, with the values a new array
 would hold. Every kernel but `conv2d` may write into `x` itself; `conv2d`
 writes into any array of its output's shape that does not overlap x and
 whose channel maps are each contiguous, such as the first c_p channels of
-pconv's output. The two
-gradient kernels write their input gradient there; `conv2d_grad` copies
-into it on the paths whose arithmetic cannot write in place. They report
-the same MACs either way.
+pconv's output. The two gradient kernels write their input gradient there;
+`conv2d_grad` copies into it on the paths whose arithmetic cannot write in
+place. They report the same MACs either way.
 """
 
 from __future__ import annotations
