@@ -10,30 +10,27 @@ FasterNet block chains pconv -> pwconv (expand) -> BN -> relu -> pwconv
 
     out = x + pw2(relu(bn(pw1(pconv(x)))))
 
-`layers.FasterNetBlock` holds the four part layers (`pconv`, `pw1`, `bn1`,
-`pw2`); `fasternet_block_forward` and `fasternet_block_grad` run the chain
-over them. ReLU is not a part: it runs in place on bn1's output. The skip is
-added into pw2's output, and its gradient into the pconv branch's.
+`layers.FasterNetBlock` holds the parameters in its part layers `pconv`,
+`pw1`, `bn1` and `pw2`. `fasternet_block_forward` and `fasternet_block_grad`
+run the kernels on them over maps the block owns, and alone decide which
+maps are kept, rebuilt or overwritten. ReLU runs in place on bn1's output;
+the skip is added into pw2's output, and its gradient into the pconv branch's.
 
 pconv allocates its output once: it copies only the c - c_p pass-through
 channels of x, and `conv2d(..., out=)` writes the convolved channels
-straight into the first c_p, in training and eval alike, with the values
-of a separate conv. An eval forward keeps nothing, and bn1 (marked
-`in_place` by its block) writes its output into pw1's: its peak is pw1's
-or pw2's input and output, three maps of x's size.
+straight into the first c_p, with the values of a separate conv; its
+backward fills its input gradient the same way. An eval forward keeps
+nothing, and bn1 writes its output into pw1's unless that would round it:
+its peak is pw1's or pw2's input and output, three maps of x's size.
 
-A training forward keeps one hidden-width map. With t0 = pconv(x),
-t1 = pw1(t0) and t3 = relu(bn1(t1)), pconv caches x (the caller's), bn1
-caches t1 and its batch statistics, and pw1 keeps only pconv's c_p
-convolved channels of t0: the rest are x's own. pw2 keeps nothing. The
-backward rebuilds t3 from bn1's cache with `batchnorm_rebuild` and
-`np.maximum`, and t0 from x's pass-through channels and pw1's, as pconv
-assembles it, so both equal the forward's maps bit for bit. The relu
-mask is read from the rebuilt t3 before pw2's backward. pw2, bn1 and pw1
-then write their input gradients into their own inputs t3, t1 and t0,
-which nothing reads afterwards (`layers.FasterNetBlock` marks them
-`in_place`). Every part's cache is gone when the backward returns. The
-caller's x and grad_out are never written.
+A training forward caches x (the caller's), pconv's c_p convolved channels
+of t0 = pconv(x) (the rest are x's own), t1 = pw1(t0) and bn1's batch
+statistics: one hidden-width map. The backward consumes that cache. It
+rebuilds t3 = relu(bn1(t1)) with `batchnorm_rebuild` and `np.maximum`, and
+t0 as pconv assembles it, both equal to the forward's maps bit for bit, and
+reads the relu mask from t3 before pw2's backward. pw2, bn1 and pw1 then
+write their input gradients into their inputs t3, t1 and t0, which nothing
+reads afterwards. The caller's x and grad_out are never written.
 
 Initialization draws weights from uniform [-sqrt(6/fan_in), +sqrt(6/fan_in)]
 with fan_in = c_in * k^2; biases start at zero.
@@ -51,6 +48,8 @@ from .tensor_ops import (
     ConvSpec,
     Tensor4,
     as_tensor4,
+    batchnorm,
+    batchnorm_grad,
     batchnorm_rebuild,
     conv2d,
     conv2d_grad,
@@ -124,13 +123,14 @@ def pconv(x: Tensor4, weights: np.ndarray, spec: PConvSpec) -> Tensor4:
 def pconv_grad(
     x: Tensor4, weights: np.ndarray, spec: PConvSpec, grad_out: Tensor4
 ) -> tuple[Tensor4, np.ndarray]:
-    """Backward of pconv: pass-through channels carry grad_out unchanged."""
+    """Backward of pconv: pass-through channels carry grad_out unchanged;
+    the convolved channels' gradient is written straight into the first c_p."""
     x = as_tensor4(x)
     if grad_out.shape != x.shape:
         raise ValidationError(f"grad_out shape {grad_out.shape} != input shape {x.shape}")
-    grad_x = grad_out.astype(np.result_type(grad_out, weights))  # pconv's dtype rule
-    gx, gw, _ = conv2d_grad(x[:, : spec.c_p], weights, spec.conv_spec(), grad_x[:, : spec.c_p])
-    grad_x[:, : spec.c_p] = gx
+    c_p = spec.c_p
+    grad_x = _with_pass_through(grad_out, weights, c_p)
+    _, gw, _ = conv2d_grad(x[:, :c_p], weights, spec.conv_spec(), grad_out[:, :c_p], out=grad_x[:, :c_p])
     return grad_x, gw
 
 
@@ -179,44 +179,43 @@ class FasterNetBlockSpec:
 
 
 def fasternet_block_forward(block, x: Tensor4, training: bool = True) -> Tensor4:
-    """out = x + pw2(relu(bn1(pw1(pconv(x))))) over the parts of a `layers.FasterNetBlock`."""
-    t0 = block.pconv.forward(x, training)
-    t1 = block.pw1.forward(t0, training)
-    if training:  # pw1 keeps pconv's convolved channels; the rest of t0 is x's own
-        block.pw1._cache = t0[:, : block.spec.c_p].copy()
+    """out = x + pw2(relu(bn1(pw1(pconv(x))))) with a `layers.FasterNetBlock`'s parameters and cache."""
+    c_p, bn = block.spec.c_p, block.bn1.bn
+    t0 = pconv(x, block.pconv.weight, block.pconv.spec)
+    t1 = pwconv(t0, block.pw1.weight, block.pw1.bias)
+    convolved = t0[:, :c_p].copy() if training else None  # the rest of t0 is x's own
     del t0  # freed before bn1 allocates its output
-    t2 = block.bn1.forward(t1, training)
+    own = not training and t1.dtype == np.result_type(t1, bn.gamma)  # writing into t1 must not round it
+    t2, mean, var = batchnorm(t1, bn, training, out=t1 if own else None)
+    block._cache = (x, convolved, t1, mean, var) if training else None
     del t1
-    t4 = block.pw2.forward(relu(t2, out=t2), training)
-    block.pw2._cache = None  # relu(t2) is rebuilt from bn1's cache in backward
+    t4 = pwconv(relu(t2, out=t2), block.pw2.weight, block.pw2.bias)
     return residual_add(x, t4, out=t4)
 
 
 def fasternet_block_grad(block, grad_out: Tensor4) -> Tensor4:
-    """Backward of the block through its parts, which fill their own grads. Returns grad_x.
-
-    Consumes the parts' caches. pw2's input is rebuilt from bn1's cache and
-    pw1's from pconv's; pw2, bn1 and pw1 write their input gradients into
-    their inputs (see `layers.FasterNetBlock`).
+    """Backward of the block: consumes its cache, sets its grads under its
+    params() keys and returns grad_x. pw2's input is rebuilt from t1 and
+    pw1's from x; pw2, bn1 and pw1 write their input gradients into their inputs.
     """
-    t1, mean, var = block.bn1._cached()
-    t3 = batchnorm_rebuild(t1, block.bn1.bn, mean, var)
-    block.pw2._cache = np.maximum(t3, 0.0, out=t3)  # relu(bn1(t1)), as the forward made it
+    x, convolved, t1, mean, var = block._take()
+    c_p, bn = block.spec.c_p, block.bn1.bn
+    t3 = batchnorm_rebuild(t1, bn, mean, var)
+    np.maximum(t3, 0.0, out=t3)  # relu(bn1(t1)), as the forward made it
     mask = t3 > 0  # relu's backward; relu(t2) > 0 exactly where t2 > 0
-    del t1, t3
-    grad = block.pw2.backward(grad_out)
+    grad, gw2, gb2 = pwconv_grad(t3, block.pw2.weight, grad_out, out=t3)
     grad *= mask
-    del mask
-    grad = block.bn1.backward(grad)
-    x = block.pconv._cached()
-    t0 = _with_pass_through(x, block.pconv.weight, block.spec.c_p)  # pconv(x), as the forward made it
-    t0[:, : block.spec.c_p] = block.pw1._cached()
-    block.pw1._cache = t0
+    del t3, mask
+    grad, ggamma, gbeta = batchnorm_grad(t1, bn, mean, var, grad, out=t1)
+    del t1
+    t0 = _with_pass_through(x, block.pconv.weight, c_p)  # pconv(x), as the forward made it
+    t0[:, :c_p] = convolved
+    del convolved
+    grad, gw1, gb1 = pwconv_grad(t0, block.pw1.weight, grad, out=t0)
     del t0
-    grad = block.pw1.backward(grad)
-    grad = block.pconv.backward(grad)
-    block.pconv._cache = None
+    grad, gpc = pconv_grad(x, block.pconv.weight, block.pconv.spec, grad)
     grad += grad_out  # the skip's gradient
+    block._grads = dict(zip(block.params(), (gpc, gw1, gb1, ggamma, gbeta, gw2, gb2)))
     return grad
 
 

@@ -7,26 +7,24 @@ and, if it has weights, a seed or Generator for `blocks.init_params`; its
 backward pass needs; an eval forward (training=False) is the inference path
 and keeps nothing, so backward needs a training forward first. A layer's
 cache stays until its next forward replaces it, except that the NAM gates
-consume theirs in backward, and a `FasterNetBlock` consumes its parts'.
+and a `FasterNetBlock` consume theirs in backward.
 
-A layer is marked `in_place` when nothing else holds its input, so that it
-may overwrite it. In `build_model` an item owns its input unless it is the
-first item (the caller's input) or directly follows `residual_begin` (the
-skip's) or a `ReLU` (which caches its output); it marks the ReLUs and NAM
-gates that own theirs. A ReLU writes its output into its input and caches
-that; a gate's backward writes its input gradient into its cached input. A
-`FasterNetBlock` marks its parts pw1, bn1 and pw2, whose backward does the
-same; bn1's eval forward also writes its output into its input, pw1's
-output, unless that would round it. The block's pconv writes its convolved
-channels straight into its output (see `blocks`). build_model marks no
-top-level `BatchNorm`. A layer built outside a model or block is never
-marked. Each layer exposes its learnable arrays through
-params()/param_grads() and knows how to apply a plain gradient-descent
-update. These objects are what the gradient checker and the model runner
-operate on, and the only way to run a FasterNet block or a NAM gate; the
-math itself lives in tensor_ops / blocks / attention. `BatchNorm`, `NAMChannel` and `NAMSpatial` hold their `BNParams`
-as `self.bn`; a `FasterNetBlock` is built from `PConv`, `PWConv` and
-`BatchNorm` part layers, so its `BNParams` are `block.bn1.bn`.
+A ReLU or NAM gate is marked `in_place` when nothing else holds its input,
+so that it may overwrite it. In `build_model` an item owns its input unless
+it is the first item (the caller's input) or directly follows
+`residual_begin` (the skip's) or a `ReLU` (which caches its output); it
+marks the ReLUs and NAM gates that own theirs. A ReLU writes its output
+into its input and caches that; a gate's backward writes its input
+gradient into its cached input. No other layer reads the mark, and one
+built outside a model is never marked. A `FasterNetBlock` decides alone
+which maps of its own chain it overwrites (see `blocks`). Each layer
+exposes its learnable arrays through params()/param_grads() and knows how
+to apply a plain gradient-descent update. These objects are what the
+gradient checker and the model runner operate on, and the only way to run
+a FasterNet block or a NAM gate; the math itself lives in tensor_ops /
+blocks / attention. `BatchNorm`, `NAMChannel` and `NAMSpatial` hold their
+`BNParams` as `self.bn`; a `FasterNetBlock` holds its parameters in `PConv`,
+`PWConv` and `BatchNorm` part layers, so its `BNParams` are `block.bn1.bn`.
 """
 
 from __future__ import annotations
@@ -59,12 +57,11 @@ class Layer:
     # cache there, the heap was empty between demo training steps, glibc
     # returned the memory to the OS, and the next forward faulted it back in
     # (about 13,000 minor faults per step, against about 1,400). The NAM
-    # gates and a `FasterNetBlock`'s parts, whose caches held the demo
-    # step's peak, are consumed by their backward.
+    # gates and a `FasterNetBlock`, whose caches held the demo step's peak,
+    # are consumed by their backward.
     _cache = None
-    # Set on a layer whose input nothing else holds (see the module
+    # Set on a ReLU or NAM gate whose input nothing else holds (see the module
     # docstring): the layer may overwrite its input once it is done with it.
-    # A marked layer whose backward writes into its cached input consumes the cache.
     in_place = False
 
     def __init__(self):
@@ -133,16 +130,16 @@ class BatchNorm(Layer):
         self.bn = BNParams.identity(channels)
 
     def forward(self, x, training=True):
-        # A marked layer's eval forward writes into its input, unless that would round it;
-        # a training forward caches the input for backward.
-        own = self.in_place and not training and x.dtype == np.result_type(x, self.bn.gamma)
-        out, mean, var = batchnorm(x, self.bn, training, out=x if own else None)
+        # Always a new output. Normalizing in place in eval, with the residual sums still
+        # allocating, raised infer_640_yolov5s `peak_rss_mb` from 158.9 to 185.7 MB
+        # (seeds 1-3, `--seconds 10`) through heap layout, not through more live maps.
+        out, mean, var = batchnorm(x, self.bn, training)
         self._cache = (x, mean, var) if training else None
         return out
 
     def backward(self, grad_out):
-        x, mean, var = self._take() if self.in_place else self._cached()
-        gx, ggamma, gbeta = batchnorm_grad(x, self.bn, mean, var, grad_out, out=x if self.in_place else None)
+        x, mean, var = self._cached()
+        gx, ggamma, gbeta = batchnorm_grad(x, self.bn, mean, var, grad_out)
         self._grads = {"gamma": ggamma, "beta": gbeta}
         return gx
 
@@ -198,8 +195,7 @@ class PWConv(Layer):
         return blocks.pwconv(x, self.weight, self.bias)
 
     def backward(self, grad_out):
-        x = self._take() if self.in_place else self._cached()
-        gx, gw, gb = blocks.pwconv_grad(x, self.weight, grad_out, out=x if self.in_place else None)
+        gx, gw, gb = blocks.pwconv_grad(self._cached(), self.weight, grad_out)
         self._grads = {"weight": gw, "bias": gb}
         return gx
 
@@ -208,11 +204,8 @@ class PWConv(Layer):
 
 
 class FasterNetBlock(Layer):
-    """x + pw2(relu(bn1(pw1(pconv(x))))) over four part layers (see `blocks`).
-
-    Its params and grads are the parts' under `<part>_<name>` keys, with
-    weight and bias shortened to w and b: pconv_w, pw1_w, ..., pw2_b.
-    """
+    """x + pw2(relu(bn1(pw1(pconv(x))))) (see `blocks`); its part layers
+    draw and hold the parameters, and the block runs their kernels itself."""
 
     kind = "fasternet"
 
@@ -224,34 +217,23 @@ class FasterNetBlock(Layer):
         self.pw1 = PWConv(blocks.PWConvSpec(spec.c, spec.hidden), rng)
         self.bn1 = BatchNorm(spec.hidden)
         self.pw2 = PWConv(blocks.PWConvSpec(spec.hidden, spec.c), rng)
-        # The block owns these parts' inputs: bn1's is pw1's output, and its
-        # backward rebuilds pw1's and pw2's (see `blocks`).
-        self.pw1.in_place = self.bn1.in_place = self.pw2.in_place = True
 
     def forward(self, x, training=True):
-        self._cache = training or None  # the parts hold the activations
         return blocks.fasternet_block_forward(self, x, training)
 
     def backward(self, grad_out):
-        self._cached()  # a missing cache is reported under this block's name, not a part's
-        grad_x = blocks.fasternet_block_grad(self, grad_out)
-        self._cache = None  # the parts' caches are consumed
-        return grad_x
-
-    def _by_part(self, method: str) -> dict[str, np.ndarray]:
-        parts = {"pconv": self.pconv, "pw1": self.pw1, "bn1": self.bn1, "pw2": self.pw2}
-        short = {"weight": "w", "bias": "b"}
-        return {
-            f"{name}_{short.get(key, key)}": value
-            for name, part in parts.items()
-            for key, value in getattr(part, method)().items()
-        }
+        return blocks.fasternet_block_grad(self, grad_out)
 
     def params(self):
-        return self._by_part("params")
-
-    def param_grads(self):
-        return self._by_part("param_grads")
+        return {
+            "pconv_w": self.pconv.weight,
+            "pw1_w": self.pw1.weight,
+            "pw1_b": self.pw1.bias,
+            "bn1_gamma": self.bn1.bn.gamma,
+            "bn1_beta": self.bn1.bn.beta,
+            "pw2_w": self.pw2.weight,
+            "pw2_b": self.pw2.bias,
+        }
 
 
 class NAMChannel(Layer):

@@ -6,6 +6,8 @@ parameters because draws happen in layer order from one generator. It marks
 `in_place` each ReLU and NAM gate that owns its input, a fresh map nothing
 else holds: every item does, except the first (the caller's input) and one
 right after `residual_begin` (the skip's) or a ReLU (which caches its output).
+These are the only marks: a FasterNet block overwrites maps of its own
+chain without one (see `blocks`).
 
 run_demo_train fits a graph ending in `gap_head classes=2` to a synthetic
 two-class dataset (bright centered square on dark noise vs plain dark noise)
@@ -73,19 +75,19 @@ class Model:
     def layer_objects(self) -> list:
         return [item for item in self.items if isinstance(item, L.Layer)]
 
+    def _keyed(self, method: str) -> dict[str, np.ndarray]:
+        """Each layer's `params()` or `param_grads()` under `{index}.{kind}.{key}`, in layer order."""
+        return {
+            f"{i}.{layer.kind}.{key}": value
+            for i, layer in enumerate(self.layer_objects())
+            for key, value in getattr(layer, method)().items()
+        }
+
     def params(self) -> dict[str, np.ndarray]:
-        out = {}
-        for i, layer in enumerate(self.layer_objects()):
-            for key, value in layer.params().items():
-                out[f"{i}.{layer.kind}.{key}"] = value
-        return out
+        return self._keyed("params")
 
     def param_grads(self) -> dict[str, np.ndarray]:
-        out = {}
-        for i, layer in enumerate(self.layer_objects()):
-            for key, value in layer.param_grads().items():
-                out[f"{i}.{layer.kind}.{key}"] = value
-        return out
+        return self._keyed("param_grads")
 
     def apply_gradients(self, lr: float) -> None:
         for layer in self.layer_objects():

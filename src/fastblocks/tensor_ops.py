@@ -58,9 +58,9 @@ result written there instead of allocating, with the values a new array
 would hold. Every kernel but `conv2d` may write into `x` itself; `conv2d`
 writes into any array of its output's shape that does not overlap x and
 whose channel maps are each contiguous, such as the first c_p channels of
-pconv's output. The two gradient kernels write their input gradient there;
-`conv2d_grad` copies into it on the paths whose arithmetic cannot write in
-place. They report the same MACs either way.
+pconv's output. The two gradient kernels write their input gradient there:
+`conv2d_grad` directly under `conv2d`'s rule, as pconv's backward does, and
+by a copy where its arithmetic cannot. They report the same MACs either way.
 """
 
 from __future__ import annotations
@@ -346,6 +346,8 @@ def conv2d_grad(
     All three have dtype `np.result_type(grad_out, kernel)`. The input
     gradient is written into `out` when given, which may be `x` itself (the
     kernel gradient is summed before it is written) but not `grad_out`.
+    The flipped-kernel path writes there directly when `out` has that dtype
+    and each of its channel maps is contiguous (`conv2d`'s rule); the others copy.
     """
     x = _check_conv_args(x, kernel, None, spec)
     n, c_in, h, w = x.shape
@@ -369,7 +371,7 @@ def conv2d_grad(
         # the same tiles. Its columns are c_out/c_in times the input, so a
         # widening conv runs the col2im below (a 1x1 is a view either way).
         flipped = np.ascontiguousarray(kernel[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)).reshape(c_in, -1)
-        direct = out is not None and out.flags.c_contiguous and out.dtype == g.dtype
+        direct = out is not None and out[0, 0].flags.c_contiguous and out.dtype == g.dtype
         grad_x = _conv(
             grad_out, flipped, None, ConvSpec(spec.c_out, c_in, k, 1, k - 1 - p), g.dtype, out if direct else None
         )

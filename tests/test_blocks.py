@@ -20,7 +20,7 @@ from fastblocks.config import parse_model_config
 from fastblocks.errors import ValidationError
 from fastblocks.layers import FasterNetBlock
 from fastblocks.model import build_model
-from fastblocks import tensor_ops
+from fastblocks import blocks, tensor_ops
 from fastblocks.tensor_ops import (
     ConvSpec,
     batchnorm,
@@ -138,6 +138,43 @@ class TestPConv:
         gx, gw = pconv_grad(x, w, spec, v)
         assert max_rel_err(gx, fd_grad(loss, x)) < 1e-6
         assert max_rel_err(gw, fd_grad(loss, w)) < 1e-6
+
+    @pytest.mark.parametrize("n, c, c_p, k", [(1, 8, 2, 3), (3, 6, 3, 5), (2, 4, 4, 3), (3, 5, 2, 1)])
+    def test_grad_equals_the_allocating_copy_then_assign(self, n, c, c_p, k, monkeypatch):
+        # conv2d_grad writes the convolved channels' gradient straight into
+        # grad_x; the values are those of copying all of grad_out and
+        # assigning a separately allocated input gradient over it.
+        monkeypatch.setattr(tensor_ops, "TILE_BYTES", 4096)  # several tiles
+        rng = np.random.default_rng(n + c + k)
+        spec = PConvSpec(c, c_p, k)
+        x = rng.standard_normal((n, c, 7, 6))
+        w = rng.standard_normal((c_p, c_p, k, k))
+        grad_out = rng.standard_normal(x.shape)
+        before = grad_out.copy()
+        want = grad_out.copy()
+        want[:, :c_p], want_w, _ = conv2d_grad(x[:, :c_p], w, spec.conv_spec(), np.ascontiguousarray(grad_out[:, :c_p]))
+        got, got_w = pconv_grad(x, w, spec, grad_out)
+        assert np.array_equal(got, want) and np.array_equal(got_w, want_w)
+        assert np.array_equal(grad_out, before)
+
+    def test_grad_peak_holds_no_copy_of_grad_out(self):
+        # grad_x is allocated once, and conv2d_grad writes into its first c_p
+        # channels: the call holds grad_x and conv2d_grad's workspaces. A
+        # full copy of grad_out plus a separate c_p-channel gradient peaked
+        # at 3.1 maps of x's size here.
+        spec = PConvSpec(c=8, c_p=4)  # the demo's first pconv
+        rng = np.random.default_rng(5)
+        x = rng.standard_normal((256, 8, 16, 16))  # 4 MiB
+        w = rng.standard_normal((4, 4, 3, 3))
+        grad_out = rng.standard_normal(x.shape)
+        pconv_grad(x, w, spec, grad_out)  # first calls allocate numpy's own caches
+        tracemalloc.start()
+        try:
+            pconv_grad(x, w, spec, grad_out)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * x.nbytes
 
     def test_grad_pass_through_channels_unchanged(self):
         rng = np.random.default_rng(4)
@@ -285,12 +322,13 @@ class TestFasterNetBlock:
         with pytest.raises(ValidationError, match="layer 'fasternet'.*training-mode forward"):
             block.backward(np.ones_like(out))
 
-    def test_backward_consumes_the_part_caches(self):
+    def test_backward_consumes_the_cache(self):
         block = FasterNetBlock(FasterNetBlockSpec(c=4, c_p=2), rng=0)
         x = np.random.default_rng(16).standard_normal((2, 4, 3, 3))
         out = block.forward(x)
         block.backward(np.ones_like(out))
-        assert [part._cache for part in (block.pconv, block.pw1, block.bn1, block.pw2)] == [None] * 4
+        assert block._cache is None
+        assert list(block.param_grads()) == list(block.params())
         with pytest.raises(ValidationError, match="layer 'fasternet'.*training-mode forward"):
             block.backward(np.ones_like(out))
         block.forward(x)  # a new training forward makes backward possible again
@@ -317,18 +355,19 @@ class TestFasterNetBlock:
         grad_out = rng.standard_normal(x.shape)
         before = grad_out.copy()
         block.forward(x)
-        # pconv caches x, pw1 the c_p convolved channels of t0 = pconv(x),
-        # bn1 t1 = pw1(t0) and its batch statistics; pw2 caches nothing.
-        assert block.pconv._cache is x
-        assert block.pw2._cache is None
+        # The block caches x, the c_p convolved channels of t0 = pconv(x),
+        # t1 = pw1(t0) and bn1's batch statistics, and nothing else.
+        cached_x, convolved, t1, mean, var = block._cache
+        assert cached_x is x
         t0 = pconv(x, block.pconv.weight, spec.pconv_spec())
-        assert np.array_equal(block.pw1._cache, t0[:, : spec.c_p])
-        t1, mean, var = (a.copy() for a in block.bn1._cache)  # the backward overwrites t1
+        assert np.array_equal(convolved, t0[:, : spec.c_p])
+        t1 = t1.copy()  # the backward overwrites it
         bn = block.bn1.bn
         scale = (bn.gamma / np.sqrt(var + bn.eps))[None, :, None, None]
         t3 = np.maximum((t1 - mean[None, :, None, None]) * scale + bn.beta[None, :, None, None], 0.0)
         grad_x = block.backward(grad_out)
         grads = block.param_grads()
+        assert list(grads) == list(block.params())
         assert np.array_equal(grad_out, before)
         assert not np.shares_memory(grad_x, grad_out)
 
@@ -350,7 +389,7 @@ class TestFasterNetBlock:
             assert np.array_equal(grads[key], value), key
 
     def test_training_forward_holds_t1_and_the_convolved_channels_and_backward_peak_is_bounded(self):
-        # The parts keep t1 = pw1(t0) (hidden channels) and pconv's c_p
+        # The block keeps t1 = pw1(t0) (hidden channels) and pconv's c_p
         # convolved channels of t0; x is the caller's. t0's other channels
         # are x's own and relu(bn1(t1)) is rebuilt from bn1's cache, so
         # neither is kept. The backward writes pw2's, bn1's and pw1's input
@@ -411,7 +450,38 @@ class TestFasterNetBlock:
         want = x + pwconv(relu(t2), block.pw2.weight, block.pw2.bias)
         assert np.array_equal(block.forward(x, training=False), want)
         assert np.array_equal(x, before)
-        assert [part._cache for part in (block.pconv, block.pw1, block.bn1, block.pw2)] == [None] * 4
+        assert block._cache is None
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_eval_bn1_writes_into_pw1_output_only_when_that_cannot_round(self, dtype, monkeypatch):
+        # With float32 x and pconv/pw1 weights, pw1's output t1 is float32
+        # and bn1's float64 output must not be rounded into it; the block
+        # still returns float64, equal to the chain run with a new array per step.
+        spec = FasterNetBlockSpec(c=6, c_p=2)
+        block = FasterNetBlock(spec, rng=5)
+        for part in (block.pconv, block.pw1):
+            part.weight = part.weight.astype(dtype)
+        block.pw1.bias = block.pw1.bias.astype(dtype)
+        bn = block.bn1.bn
+        rng = np.random.default_rng(19)
+        bn.running_mean[:] = rng.uniform(-1.0, 1.0, bn.channels)
+        bn.running_var[:] = rng.uniform(0.5, 2.0, bn.channels)
+        x = rng.standard_normal((2, 6, 4, 4)).astype(dtype)
+        t0 = x.copy()
+        t0[:, : spec.c_p] = conv2d(x[:, : spec.c_p], block.pconv.weight, None, spec.pconv_spec().conv_spec())
+        t1 = pwconv(t0, block.pw1.weight, block.pw1.bias)
+        t2, _, _ = batchnorm(t1, bn, training=False)
+        want = x + pwconv(relu(t2), block.pw2.weight, block.pw2.bias)
+        writes = []
+
+        def spy(t, params, training, out=None):
+            writes.append(out is t)
+            return batchnorm(t, params, training, out=out)
+
+        monkeypatch.setattr(blocks, "batchnorm", spy)
+        got = block.forward(x, training=False)
+        assert writes == [dtype == np.float64]
+        assert got.dtype == np.float64 and np.array_equal(got, want)
 
     def test_spec_validation(self):
         with pytest.raises(ValidationError):

@@ -73,3 +73,39 @@ def test_parser_analyzer_and_builder_accept_the_same_configs(graph):
     with count_macs() as counter:
         model.forward(np.ones((1, *graph.input_shape)), training=False)
     assert counter.macs == analyze_graph(parsed).total_flops
+
+
+def same(a, b):
+    """Bit for bit: equal shape, dtype and bytes, NaNs included."""
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=1500, deadline=None, derandomize=True)
+@given(graphs())
+def test_in_place_marks_change_no_result(graph):
+    """build_model's `in_place` marks let ReLUs and NAM gates overwrite maps
+    nothing else holds. A copy with every mark cleared gives the same
+    training output, input gradient, parameter gradients (in order) and
+    eval output, bit for bit, and neither copy writes the caller's x or
+    grad_out."""
+    try:
+        marked = build_model(graph, seed=1)
+    except ValidationError:
+        return
+    plain = build_model(graph, seed=1)
+    for layer in plain.layer_objects():
+        layer.in_place = False
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal((2, *graph.input_shape))
+    x_before = x.copy()
+    out = marked.forward(x)
+    assert same(out, plain.forward(x))
+    grad_out = rng.standard_normal(out.shape)
+    grad_before = grad_out.copy()
+    assert same(marked.backward(grad_out), plain.backward(grad_out))
+    got, want = marked.param_grads(), plain.param_grads()
+    assert list(got) == list(want)
+    for key in got:
+        assert same(got[key], want[key]), key
+    assert same(marked.forward(x, training=False), plain.forward(x, training=False))
+    assert same(x, x_before) and same(grad_out, grad_before)

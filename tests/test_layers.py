@@ -120,28 +120,6 @@ def test_batchnorm_layer_eval_uses_running_stats():
     assert abs(out[0, 0, 0, 0] - (2.0 * (5.0 - 3.0) / 2.0 + 1.0)) < 1e-9
 
 
-@pytest.mark.parametrize("dtype", [np.float64, np.float32])
-def test_a_marked_batchnorm_normalizes_its_input_in_place_in_eval_only(dtype):
-    # A FasterNet block marks bn1, whose input is its own pw1 output: the
-    # eval forward writes into it unless that would round a float32 input,
-    # and a training forward caches the input instead.
-    rng = np.random.default_rng(3)
-    marked, plain = layers.BatchNorm(4), layers.BatchNorm(4)
-    marked.in_place = True
-    for layer in (marked, plain):
-        layer.bn.running_mean[:] = [0.5, -0.5, 0.0, 1.0]
-        layer.bn.running_var[:] = [0.5, 2.0, 1.0, 1.5]
-    x = rng.standard_normal((2, 4, 3, 3)).astype(dtype)
-    want = plain.forward(x, training=False)
-    owned = x.copy()
-    got = marked.forward(owned, training=False)
-    assert got.dtype == np.float64 and np.array_equal(got, want)
-    assert (got is owned) == (dtype == np.float64)
-    owned = x.copy()
-    got = marked.forward(owned, training=True)
-    assert not np.shares_memory(got, owned) and np.array_equal(owned, x)
-
-
 class TestGapHead:
     def test_pool_then_linear(self):
         head = layers.GapHead(2, 3)

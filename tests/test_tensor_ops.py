@@ -484,12 +484,14 @@ class TestConv2dGradPaths:
         assert max_rel_err(gk, fd_grad(loss, kernel, step=1e-3)) < 1e-6
         assert max_rel_err(gb, fd_grad(loss, bias, step=1e-3)) < 1e-6
 
-    @pytest.mark.parametrize("into", ["new", "x", "strided"])
+    @pytest.mark.parametrize("into", ["new", "x", "channel_slice", "strided"])
     @pytest.mark.parametrize("case", GRAD_PATHS, ids=list(GRAD_PATHS))
     def test_out_receives_the_allocating_results_bit_for_bit(self, case, into, monkeypatch):
         # out may be x itself: the kernel gradient, summed over several
         # tiles of x, must be complete before the input gradient overwrites
-        # it. A strided out cannot take the GEMM's output and is copied into.
+        # it. A channel slice of a larger map, whose channel maps are each
+        # contiguous, takes the GEMM's output as conv2d's out does; a
+        # strided out cannot and is copied into.
         n, c_in, c_out, h, w, k, s, p, _ = GRAD_PATHS[case]
         rng = np.random.default_rng(len(case))
         spec = ConvSpec(c_in, c_out, k, s, p)
@@ -497,7 +499,12 @@ class TestConv2dGradPaths:
         kernel = rng.standard_normal((c_out, c_in, k, k))
         v = rng.standard_normal((n, c_out, *spec.out_hw(h, w)))
         want, _, _ = traced_conv2d_grad(monkeypatch, x, kernel, spec, v)
-        out = {"new": np.empty_like(x), "x": x.copy(), "strided": np.empty((n, c_in, h, 2 * w))[..., ::2]}[into]
+        out = {
+            "new": np.empty_like(x),
+            "x": x.copy(),
+            "channel_slice": np.empty((n, c_in + 2, h, w))[:, 1:-1],
+            "strided": np.empty((n, c_in, h, 2 * w))[..., ::2],
+        }[into]
         got, _, _ = traced_conv2d_grad(monkeypatch, out if into == "x" else x, kernel, spec, v, out=out)
         assert got[0] is out
         for g, wanted in zip(got, want):
