@@ -30,7 +30,8 @@ rebuilds t3 = relu(bn1(t1)) with `batchnorm_rebuild` and `np.maximum`, and
 t0 as pconv assembles it, both equal to the forward's maps bit for bit, and
 reads the relu mask from t3 before pw2's backward. pw2, bn1 and pw1 then
 write their input gradients into their inputs t3, t1 and t0, which nothing
-reads afterwards. The caller's x and grad_out are never written.
+reads afterwards, unless that would round them (`exact_out`). The caller's
+x and grad_out are never written.
 
 Initialization draws weights from uniform [-sqrt(6/fan_in), +sqrt(6/fan_in)]
 with fan_in = c_in * k^2; biases start at zero.
@@ -53,6 +54,7 @@ from .tensor_ops import (
     batchnorm_rebuild,
     conv2d,
     conv2d_grad,
+    exact_out,
     relu,
     residual_add,
 )
@@ -185,8 +187,7 @@ def fasternet_block_forward(block, x: Tensor4, training: bool = True) -> Tensor4
     t1 = pwconv(t0, block.pw1.weight, block.pw1.bias)
     convolved = t0[:, :c_p].copy() if training else None  # the rest of t0 is x's own
     del t0  # freed before bn1 allocates its output
-    own = not training and t1.dtype == np.result_type(t1, bn.gamma)  # writing into t1 must not round it
-    t2, mean, var = batchnorm(t1, bn, training, out=t1 if own else None)
+    t2, mean, var = batchnorm(t1, bn, training, out=None if training else exact_out(t1, t1, bn.gamma))
     block._cache = (x, convolved, t1, mean, var) if training else None
     del t1
     t4 = pwconv(relu(t2, out=t2), block.pw2.weight, block.pw2.bias)
@@ -203,15 +204,15 @@ def fasternet_block_grad(block, grad_out: Tensor4) -> Tensor4:
     t3 = batchnorm_rebuild(t1, bn, mean, var)
     np.maximum(t3, 0.0, out=t3)  # relu(bn1(t1)), as the forward made it
     mask = t3 > 0  # relu's backward; relu(t2) > 0 exactly where t2 > 0
-    grad, gw2, gb2 = pwconv_grad(t3, block.pw2.weight, grad_out, out=t3)
+    grad, gw2, gb2 = pwconv_grad(t3, block.pw2.weight, grad_out, out=exact_out(t3, grad_out, block.pw2.weight))
     grad *= mask
     del t3, mask
-    grad, ggamma, gbeta = batchnorm_grad(t1, bn, mean, var, grad, out=t1)
+    grad, ggamma, gbeta = batchnorm_grad(t1, bn, mean, var, grad, out=exact_out(t1, t1, grad, bn.gamma))
     del t1
     t0 = _with_pass_through(x, block.pconv.weight, c_p)  # pconv(x), as the forward made it
     t0[:, :c_p] = convolved
     del convolved
-    grad, gw1, gb1 = pwconv_grad(t0, block.pw1.weight, grad, out=t0)
+    grad, gw1, gb1 = pwconv_grad(t0, block.pw1.weight, grad, out=exact_out(t0, grad, block.pw1.weight))
     del t0
     grad, gpc = pconv_grad(x, block.pconv.weight, block.pconv.spec, grad)
     grad += grad_out  # the skip's gradient

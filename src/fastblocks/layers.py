@@ -13,18 +13,18 @@ A ReLU or NAM gate is marked `in_place` when nothing else holds its input,
 so that it may overwrite it. In `build_model` an item owns its input unless
 it is the first item (the caller's input) or directly follows
 `residual_begin` (the skip's) or a `ReLU` (which caches its output); it
-marks the ReLUs and NAM gates that own theirs. A ReLU writes its output
-into its input and caches that; a gate's backward writes its input
-gradient into its cached input. No other layer reads the mark, and one
-built outside a model is never marked. A `FasterNetBlock` decides alone
-which maps of its own chain it overwrites (see `blocks`). Each layer
-exposes its learnable arrays through params()/param_grads() and knows how
-to apply a plain gradient-descent update. These objects are what the
-gradient checker and the model runner operate on, and the only way to run
-a FasterNet block or a NAM gate; the math itself lives in tensor_ops /
-blocks / attention. `BatchNorm`, `NAMChannel` and `NAMSpatial` hold their
-`BNParams` as `self.bn`; a `FasterNetBlock` holds its parameters in `PConv`,
-`PWConv` and `BatchNorm` part layers, so its `BNParams` are `block.bn1.bn`.
+marks the ReLUs and NAM gates that own theirs. A marked ReLU writes its
+output into its input and caches that; a marked gate's backward may write
+its input gradient into its cached input. No other layer reads the mark, and
+one built outside a model is never marked. A NAM gate and a `FasterNetBlock`
+run through functions that take the layer itself (`attention.nam_*`,
+`blocks.fasternet_block_*`), keep its cache, set its grads and decide alone
+which maps they overwrite. Each layer exposes its learnable arrays through
+params()/param_grads() and knows how to apply a plain gradient-descent
+update; the gradient checker and the model runner operate on these objects.
+`BatchNorm`, `NAMChannel` and `NAMSpatial` hold their `BNParams` as
+`self.bn`; a `FasterNetBlock` holds its parameters in `PConv`, `PWConv` and
+`BatchNorm` part layers, so its `BNParams` are `block.bn1.bn`.
 """
 
 from __future__ import annotations
@@ -244,13 +244,10 @@ class NAMChannel(Layer):
         self.bn = BNParams.identity(channels)
 
     def forward(self, x, training=True):
-        out, self._cache = attention.nam_channel_forward(x, self.bn, training)
-        return out
+        return attention.nam_channel_forward(self, x, training)
 
     def backward(self, grad_out):
-        gx, ggamma, gbeta = attention.nam_channel_grad(self._take(), self.bn, grad_out, in_place=self.in_place)
-        self._grads = {"gamma": ggamma, "beta": gbeta}
-        return gx
+        return attention.nam_channel_grad(self, grad_out)
 
     def params(self):
         return {"gamma": self.bn.gamma, "beta": self.bn.beta}
@@ -267,16 +264,10 @@ class NAMSpatial(Layer):
         self.bn = BNParams.identity(h * w)
 
     def forward(self, x, training=True):
-        x = as_tensor4(x)
-        if x.shape[2:] != (self.h, self.w):
-            raise ValidationError(f"input spatial dims {x.shape[2:]} do not match nam_spatial {(self.h, self.w)}")
-        out, self._cache = attention.nam_spatial_forward(x, self.bn, training)
-        return out
+        return attention.nam_spatial_forward(self, x, training)
 
     def backward(self, grad_out):
-        gx, ggamma, gbeta = attention.nam_spatial_grad(self._take(), self.bn, grad_out, in_place=self.in_place)
-        self._grads = {"gamma": ggamma, "beta": gbeta}
-        return gx
+        return attention.nam_spatial_grad(self, grad_out)
 
     def params(self):
         return {"gamma": self.bn.gamma, "beta": self.bn.beta}

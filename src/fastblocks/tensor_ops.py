@@ -54,13 +54,13 @@ in `complexity`.
 `residual_add`, `conv2d_grad`, `batchnorm_grad` and `batchnorm_rebuild`
 take numpy's `out=`: a caller that owns a buffer (for example a batch-norm
 output nothing else holds, or a backward's cached input) can have the
-result written there instead of allocating, with the values a new array
-would hold. Every kernel but `conv2d` may write into `x` itself; `conv2d`
-writes into any array of its output's shape that does not overlap x and
-whose channel maps are each contiguous, such as the first c_p channels of
-pconv's output. The two gradient kernels write their input gradient there:
-`conv2d_grad` directly under `conv2d`'s rule, as pconv's backward does, and
-by a copy where its arithmetic cannot. They report the same MACs either way.
+result written there instead of allocating, with the values and MAC
+report of a new array. Every kernel but `conv2d` may write into `x` itself.
+`conv2d`, `conv2d_grad` and `batchnorm_grad` refuse an `out` of another
+shape or dtype than their result's, or one overlapping an operand they
+still read (see `exact_out`). `conv2d` also needs each channel map of its
+`out` contiguous, as pconv's first c_p channels are; `conv2d_grad` writes
+its input gradient there directly under that rule, and by a copy otherwise.
 """
 
 from __future__ import annotations
@@ -216,6 +216,22 @@ class BNParams:
         )
 
 
+def exact_out(buf: np.ndarray, *operands) -> np.ndarray | None:
+    """`buf` as a kernel's `out=` if it has the dtype the kernel computes from
+    `operands`, so that the write cannot round; else None (the kernel allocates)."""
+    return buf if buf.dtype == np.result_type(*operands) else None
+
+
+def _check_out(fn: str, out: np.ndarray | None, shape: tuple, dtype, operand: np.ndarray, what: str) -> None:
+    """Refuse an `out=` of another shape or dtype than the result's, or overlapping `operand` (`what`)."""
+    if out is None:
+        return
+    if out.shape != shape or out.dtype != dtype:
+        raise ValidationError(f"{fn} out is {out.dtype}{out.shape}, expected {dtype}{shape}")
+    if np.may_share_memory(out, operand):
+        raise ValidationError(f"{fn} out must not overlap {what}")
+
+
 def _check_conv_args(x: Tensor4, kernel: np.ndarray, bias, spec: ConvSpec):
     x = as_tensor4(x)
     if x.shape[1] != spec.c_in:
@@ -325,14 +341,9 @@ def conv2d(
     x = _check_conv_args(x, kernel, bias, spec)
     operands = (x, kernel) if bias is None else (x, kernel, bias)
     dtype = np.result_type(*operands)
-    if out is not None:
-        shape = (x.shape[0], spec.c_out, *spec.out_hw(x.shape[2], x.shape[3]))
-        if out.shape != shape or out.dtype != dtype:
-            raise ValidationError(f"conv2d out is {out.dtype}{out.shape}, expected {dtype}{shape}")
-        if not out[0, 0].flags.c_contiguous:
-            raise ValidationError("conv2d out must hold each channel's map contiguously")
-        if np.may_share_memory(out, x):
-            raise ValidationError("conv2d out must not overlap its input")
+    _check_out("conv2d", out, (x.shape[0], spec.c_out, *spec.out_hw(x.shape[2], x.shape[3])), dtype, x, "its input")
+    if out is not None and not out[0, 0].flags.c_contiguous:
+        raise ValidationError("conv2d out must hold each channel's map contiguously")
     out = _conv(x, kernel.reshape(spec.c_out, -1), bias, spec, dtype, out)
     record_macs(out.shape[0] * out.shape[2] * out.shape[3] * kernel.size)
     return out
@@ -344,10 +355,10 @@ def conv2d_grad(
     """Gradients of sum(grad_out * conv2d(x, ...)) w.r.t. input, kernel, bias.
 
     All three have dtype `np.result_type(grad_out, kernel)`. The input
-    gradient is written into `out` when given, which may be `x` itself (the
-    kernel gradient is summed before it is written) but not `grad_out`.
-    The flipped-kernel path writes there directly when `out` has that dtype
-    and each of its channel maps is contiguous (`conv2d`'s rule); the others copy.
+    gradient is written into `out` when given, of x's shape and that dtype:
+    `x` itself (the kernel gradient is summed before it is written), but
+    nothing overlapping `grad_out`. The flipped-kernel path writes there
+    directly when each channel map is contiguous (`conv2d`'s rule); the others copy.
     """
     x = _check_conv_args(x, kernel, None, spec)
     n, c_in, h, w = x.shape
@@ -357,6 +368,7 @@ def conv2d_grad(
             f"grad_out shape {grad_out.shape} != expected {(n, spec.c_out, h_out, w_out)}"
         )
     grad_out = grad_out.astype(np.result_type(grad_out, kernel), copy=False)
+    _check_out("conv2d_grad", out, x.shape, grad_out.dtype, grad_out, "grad_out")
     g = grad_out.reshape(n, spec.c_out, h_out * w_out)
     grad_kernel = np.zeros((spec.c_out, c_in * spec.k**2), np.result_type(g, x))
     for s0, s1, c0, c1, cols in _column_tiles(x, spec, kernel.nbytes):
@@ -371,7 +383,7 @@ def conv2d_grad(
         # the same tiles. Its columns are c_out/c_in times the input, so a
         # widening conv runs the col2im below (a 1x1 is a view either way).
         flipped = np.ascontiguousarray(kernel[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)).reshape(c_in, -1)
-        direct = out is not None and out[0, 0].flags.c_contiguous and out.dtype == g.dtype
+        direct = out is not None and out[0, 0].flags.c_contiguous
         grad_x = _conv(
             grad_out, flipped, None, ConvSpec(spec.c_out, c_in, k, 1, k - 1 - p), g.dtype, out if direct else None
         )
@@ -462,14 +474,15 @@ def batchnorm_grad(
     closed form is grad_x = gamma * inv * (g - sum(g)/m - xhat * sum(g*xhat)/m);
     sum(g) and sum(g*xhat) are also grad_beta and grad_gamma. It runs as those
     two per-channel reductions plus in-place passes over one centred buffer
-    of dtype `np.result_type(x, grad_out, params.gamma)`: `out` when given,
-    which may be `x` itself but not `grad_out`, else a new array.
-    Returns (grad_x, grad_gamma, grad_beta).
+    of dtype `np.result_type(x, grad_out, params.gamma)`: `out` when given
+    (x's shape and that dtype; `x` itself, but nothing overlapping `grad_out`),
+    else a new array. Returns (grad_x, grad_gamma, grad_beta).
     """
     x = as_tensor4(x)
     if grad_out.shape != x.shape:
         raise ValidationError(f"grad_out shape {grad_out.shape} != input shape {x.shape}")
     dtype = np.result_type(x, grad_out, params.gamma)
+    _check_out("batchnorm_grad", out, x.shape, dtype, grad_out, "grad_out")
     n, _, h, w = x.shape
     m = n * h * w
     inv = 1.0 / np.sqrt(batch_var + params.eps)

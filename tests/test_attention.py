@@ -185,19 +185,20 @@ class TestNamSpatial:
         with pytest.raises(ValidationError):
             NAMSpatial(2, 2).forward(np.zeros((1, 2, 3, 3)))
 
-    def test_params_length_must_match_map(self):
+    @pytest.mark.parametrize("training", [True, False])
+    def test_params_length_must_match_map(self, training):
         # a 2x3 gate whose BN has 5 units cannot gate its own map
         with pytest.raises(ValidationError, match="6 positions"):
-            spatial_gate(BNParams.identity(5), 2, 3).forward(np.zeros((1, 1, 2, 3)))
+            spatial_gate(BNParams.identity(5), 2, 3).forward(np.zeros((1, 1, 2, 3)), training=training)
 
     def test_layer_rejects_a_map_of_the_same_size_but_another_shape(self):
-        # 2x8 has the 16 positions of a 4x4 gate; only the layer knows (h, w)
+        # 2x8 has the 16 positions of a 4x4 gate; only the gate knows (h, w)
         with pytest.raises(ValidationError, match="spatial dims"):
             NAMSpatial(4, 4).forward(np.zeros((1, 1, 2, 8)))
 
     def test_forward_rejects_a_map_whose_size_is_not_the_bn_length(self):
         with pytest.raises(ValidationError, match="15 positions"):
-            nam_spatial_forward(np.zeros((1, 1, 3, 5)), BNParams.identity(16))
+            nam_spatial_forward(spatial_gate(BNParams.identity(16), 3, 5), np.zeros((1, 1, 3, 5)))
 
     def test_non_positive_map_rejected_at_construction(self):
         for h, w in [(0, 3), (2, -1)]:
@@ -255,9 +256,23 @@ def test_gates_leave_the_input_alone(training):
         assert not np.shares_memory(out, x)
 
 
+def test_a_forward_that_raises_leaves_the_running_statistics_alone():
+    # nam_weights rejects an all-zero gamma; it must do so before batch norm
+    # folds the batch into the running statistics.
+    rng = np.random.default_rng(25)
+    for gate in gates(rng):
+        gate.bn.gamma[:] = 0.0
+        mean, var = gate.bn.running_mean.copy(), gate.bn.running_var.copy()
+        with pytest.raises(DegenerateInputError):
+            gate.forward(rng.standard_normal((3, 6, 4, 5)) + 0.5)
+        assert np.array_equal(gate.bn.running_mean, mean), gate.kind
+        assert np.array_equal(gate.bn.running_var, var), gate.kind
+
+
 def test_training_forward_keeps_the_gate_but_not_bn_of_x():
-    # The cache is (x, w, s, mean, var): x is the caller's, so the forward
-    # holds one new map, the gate s, besides its output; BN(x) is rebuilt in backward.
+    # The cache is (x, s, mean, var): x is the caller's, so the forward
+    # holds one new map, the gate s, besides its output; BN(x) is rebuilt in
+    # backward, and the weights w are recomputed from gamma.
     rng = np.random.default_rng(13)
     for gate in gates(rng):
         x = rng.standard_normal((64, 6, 4, 5))
@@ -388,7 +403,8 @@ def test_eval_gate_holds_one_map():
 
 def allocating_nam_backward(cache, bn, grad_out):
     """The gate's backward as its formulas read, one temporary per operation."""
-    x, w, s, mean, var = cache
+    x, s, mean, var = cache
+    w = nam_weights(bn.gamma)
     scale = (bn.gamma / np.sqrt(var + bn.eps))[None, :, None, None]
     y = (x - mean[None, :, None, None]) * scale + bn.beta[None, :, None, None]  # BN(x), as the forward made it
     dg = grad_out * x * s * (1.0 - s)
@@ -403,23 +419,21 @@ def test_training_backward_equals_the_allocating_formulas_and_leaves_grad_out_al
     # the formulas left to right and never write grad_out.
     rng = np.random.default_rng(14)
     x = rng.standard_normal((3, 6, 4, 5))
-    for forward, backward, bn in (
-        (nam_channel_forward, nam_channel_grad, random_bn(rng, 6)),
-        (nam_spatial_forward, nam_spatial_grad, random_bn(rng, 20)),
+    for forward, backward, gate in (
+        (nam_channel_forward, nam_channel_grad, channel_gate(random_bn(rng, 6))),
+        (nam_spatial_forward, nam_spatial_grad, spatial_gate(random_bn(rng, 20), 4, 5)),
     ):
-        _, cache = forward(x, bn)
+        forward(gate, x)
+        cache = gate._cache  # read before the backward consumes it
         grad_out = rng.standard_normal(x.shape)
         before = grad_out.copy()
-        got = backward(cache, bn, grad_out)
+        got = backward(gate, grad_out)
         assert np.array_equal(grad_out, before)
-        assert not np.shares_memory(got[0], grad_out)
-        if forward is nam_channel_forward:
-            want = allocating_nam_backward(cache, bn, grad_out)
-        else:
-            want = allocating_nam_backward(cache[0], bn, grad_out.reshape(18, 20, 1, 1))
-        assert np.array_equal(got[0], want[0].reshape(x.shape))
-        assert np.array_equal(got[1], want[1])
-        assert np.array_equal(got[2], want[2])
+        assert not np.shares_memory(got, grad_out)
+        gx, dgamma, dbeta = allocating_nam_backward(cache, gate.bn, grad_out.reshape(cache[0].shape))
+        assert np.array_equal(got, gx.reshape(x.shape))
+        assert np.array_equal(gate.param_grads()["gamma"], dgamma)
+        assert np.array_equal(gate.param_grads()["beta"], dbeta)
 
 
 def test_a_marked_gate_writes_its_input_gradient_into_its_input():
@@ -453,6 +467,7 @@ def test_backward_consumes_the_cache(in_place):
         out = gate.forward(x)
         gate.backward(np.ones_like(out))
         assert gate._cache is None
+        assert list(gate.param_grads()) == list(gate.params())
         with pytest.raises(ValidationError, match=f"layer '{gate.kind}'.*training-mode forward"):
             gate.backward(np.ones_like(out))
         gate.forward(x)  # a new training forward makes backward possible again

@@ -344,14 +344,20 @@ class TestFasterNetBlock:
         assert np.array_equal(x, before)
         assert not np.shares_memory(out, x)
 
-    def test_backward_equals_the_allocating_formulas_and_leaves_grad_out_alone(self):
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_backward_equals_the_allocating_formulas_and_leaves_grad_out_alone(self, dtype):
         # The backward rebuilds pw1's and pw2's inputs and masks and sums in
         # the buffers it owns; it must still compute the chain rule as
-        # written, operation for operation.
+        # written, operation for operation. With float32 x and pconv/pw1
+        # parameters, t0 and t1 are float32 and cannot hold the float64
+        # gradients of pw1 and bn1: the backward must not round them there.
         spec = FasterNetBlockSpec(c=6, c_p=2)
         block = FasterNetBlock(spec, rng=3)
+        for part in (block.pconv, block.pw1):
+            part.weight = part.weight.astype(dtype)
+        block.pw1.bias = block.pw1.bias.astype(dtype)
         rng = np.random.default_rng(14)
-        x = rng.standard_normal((3, 6, 5, 4))
+        x = rng.standard_normal((3, 6, 5, 4)).astype(dtype)
         grad_out = rng.standard_normal(x.shape)
         before = grad_out.copy()
         block.forward(x)
@@ -368,6 +374,7 @@ class TestFasterNetBlock:
         grad_x = block.backward(grad_out)
         grads = block.param_grads()
         assert list(grads) == list(block.params())
+        assert grad_x.dtype == np.float64
         assert np.array_equal(grad_out, before)
         assert not np.shares_memory(grad_x, grad_out)
 

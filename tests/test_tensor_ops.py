@@ -510,6 +510,19 @@ class TestConv2dGradPaths:
         for g, wanted in zip(got, want):
             assert np.array_equal(g, wanted)
 
+    @pytest.mark.parametrize("bad", ["shape", "float32", "grad_out"])
+    def test_out_it_cannot_write_exactly_is_refused(self, bad):
+        # A float32 out would round the input gradient, and grad_out is still
+        # read while it is written.
+        rng = np.random.default_rng(6)
+        spec = ConvSpec(3, 3, 3, padding=1)
+        x = rng.standard_normal((2, 3, 5, 5))
+        kernel = rng.standard_normal((3, 3, 3, 3))
+        v = rng.standard_normal(x.shape)
+        out = {"shape": np.empty((2, 3, 5, 4)), "float32": np.empty(x.shape, np.float32), "grad_out": v}[bad]
+        with pytest.raises(ValidationError, match="overlap" if bad == "grad_out" else "expected"):
+            conv2d_grad(x, kernel, spec, v, out=out)
+
     @pytest.mark.parametrize("case", [case for case, path in GRAD_PATHS.items() if not path[-1]])
     def test_col2im_input_gradient_does_not_depend_on_the_tiles(self, case, monkeypatch):
         # Each pixel sums its kernel offsets in (a, b) order, however the
@@ -735,6 +748,19 @@ class TestBatchNormGrad:
         assert got[0] is out
         for g, wanted in zip(got, want):
             assert np.array_equal(g, wanted)
+
+    @pytest.mark.parametrize("bad", ["shape", "float32", "grad_out"])
+    def test_out_it_cannot_write_exactly_is_refused(self, bad):
+        # A float32 out would round the input gradient, and grad_out is read
+        # after the centred input is written there.
+        rng = np.random.default_rng(15)
+        x = rng.standard_normal((3, 4, 5, 6))
+        params = BNParams.identity(4)
+        _, mean, var = batchnorm(x, params, training=True)
+        v = rng.standard_normal(x.shape)
+        out = {"shape": np.empty((3, 4, 5, 5)), "float32": np.empty(x.shape, np.float32), "grad_out": v}[bad]
+        with pytest.raises(ValidationError, match="overlap" if bad == "grad_out" else "expected"):
+            batchnorm_grad(x, params, mean, var, v, out=out)
 
     def test_rebuilt_training_output_is_the_forwards_bit_for_bit(self):
         rng = np.random.default_rng(14)
