@@ -13,10 +13,9 @@ with the `BNParams` the layer holds as `gate.bn`, and gates the raw input:
 
 A training forward computes this in the BN output's buffer, which it owns:
 it scales BN(x) by w and squashes it there, caches (x, s, mean, var) on the
-gate, s being the squashed gate, and writes its output to one more buffer.
-BN(x) is not kept: the backward rebuilds it from x and the cached batch
-statistics with the forward's own operations (`batchnorm_rebuild`), and w
-from gamma, so its results are those of kept copies.
+gate, s being the squashed gate and x the caller's, in its shape, and
+writes its output to one more buffer. BN(x) is not kept, and the backward
+does not rebuild it (see below); w is recomputed from gamma.
 
 An eval forward normalizes with the running statistics, so its gate is a
 fixed per-unit affine map of x followed by the squash. With
@@ -30,11 +29,21 @@ the limit. It reports the 8 MACs per element that `kinds` gives the gate.
 Its rounding differs from the composition above, within a relative 1e-14
 where |a ⊙ x + b| <= 10 (see the tests).
 
-The backward consumes the gate's cache, so a second backward needs a new
-training forward, and sets the gate's grads under its params() keys. The
-forward never writes x. The backward writes batch norm's input gradient
-into the cached x only when `build_model` has marked the gate `in_place`,
-because nothing else holds its input, and x has that gradient's dtype.
+The backward takes the gradients from two per-unit sums. With
+dg = (1 - s) * s * grad_out * x, inv = 1 / sqrt(var + eps), m the elements
+per unit, S0 = sum(dg) and S1 = sum(dg * (x - mean)):
+
+    dw = gamma * inv * S1 + beta * S0      (dw = sum(dg * BN(x)))
+    dgamma_bn = w * inv * S1,  dbeta = w * S0
+    grad_x = grad_out * s + gamma * inv * w * (dg - S0/m - (x - mean) * inv^2 * S1/m)
+
+It centres x once and assembles grad_x in place: dg in one new buffer,
+grad_out * s in s, and x - mean, which becomes grad_x, in the cached x when
+`build_model` has marked the gate `in_place` (nothing else holds its input)
+and x has grad_x's dtype, else in a second new buffer. It consumes the
+gate's cache, so a second backward needs a new training forward, checks
+that grad_out has the forward input's shape, and sets the gate's grads
+under its params() keys. The forward never writes x.
 
 The gamma gradient flows through both the normalization and the weight
 vector, so the whole module is exactly differentiable.
@@ -49,8 +58,6 @@ from .tensor_ops import (
     Tensor4,
     as_tensor4,
     batchnorm,
-    batchnorm_grad,
-    batchnorm_rebuild,
     elementwise_mul,
     exact_out,
     record_macs,
@@ -73,57 +80,66 @@ def nam_weights(scales: np.ndarray) -> np.ndarray:
     return s / total
 
 
-def _gate_forward(gate, x: Tensor4, training: bool) -> Tensor4:
-    """The gate on x, its (n, units, h, w) BN input: cached in training, folded in eval."""
+def _gate_forward(gate, x: Tensor4, units: tuple, training: bool) -> Tensor4:
+    """The gate on x, read in `units`, its (n, units, h, w) BN layout: cached
+    in training, folded in eval."""
     bn = gate.bn
     w = nam_weights(bn.gamma)  # first: an all-zero gamma raises before batchnorm moves the running statistics
+    u = x.reshape(units)
     if training:
-        y, mean, var = batchnorm(x, bn, training)
+        y, mean, var = batchnorm(u, bn, training)
         g = elementwise_mul(y, w[None, :, None, None], out=y)
         s = sigmoid(g, out=g)
         gate._cache = (x, s, mean, var)
-        return elementwise_mul(x, s)
+        return elementwise_mul(u, s).reshape(x.shape)
     gate._cache = None
     scale = bn.gamma / np.sqrt(bn.running_var + bn.eps)
     a = w * scale
     b = w * (bn.beta - bn.running_mean * scale)
     # -(a ⊙ x + b) as (-a) ⊙ x - b: negation is exact, so these are the same values.
-    out = np.multiply(x, -a[None, :, None, None], dtype=np.result_type(x, bn.gamma))
+    out = np.multiply(u, -a[None, :, None, None], dtype=np.result_type(u, bn.gamma))
     out -= b[None, :, None, None]
     with np.errstate(over="ignore"):  # exp(+big) = inf, and x / inf = ±0 is the gate's limit
         np.exp(out, out=out)
     out += 1.0
-    np.divide(x, out, out=out)
-    record_macs(8 * x.size)
-    return out
+    np.divide(u, out, out=out)
+    record_macs(8 * u.size)
+    return out.reshape(x.shape)
 
 
 def _gate_backward(gate, grad_out: Tensor4) -> Tensor4:
     """Backward of _gate_forward: consumes the gate's cache, sets its grads
     and returns grad_x, written into the cached x if the gate may (`in_place`)."""
+    shape = gate._cached()[0].shape
+    if grad_out.shape != shape:
+        raise ValidationError(f"grad_out shape {grad_out.shape} != input shape {shape}")
     x, s, mean, var = gate._take()
+    x, grad_out = x.reshape(s.shape), grad_out.reshape(s.shape)
     bn = gate.bn
     w = nam_weights(bn.gamma)  # the forward's weights: gamma has not changed since
-    # Owned buffers, evaluated in the order of the formulas
-    # dg = grad_out * x * s * (1 - s), dw = sum(dg * y), dy = dg * w and
-    # grad_x = grad_out * s + dx_bn, so the results are those of the formulas.
+    inv = 1.0 / np.sqrt(var + bn.eps)
+    m = x.size // x.shape[1]
+    # The module docstring's closed form, left to right, in owned buffers.
     dtype = np.result_type(grad_out, x, s)
-    dg = np.multiply(grad_out, x, out=np.empty(x.shape, dtype))
+    dg = np.subtract(1.0, s, out=np.empty(x.shape, dtype))
     dg *= s
-    tmp = np.subtract(1.0, s, out=np.empty(x.shape, dtype))
-    dg *= tmp
-    tmp = batchnorm_rebuild(x, bn, mean, var, out=tmp)  # y = BN(x), as the forward made it
-    dw = np.multiply(dg, tmp, out=tmp).sum(axis=(0, 2, 3))
-    del tmp  # freed before batch norm's backward allocates its own buffer
-    dg *= w[None, :, None, None]
+    dg *= grad_out
+    dg *= x
+    direct = np.multiply(grad_out, s, out=exact_out(s, grad_out, s))
     into_x = exact_out(x, x, dg, bn.gamma) if gate.in_place else None
-    dx_bn, dgamma, dbeta = batchnorm_grad(x, bn, mean, var, dg, out=into_x)
+    xc = np.subtract(x, mean[None, :, None, None], out=into_x, dtype=dtype)
+    s0 = np.einsum("nchw->c", dg)
+    s1 = np.einsum("nchw,nchw->c", dg, xc)
+    dw = bn.gamma * inv * s1 + bn.beta * s0
     # w_i = |gamma_i| / S differentiates to sign(gamma_j) * (delta_ij - w_i) / S.
-    total = np.abs(bn.gamma).sum()
-    dgamma_w = np.sign(bn.gamma) * (dw - np.dot(w, dw)) / total
-    dx_bn += np.multiply(grad_out, s, out=dg)
-    gate._grads = dict(zip(gate.params(), (dgamma + dgamma_w, dbeta)))
-    return dx_bn
+    dgamma_w = np.sign(bn.gamma) * (dw - np.dot(w, dw)) / np.abs(bn.gamma).sum()
+    gate._grads = dict(zip(gate.params(), (w * inv * s1 + dgamma_w, w * s0)))
+    xc *= (-inv * inv * s1 / m)[None, :, None, None]
+    xc += dg
+    xc -= (s0 / m)[None, :, None, None]
+    xc *= (bn.gamma * inv * w)[None, :, None, None]
+    xc += direct
+    return xc.reshape(shape)
 
 
 def nam_channel_forward(gate, x: Tensor4, training: bool = True) -> Tensor4:
@@ -131,7 +147,7 @@ def nam_channel_forward(gate, x: Tensor4, training: bool = True) -> Tensor4:
     x = as_tensor4(x)
     if x.shape[1] != gate.bn.channels:
         raise ValidationError(f"input channel dim {x.shape[1]} does not match NAM channels {gate.bn.channels}")
-    return _gate_forward(gate, x, training)
+    return _gate_forward(gate, x, x.shape, training)
 
 
 def nam_channel_grad(gate, grad_out: Tensor4) -> Tensor4:
@@ -146,9 +162,8 @@ def nam_spatial_forward(gate, x: Tensor4, training: bool = True) -> Tensor4:
         raise ValidationError(f"input spatial dims {(h, w)} do not match nam_spatial {(gate.h, gate.w)}")
     if h * w != gate.bn.channels:
         raise ValidationError(f"input map {h}x{w} has {h * w} positions, NAM spatial BN has {gate.bn.channels}")
-    return _gate_forward(gate, x.reshape(n * c, h * w, 1, 1), training).reshape(x.shape)
+    return _gate_forward(gate, x, (n * c, h * w, 1, 1), training)
 
 
 def nam_spatial_grad(gate, grad_out: Tensor4) -> Tensor4:
-    n, c, h, w = grad_out.shape
-    return _gate_backward(gate, grad_out.reshape(n * c, h * w, 1, 1)).reshape(grad_out.shape)
+    return _gate_backward(gate, grad_out)

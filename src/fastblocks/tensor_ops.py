@@ -20,14 +20,19 @@ output. A 1x1, stride-1, unpadded conv reads x itself as its columns, in one
 tile and without a copy.
 
 `conv2d_grad` runs through the same tiles, so it builds no full im2col
-matrix or column gradient: the kernel gradient is summed tile by tile, and
-the input gradient takes one of two paths. For stride 1 with p <= k-1 it is
+matrix or column gradient, and sums the kernel gradient tile by tile. For
+stride 1 with p <= k-1 and c_out <= c_in (or k = 1), the input gradient is
 a convolution of grad_out with the kernel flipped and its channel axes
-swapped at padding k-1-p, and runs as one when c_out <= c_in. A widening
-conv (c_out > c_in), whose transposed columns would be c_out/c_in times the
-input, and any other stride or padding run a col2im: each tile's column
-gradient W^T @ grad_out is scatter-added onto the padded input, one kernel
-offset at a time. Backward kernels report no MACs.
+swapped at padding k-1-p. Each tile of grad_out's columns then serves both
+GEMMs: flipped kernel @ columns is that tile of the input gradient, and x's
+pixels @ columns^T its share of the kernel gradient, with every offset
+flipped; x gets no im2col. A widening conv (c_out > c_in), whose transposed
+columns would be c_out/c_in times the input, and any other stride or
+padding tile x's columns for the kernel gradient and run a col2im: each
+tile's column gradient W^T @ grad_out is scatter-added onto the padded
+input, one kernel offset at a time, or, when k == s and p == 0 and the
+windows tile the input, copied back by one reshape. Backward kernels
+report no MACs.
 
 Batch norm is memory-bound, so it is written to make few passes over
 activation-sized arrays rather than to mirror the formula term by term. A
@@ -307,26 +312,6 @@ def _column_tiles(x: Tensor4, spec: ConvSpec, weight_bytes: int):
         yield s0, s1, r0 * w_out, r1 * w_out, cols.reshape(s1 - s0, depth, (r1 - r0) * w_out)
 
 
-def _conv(
-    x: Tensor4, weights: np.ndarray, bias: np.ndarray | None, spec: ConvSpec, dtype, out: Tensor4 | None = None
-) -> Tensor4:
-    """conv2d's arithmetic without its checks or MAC report: `weights` is the
-    (c_out, c_in*k*k) kernel matrix, and each tile's GEMM writes straight
-    into the output: `out` if given (of `dtype`, each channel's map
-    contiguous), else a new array."""
-    n, _, h, w = x.shape
-    h_out, w_out = spec.out_hw(h, w)
-    if out is None:
-        out = np.empty((n, spec.c_out, h_out, w_out), dtype=dtype)
-    flat = out.reshape(n, spec.c_out, h_out * w_out)  # a view: conv2d checks that out's maps are contiguous
-    for s0, s1, c0, c1, cols in _column_tiles(x, spec, weights.nbytes):
-        tile = flat[s0:s1, :, c0:c1]
-        np.matmul(weights, cols, out=tile)
-        if bias is not None:  # added while the tile is still in cache
-            tile += bias[:, None]
-    return out
-
-
 def conv2d(
     x: Tensor4, kernel: np.ndarray, bias: np.ndarray | None, spec: ConvSpec, out: Tensor4 | None = None
 ) -> Tensor4:
@@ -341,11 +326,22 @@ def conv2d(
     x = _check_conv_args(x, kernel, bias, spec)
     operands = (x, kernel) if bias is None else (x, kernel, bias)
     dtype = np.result_type(*operands)
-    _check_out("conv2d", out, (x.shape[0], spec.c_out, *spec.out_hw(x.shape[2], x.shape[3])), dtype, x, "its input")
-    if out is not None and not out[0, 0].flags.c_contiguous:
+    n, _, h, w = x.shape
+    h_out, w_out = spec.out_hw(h, w)
+    shape = (n, spec.c_out, h_out, w_out)
+    _check_out("conv2d", out, shape, dtype, x, "its input")
+    if out is None:
+        out = np.empty(shape, dtype)
+    elif not out[0, 0].flags.c_contiguous:
         raise ValidationError("conv2d out must hold each channel's map contiguously")
-    out = _conv(x, kernel.reshape(spec.c_out, -1), bias, spec, dtype, out)
-    record_macs(out.shape[0] * out.shape[2] * out.shape[3] * kernel.size)
+    # Each tile's GEMM writes straight into the output; the reshape is a view,
+    # as each channel's map is contiguous.
+    flat, weights = out.reshape(n, spec.c_out, h_out * w_out), kernel.reshape(spec.c_out, -1)
+    for s0, s1, c0, c1, cols in _column_tiles(x, spec, weights.nbytes):
+        np.matmul(weights, cols, out=flat[s0:s1, :, c0:c1])
+    if bias is not None:
+        out += bias[None, :, None, None]
+    record_macs(n * h_out * w_out * kernel.size)
     return out
 
 
@@ -354,11 +350,14 @@ def conv2d_grad(
 ) -> tuple[Tensor4, np.ndarray, np.ndarray]:
     """Gradients of sum(grad_out * conv2d(x, ...)) w.r.t. input, kernel, bias.
 
-    All three have dtype `np.result_type(grad_out, kernel)`. The input
+    All three have dtype `np.result_type(grad_out, kernel)`; the kernel
+    gradient is summed in `np.result_type(grad_out, kernel, x)`. The input
     gradient is written into `out` when given, of x's shape and that dtype:
-    `x` itself (the kernel gradient is summed before it is written), but
-    nothing overlapping `grad_out`. The flipped-kernel path writes there
-    directly when each channel map is contiguous (`conv2d`'s rule); the others copy.
+    `x` itself (each tile of x is read before it is written), but nothing
+    overlapping `grad_out`. The flipped-kernel path writes there directly
+    when each channel map is contiguous (`conv2d`'s rule) and copies
+    otherwise; the disjoint-window path always writes there directly, and
+    the col2im copies.
     """
     x = _check_conv_args(x, kernel, None, spec)
     n, c_in, h, w = x.shape
@@ -370,11 +369,6 @@ def conv2d_grad(
     grad_out = grad_out.astype(np.result_type(grad_out, kernel), copy=False)
     _check_out("conv2d_grad", out, x.shape, grad_out.dtype, grad_out, "grad_out")
     g = grad_out.reshape(n, spec.c_out, h_out * w_out)
-    grad_kernel = np.zeros((spec.c_out, c_in * spec.k**2), np.result_type(g, x))
-    for s0, s1, c0, c1, cols in _column_tiles(x, spec, kernel.nbytes):
-        grad_kernel += (g[s0:s1, :, c0:c1] @ cols.transpose(0, 2, 1)).sum(axis=0)
-    del cols  # the last tile's view would keep the workspace alive
-    grad_kernel = grad_kernel.reshape(kernel.shape)
     grad_bias = grad_out.sum(axis=(0, 2, 3))
     p, s, k = spec.padding, spec.stride, spec.k
     if s == 1 and p <= k - 1 and (spec.c_out <= c_in or k == 1):
@@ -382,28 +376,51 @@ def conv2d_grad(
         # its channel axes swapped, at padding k-1-p: a forward conv through
         # the same tiles. Its columns are c_out/c_in times the input, so a
         # widening conv runs the col2im below (a 1x1 is a view either way).
+        # Each tile of those columns also gives the kernel gradient, as x's
+        # pixels times them: (c_in, c_out, k, k) with every offset flipped.
+        # The tile's kernel gradient is summed before its input gradient is
+        # written, because out may be x.
         flipped = np.ascontiguousarray(kernel[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)).reshape(c_in, -1)
-        direct = out is not None and out[0, 0].flags.c_contiguous
-        grad_x = _conv(
-            grad_out, flipped, None, ConvSpec(spec.c_out, c_in, k, 1, k - 1 - p), g.dtype, out if direct else None
-        )
+        grad_x = out if out is not None and out[0, 0].flags.c_contiguous else np.empty(x.shape, g.dtype)
+        flat, pixels = grad_x.reshape(n, c_in, h * w), x.reshape(n, c_in, h * w)
+        grad_kernel = np.zeros((c_in, spec.c_out * k * k), np.result_type(g, x))
+        for s0, s1, c0, c1, cols in _column_tiles(grad_out, ConvSpec(spec.c_out, c_in, k, 1, k - 1 - p), flipped.nbytes):
+            grad_kernel += (pixels[s0:s1, :, c0:c1] @ cols.transpose(0, 2, 1)).sum(axis=0)
+            np.matmul(flipped, cols, out=flat[s0:s1, :, c0:c1])
+        del cols  # the last tile's view would keep the workspace alive
+        grad_kernel = grad_kernel.reshape(c_in, spec.c_out, k, k)[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
     else:
-        # col2im by tiles of output rows: scatter-add each kernel offset of a
-        # tile's column gradient W^T @ g onto the padded input, last tile
-        # first, so that each pixel sums its offsets in (a, b) order however
-        # the rows are tiled.
+        grad_kernel = np.zeros((spec.c_out, c_in * k * k), np.result_type(g, x))
+        for s0, s1, c0, c1, cols in _column_tiles(x, spec, kernel.nbytes):
+            grad_kernel += (g[s0:s1, :, c0:c1] @ cols.transpose(0, 2, 1)).sum(axis=0)
+        del cols
+        grad_kernel = grad_kernel.reshape(kernel.shape)
         weights_t = kernel.reshape(spec.c_out, -1).T
-        dxp = np.zeros((n, c_in, h + 2 * p, w + 2 * p), dtype=g.dtype)
-        for s0, s1, r0, r1 in reversed(list(_tiles(n, h_out, c_in * k * k * w_out * g.itemsize, kernel.nbytes))):
-            dwin = (weights_t @ g[s0:s1, :, r0 * w_out : r1 * w_out]).reshape(s1 - s0, c_in, k, k, r1 - r0, w_out)
-            for a in range(k):
-                for b in range(k):
-                    dxp[s0:s1, :, a + s * r0 : a + s * r1 : s, b : b + s * w_out : s] += dwin[:, :, a, b]
-        grad_x = dxp[:, :, p : p + h, p : p + w] if p else dxp
+        tiles = _tiles(n, h_out, c_in * k * k * w_out * g.itemsize, kernel.nbytes)
+        if k == s and p == 0:
+            # The windows tile x, so each pixel takes one offset: each tile's
+            # column gradient W^T @ g is copied back by a reshape.
+            grad_x = np.empty(x.shape, g.dtype) if out is None else out
+            blocks = grad_x.reshape(n, c_in, h_out, k, w_out, k)  # splits axes: a view of any out
+            for s0, s1, r0, r1 in tiles:
+                dwin = (weights_t @ g[s0:s1, :, r0 * w_out : r1 * w_out]).reshape(s1 - s0, c_in, k, k, r1 - r0, w_out)
+                blocks[s0:s1, :, r0:r1] = dwin.transpose(0, 1, 4, 2, 5, 3)
+        else:
+            # col2im by tiles of output rows: scatter-add each kernel offset of
+            # a tile's column gradient W^T @ g onto the padded input, last tile
+            # first, so that each pixel sums its offsets in (a, b) order however
+            # the rows are tiled.
+            dxp = np.zeros((n, c_in, h + 2 * p, w + 2 * p), dtype=g.dtype)
+            for s0, s1, r0, r1 in reversed(list(tiles)):
+                dwin = (weights_t @ g[s0:s1, :, r0 * w_out : r1 * w_out]).reshape(s1 - s0, c_in, k, k, r1 - r0, w_out)
+                for a in range(k):
+                    for b in range(k):
+                        dxp[s0:s1, :, a + s * r0 : a + s * r1 : s, b : b + s * w_out : s] += dwin[:, :, a, b]
+            grad_x = dxp[:, :, p : p + h, p : p + w] if p else dxp
     if out is not None and grad_x is not out:  # a path that cannot write into out
         np.copyto(out, grad_x)
         grad_x = out
-    return grad_x, grad_kernel, grad_bias
+    return grad_x, np.ascontiguousarray(grad_kernel, g.dtype), grad_bias
 
 
 def batchnorm(

@@ -271,8 +271,8 @@ def test_a_forward_that_raises_leaves_the_running_statistics_alone():
 
 def test_training_forward_keeps_the_gate_but_not_bn_of_x():
     # The cache is (x, s, mean, var): x is the caller's, so the forward
-    # holds one new map, the gate s, besides its output; BN(x) is rebuilt in
-    # backward, and the weights w are recomputed from gamma.
+    # holds one new map, the gate s, besides its output; the backward needs
+    # only x - mean of BN(x), and recomputes the weights w from gamma.
     rng = np.random.default_rng(13)
     for gate in gates(rng):
         x = rng.standard_normal((64, 6, 4, 5))
@@ -401,8 +401,37 @@ def test_eval_gate_holds_one_map():
         assert peak <= x.nbytes + 8 * np.getbufsize() + 2**13, gate.kind
 
 
+def unit_cache(gate):
+    """A copy of the gate's cache (x, s, mean, var), x in s's (n, units, h, w)
+    BN layout: the backward consumes the cache and overwrites s."""
+    x, s, mean, var = (a.copy() for a in gate._cache)
+    return x.reshape(s.shape), s, mean, var
+
+
 def allocating_nam_backward(cache, bn, grad_out):
-    """The gate's backward as its formulas read, one temporary per operation."""
+    """The gate's backward in closed form, one temporary per operation, in the
+    gate's order: dg = (1 - s) * s * grad_out * x, s0 = sum(dg),
+    s1 = sum(dg * (x - mean)), then
+    grad_x = grad_out * s + gamma * inv * w * (dg - s0/m - (x - mean) * inv^2 * s1/m)."""
+    x, s, mean, var = cache
+    w = nam_weights(bn.gamma)
+    inv = 1.0 / np.sqrt(var + bn.eps)
+    m = x.size // x.shape[1]
+    dg = (1.0 - s) * s * grad_out * x
+    xc = x - mean[None, :, None, None]
+    s0 = np.einsum("nchw->c", dg)
+    s1 = np.einsum("nchw,nchw->c", dg, xc)
+    dw = bn.gamma * inv * s1 + bn.beta * s0
+    dgamma_w = np.sign(bn.gamma) * (dw - np.dot(w, dw)) / np.abs(bn.gamma).sum()
+    bn_x = (xc * (-inv * inv * s1 / m)[None, :, None, None] + dg - (s0 / m)[None, :, None, None]) * (
+        bn.gamma * inv * w
+    )[None, :, None, None]
+    return bn_x + grad_out * s, w * inv * s1 + dgamma_w, w * s0
+
+
+def composed_nam_backward(cache, bn, grad_out):
+    """The same gradients as the chain of their formulas: dw = sum(dg * BN(x))
+    and `batchnorm_grad` of dg * w."""
     x, s, mean, var = cache
     w = nam_weights(bn.gamma)
     scale = (bn.gamma / np.sqrt(var + bn.eps))[None, :, None, None]
@@ -415,8 +444,9 @@ def allocating_nam_backward(cache, bn, grad_out):
 
 
 def test_training_backward_equals_the_allocating_formulas_and_leaves_grad_out_alone():
-    # The backward works in two buffers of its own; it must still evaluate
-    # the formulas left to right and never write grad_out.
+    # The backward works in buffers of its own; it must still evaluate the
+    # closed form in its order and never write grad_out. The closed form is
+    # the chain through batch norm's backward up to rounding.
     rng = np.random.default_rng(14)
     x = rng.standard_normal((3, 6, 4, 5))
     for forward, backward, gate in (
@@ -424,16 +454,31 @@ def test_training_backward_equals_the_allocating_formulas_and_leaves_grad_out_al
         (nam_spatial_forward, nam_spatial_grad, spatial_gate(random_bn(rng, 20), 4, 5)),
     ):
         forward(gate, x)
-        cache = gate._cache  # read before the backward consumes it
+        cache = unit_cache(gate)  # read before the backward consumes it
         grad_out = rng.standard_normal(x.shape)
         before = grad_out.copy()
         got = backward(gate, grad_out)
         assert np.array_equal(grad_out, before)
         assert not np.shares_memory(got, grad_out)
-        gx, dgamma, dbeta = allocating_nam_backward(cache, gate.bn, grad_out.reshape(cache[0].shape))
-        assert np.array_equal(got, gx.reshape(x.shape))
-        assert np.array_equal(gate.param_grads()["gamma"], dgamma)
-        assert np.array_equal(gate.param_grads()["beta"], dbeta)
+        units = grad_out.reshape(cache[0].shape)
+        want = allocating_nam_backward(cache, gate.bn, units)
+        assert np.array_equal(got, want[0].reshape(x.shape))
+        assert np.array_equal(gate.param_grads()["gamma"], want[1])
+        assert np.array_equal(gate.param_grads()["beta"], want[2])
+        for closed, chained in zip(want, composed_nam_backward(cache, gate.bn, units)):
+            assert max_rel_err(closed, chained) < 1e-12, gate.kind
+
+
+@pytest.mark.parametrize("bad", [(3, 2, 4, 5), (3, 6, 5, 4), (3, 6, 4)])
+def test_backward_rejects_a_grad_out_of_another_shape(bad):
+    # The spatial gate works on (n*c, h*w) units, so a transposed (n, c) or
+    # (h, w) would fit its units; both gates compare with the forward's input.
+    rng = np.random.default_rng(26)
+    for gate in gates(rng):
+        gate.forward(rng.standard_normal((3, 6, 4, 5)))
+        with pytest.raises(ValidationError, match=rf"grad_out shape \({bad[0]}, .*\(3, 6, 4, 5\)"):
+            gate.backward(np.zeros(bad))
+        gate.backward(np.zeros((3, 6, 4, 5)))  # the cache is still there
 
 
 def test_a_marked_gate_writes_its_input_gradient_into_its_input():

@@ -467,10 +467,11 @@ class TestConv2dGradPaths:
         v = rng.standard_normal((n, c_out, *spec.out_hw(h, w)))
         (gx, gk, gb), im2col, tilings = traced_conv2d_grad(monkeypatch, x, kernel, spec, v)
 
-        # The kernel gradient tiles x; the input gradient tiles grad_out's
-        # columns (transposed) or the column gradient's (col2im).
-        assert im2col == ([x.shape, v.shape] if transposed else [x.shape])
-        assert len(tilings) == 2
+        # On the flipped path one tiling of grad_out's columns gives both
+        # gradients; otherwise the kernel gradient tiles x and the col2im
+        # the column gradient.
+        assert im2col == ([v.shape] if transposed else [x.shape])
+        assert len(tilings) == (1 if transposed else 2)
         if k > 1:  # a 1x1 view is one tile
             assert tilings[0] > 1
         if not transposed:
@@ -556,13 +557,35 @@ class TestConv2dGradPaths:
 
     def test_demo_pconv_memory_is_bounded_by_the_tiles(self):
         # The demo's first pconv: 4 of 8 channels, 3x3, at 16x16, batch 256.
-        # Its full im2col matrix and column gradient are 18.9 MB each; the
-        # padded input and grad_out 2.7 MB each, the input gradient 2.1 MB.
+        # Its full im2col matrix and column gradient are 18.9 MB each. One
+        # tiling of grad_out's columns gives both gradients, so the peak is
+        # one tile's workspace, the zero-padded grad_out it is cut from and
+        # the three outputs, plus 128 KiB for each tile's kernel-gradient
+        # product and the per-call vectors.
         rng = np.random.default_rng(6)
         x = rng.standard_normal((256, 8, 16, 16))[:, :4]
         grad_out = rng.standard_normal((256, 8, 16, 16))[:, :4]
         kernel = rng.standard_normal((4, 4, 3, 3))
-        assert self.grad_peak(x, kernel, ConvSpec(4, 4, 3, padding=1), grad_out) < 12 * 2**20
+        spec = ConvSpec(4, 4, 3, padding=1)
+        (s0, s1, r0, r1), *_ = tensor_ops._tiles(256, 16, 36 * 16 * 8, kernel.nbytes)
+        workspace = (s1 - s0) * (r1 - r0) * 36 * 16 * 8
+        padded = 256 * 4 * 18 * 18 * 8
+        outputs = x.size * 8 + kernel.nbytes + 4 * 8
+        conv2d_grad(x, kernel, spec, grad_out)  # first calls allocate numpy's own caches
+        assert self.grad_peak(x, kernel, spec, grad_out) <= workspace + padded + outputs + 2**17
+
+    def test_gradients_have_the_dtype_of_grad_out_and_kernel(self):
+        # The kernel gradient is summed in float64 with a float64 x, and
+        # returned as float32 like the other two.
+        rng = np.random.default_rng(9)
+        x = rng.standard_normal((1, 2, 5, 5))
+        kernel = rng.standard_normal((2, 2, 3, 3)).astype(np.float32)
+        for spec in (ConvSpec(2, 2, 3, padding=1), ConvSpec(2, 2, 3, stride=2, padding=1)):
+            grad_out = rng.standard_normal((1, 2, *spec.out_hw(5, 5))).astype(np.float32)
+            grads = conv2d_grad(x, kernel, spec, grad_out)
+            assert [g.dtype for g in grads] == [np.float32] * 3
+            want = conv2d_grad(x, kernel.astype(np.float64), spec, grad_out.astype(np.float64))
+            assert np.array_equal(grads[1], want[1].astype(np.float32))
 
     @pytest.mark.parametrize(
         "n, c_in, c_out, hw, limit_mib",
