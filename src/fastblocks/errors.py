@@ -4,11 +4,13 @@ The CLI maps these onto exit codes: ValidationError (and its
 DegenerateInputError subclass) mean the inputs were structurally wrong or
 degenerate (exit 1); ParseError means a config or annotation file could not
 be read (exit 2, like any other I/O failure). `read_text` reads those files,
-so that a byte that is not UTF-8 is a ParseError too. `tokenize` splits
-their text by the one line rule that every reader and line number follows:
-lines end at `\n` only (`\r\n` works because `\r` is whitespace; a bare
-`\r` does not end a line), `#` starts a comment, and whitespace separates
-fields.
+so that a byte that is not UTF-8 is a ParseError too. Every reader and line
+number follows one line rule: lines end at `\n` only (`\r\n` works because
+`\r` is whitespace; a bare `\r` does not end a line), `#` starts a comment,
+and whitespace separates fields. `tokenize` splits text by that rule for
+the config reader and for the line-by-line pass of the annotation reader;
+annotation files go first to numpy's text reader, which splits them alike
+and sends what it refuses to that pass.
 """
 
 

@@ -18,20 +18,21 @@ Annotation files are whitespace-delimited, one box per line:
     ground truth:  image_id category x1 y1 x2 y2
     detections:    image_id category x1 y1 x2 y2 confidence
 
-Both kinds are read by one parser over `errors.tokenize`: lines end at `\n`,
-and `#` starts a comment. The loaders return `Annotations`, the file as
-columns (image ids, int64 categories, an (n, 4) corner array and, for
-detections, the confidences), which matching consumes as they are: no
-per-box object is built between the file and the AP. A box is valid when its
-corners are finite with x1 < x2 and y1 < y2, the rule of `BBox`; a
-confidence lies in [0, 1], the rule of `Detection`. Both rules are checked
-once per file, as vectorized masks. Malformed lines raise ParseError with the
-number of the first such line and the message of its first broken rule.
+Both kinds follow `errors.tokenize`'s rules (lines end at `\n`, `#` starts a
+comment). numpy's C text reader takes a file in one call; a file it refuses
+is read line by line, the parser of record. The loaders return `Annotations`,
+the file as columns, which matching consumes as they are: no per-box object
+is built between the file and the AP. A box is valid when its corners are
+finite with x1 < x2 and y1 < y2, the rule of `BBox`; a confidence lies in
+[0, 1], the rule of `Detection`. Both rules are checked once per file, as
+vectorized masks. Malformed lines raise ParseError with the number of the
+first such line and the message of its first broken rule.
 """
 
 from __future__ import annotations
 
 import math
+import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
@@ -351,32 +352,25 @@ def evaluate(
 
 
 def _parse(text: str, record, layout: str) -> Annotations:
-    """The lines of `text` as columns, each line holding the fields that
-    `layout` names: an image id, an integer category, then numbers, the four
-    box corners first and then whatever `record` takes after its box."""
-    names = layout.split()
-    image_ids: list[str] = []
-    categories: list[int] = []
-    numbers: list[float] = []
+    """The lines of `text` as columns: per line, an image id, an integer category
+    and the numbers `layout` names, the four corners first. A file numpy's reader
+    refuses or warns on (a bare `\r` in a line, `1_0`, non-ASCII digits, no rows),
+    or whose rows break a rule, goes to `_parse_lines`."""
+    dtype = [("image_id", object), ("category", np.int64), ("numbers", np.float64, (len(layout.split()) - 2,))]
     try:
-        for _, (image_id, category, *values) in tokenize(text):
-            if len(values) != len(names) - 2:
-                break  # a field-count error, reported below
-            image_ids.append(image_id)
-            categories.append(int(category))
-            numbers.extend(map(float, values))
-        else:
-            rows = np.array(numbers, dtype=np.float64).reshape(-1, len(names) - 2)
-            return Annotations(
-                image_ids,
-                np.array(categories, dtype=np.int64),
-                rows[:, :4],
-                rows[:, 4] if record is Detection else None,
-            )
-    except (ValueError, OverflowError):  # a ValidationError is a ValueError
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = np.loadtxt(text.split("\n"), dtype=dtype, comments="#", ndmin=1)
+        return _annotations(record, rows)
+    except (ValueError, Warning):  # a ValidationError is a ValueError
         pass
-    # Some line breaks a rule: the first such line in file order is reported,
-    # with the message of the first rule it breaks.
+    return _annotations(record, np.array(_parse_lines(text, record, layout), dtype=dtype))
+
+
+def _parse_lines(text: str, record, layout: str) -> list[tuple[str, int, list[float]]]:
+    """`_parse`'s rows as (image id, category, numbers), read line by line over `tokenize`:
+    the parser of record. The first line to break a rule raises the message of its first broken rule."""
+    names, rows = layout.split(), []
     for lineno, tokens in tokenize(text):
         if len(tokens) != len(names):
             raise ParseError(f"expected {len(names)} fields ({layout}), got {len(tokens)}", lineno)
@@ -389,17 +383,23 @@ def _parse(text: str, record, layout: str) -> Annotations:
             raise ParseError(f"category must fit in 64 bits, got '{tokens[1]}'", lineno)
         try:
             numbers = [float(v) for v in values]
-        except ValueError:
-            raise ParseError(f"{' '.join(names[2:])} must be numbers, got {' '.join(values)}", lineno) from None
-        try:
             record(image_id, category, BBox(*numbers[:4]), *numbers[4:])
         except ValidationError as exc:
             raise ParseError(str(exc), lineno) from None
+        except ValueError:
+            raise ParseError(f"{' '.join(names[2:])} must be numbers, got {' '.join(values)}", lineno) from None
+        rows.append((image_id, category, numbers))
+    return rows
+
+
+def _annotations(record, rows: np.ndarray) -> Annotations:
+    """Annotations of `record`s from rows of image id, category and numbers (corners, then a confidence)."""
+    confidence = rows["numbers"][:, 4] if record is Detection else None
+    return Annotations(rows["image_id"].tolist(), rows["category"], rows["numbers"][:, :4], confidence)
 
 
 def parse_ground_truth_lines(text: str) -> Annotations:
-    """`image_id category x1 y1 x2 y2` per line, as columns; '#' comments and
-    blank lines skipped."""
+    """`image_id category x1 y1 x2 y2` per line, as columns; '#' comments and blank lines skipped."""
     return _parse(text, GroundTruth, "image_id category x1 y1 x2 y2")
 
 

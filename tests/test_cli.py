@@ -215,6 +215,21 @@ class TestEvaluate:
         assert "Traceback" not in done.stderr
         assert "line 2" in done.stderr
 
+    def test_empty_detection_file_writes_nothing_to_stderr(self, tmp_path, files):
+        gt, _ = files
+        empty = tmp_path / "empty.txt"
+        empty.write_text("")
+        done = subprocess.run(
+            [sys.executable, "-m", "fastblocks", "evaluate", "--gt", gt, "--det", str(empty), "--range"],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))},
+            check=False,
+        )
+        assert done.returncode == 0
+        assert "(no detections)" in done.stdout
+        assert done.stderr == ""
+
     def test_empty_ground_truth_exits_1(self, capsys, tmp_path, files):
         _, det = files
         empty = tmp_path / "empty.txt"

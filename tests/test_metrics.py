@@ -9,12 +9,14 @@ the fast implementation must match exactly.
 
 import itertools
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fastblocks import metrics
 from fastblocks.config import parse_model_config
 from fastblocks.errors import DegenerateInputError, ParseError, ValidationError
 from fastblocks.metrics import (
@@ -24,6 +26,7 @@ from fastblocks.metrics import (
     Detection,
     GroundTruth,
     _match,
+    _parse_lines,
     average_precision,
     evaluate,
     iou,
@@ -746,3 +749,152 @@ class TestFiles:
         with pytest.raises(ParseError, match="0xff") as err:
             loader(path)
         assert err.value.line == 3
+
+
+# ---------------------------------------------------------------- fast reader
+
+GT_LAYOUT = "image_id category x1 y1 x2 y2"
+DET_LAYOUT = "image_id category x1 y1 x2 y2 confidence"
+
+# Python's str.split separates on each of these; numpy's reader must agree,
+# and a bare `\r` inside a line is one numpy refuses.
+RISKY_SEPARATORS = ["\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\xa0", "\u2003", "\u3000"]
+# Spellings int() reads that numpy may not, and values past the int64 range.
+RISKY_CATEGORIES = ["+1", "-2", "007", "1_0", "\u0661", "\uff15", "1.0", "x"]
+RISKY_CATEGORIES += [str(v) for v in (2**63 - 1, -(2**63), 2**63, -(2**63) - 1)]
+# Low and high box edges and confidences, each signed, zero-padded,
+# non-finite, overflowing, underscored or in non-ASCII digits.
+RISKY_LOWS = ["-0", "+0.0", "00.5", "-1e2", "1_0", "\u0660", "-inf", "nan", "-1e400"]
+RISKY_HIGHS = ["+2.5", "010", "1e3", "2_0", "\u0665", "\uff15", "inf", "1e400", ".5e1"]
+RISKY_CONFIDENCES = [".25", "+0", "5e-1", "0_5", "\u0660.\u0665", "nan", "1.5", "-0.0"]
+
+
+@st.composite
+def risky_text(draw, n_numbers):
+    """Valid rows among comments and blank lines, and about one row in four
+    with risky separators and spellings or a field too few or too many."""
+    lines = []
+    for _ in range(draw(st.integers(1, 6))):
+        risky = draw(st.integers(0, 3)) == 0
+
+        def field(plain, spellings):
+            return draw(st.one_of(plain, st.sampled_from(spellings)) if risky else plain)
+
+        low, high = st.floats(-1e3, 0.0).map(repr), st.floats(1.0, 1e3).map(repr)
+        fields = [
+            draw(st.text(alphabet="ab7_\u00e9" + "\u200b" * risky, min_size=1, max_size=3)),
+            field(st.integers(-3, 3).map(str), RISKY_CATEGORIES),
+            field(low, RISKY_LOWS),
+            field(low, RISKY_LOWS),
+            field(high, RISKY_HIGHS),
+            field(high, RISKY_HIGHS),
+            field(st.floats(0.0, 1.0).map(repr), RISKY_CONFIDENCES),
+        ][: 2 + n_numbers]
+        if risky and draw(st.integers(0, 3)) == 0:
+            fields = fields[:-1] if draw(st.booleans()) else fields + ["0"]
+        separators = [" ", "\t", "  "] + RISKY_SEPARATORS * risky
+        line = "".join(f + draw(st.sampled_from(separators)) for f in fields)
+        line += draw(st.sampled_from(["", "# note", "#\r x"]))
+        lines.append(line + draw(st.sampled_from(["\n", "\r\n"])))
+        lines.extend(draw(st.lists(st.sampled_from(["\n", "# a comment\n", " \t\n", "\x85\n"]), max_size=1)))
+    return "".join(lines)
+
+
+def parse_outcome(read):
+    """What `read()` returns as columns of bytes, or the ParseError it raises."""
+    try:
+        ids, categories, numbers = read()
+    except ParseError as exc:
+        return str(exc), exc.line
+    return ids, categories.dtype, categories.tobytes(), numbers.dtype, numbers.tobytes()
+
+
+def columns(annotations):
+    """An Annotations as ids, categories and (n, 4) or (n, 5) number rows."""
+    numbers = annotations.corners if annotations.confidence is None else np.column_stack(
+        [annotations.corners, annotations.confidence]
+    )
+    return annotations.image_id, annotations.category, numbers
+
+
+def line_columns(text, record, layout):
+    """`_parse_lines`' rows as the columns `columns` gives."""
+    rows = _parse_lines(text, record, layout)
+    n = len(layout.split()) - 2
+    return (
+        [r[0] for r in rows],
+        np.array([r[1] for r in rows], dtype=np.int64),
+        np.array([r[2] for r in rows], dtype=np.float64).reshape(-1, n),
+    )
+
+
+class TestFastReader:
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(st.data())
+    def test_fast_reader_equals_the_line_by_line_pass(self, data):
+        """numpy's reader and the per-line pass, the parser of record, give
+        bit-equal columns, or the same ParseError at the same line."""
+        for parse, record, layout in (
+            (parse_ground_truth_lines, GroundTruth, GT_LAYOUT),
+            (parse_detection_lines, Detection, DET_LAYOUT),
+        ):
+            text = data.draw(risky_text(len(layout.split()) - 2))
+            fast = parse_outcome(lambda: columns(parse(text)))
+            assert fast == parse_outcome(lambda: line_columns(text, record, layout))
+
+    @pytest.mark.parametrize("loader", [load_ground_truths, load_detections])
+    @pytest.mark.parametrize(
+        "line, category, box",
+        [
+            ("a\r0 0 0 1 1", 0, (0.0, 0.0, 1.0, 1.0)),  # a bare \r inside a line is whitespace
+            ("a 1_0 0 0 1_0 1", 10, (0.0, 0.0, 10.0, 1.0)),
+            ("a \u0661 0 0 \uff15 \u0662.\u0665", 1, (0.0, 0.0, 5.0, 2.5)),
+        ],
+        ids=["bare-cr", "underscores", "non-ascii-digits"],
+    )
+    def test_text_numpy_refuses_is_read_line_by_line(self, tmp_path, loader, line, category, box):
+        tail = " 0.5" if loader is load_detections else ""
+        path = tmp_path / "annotations.txt"
+        path.write_bytes(f"b 3 1 2 3 4{tail}\r\n{line}{tail}\n".encode())
+        got = loader(path)
+        if loader is load_detections:
+            expected = [det("b", 0.5, (1, 2, 3, 4), 3), det("a", 0.5, box, category)]
+        else:
+            expected = [gt("b", (1, 2, 3, 4), 3), gt("a", box, category)]
+        assert list(got) == expected
+        assert got.category.dtype == np.int64 and got.corners.dtype == np.float64
+        assert got.corners.tolist() == [[1.0, 2.0, 3.0, 4.0], list(box)]
+
+    @pytest.mark.parametrize("loader", [load_ground_truths, load_detections])
+    def test_crlf_and_commented_files_take_the_fast_reader(self, tmp_path, monkeypatch, loader):
+        """A numpy whose reader refused every file would keep the results and
+        lose the speed; only a counter on the per-line pass shows it."""
+        calls = []
+        per_line = metrics._parse_lines
+        monkeypatch.setattr(metrics, "_parse_lines", lambda *args: calls.append(args) or per_line(*args))
+        text = DET_TEXT if loader is load_detections else GT_TEXT.replace("# image  category  box\n", "")
+        path = tmp_path / "annotations.txt"
+        for variant in (text.replace("\n", "\r\n"), "# header\n\n" + text.replace("\n", "  # note\n\n", 1)):
+            path.write_bytes(variant.encode())
+            assert len(loader(path)) == 3
+        assert calls == []
+        path.write_bytes(text.replace("a 0 0 0 10 10", "a 0 0 0 1_0 10").encode())
+        assert loader(path).corners[0].tolist() == [0.0, 0.0, 10.0, 10.0]
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("text", ["", "# only a comment\n\n  \n"])
+    @pytest.mark.parametrize("loader", [load_ground_truths, load_detections])
+    def test_file_without_rows_reads_as_zero_rows_without_warnings(self, tmp_path, loader, text):
+        path = tmp_path / "annotations.txt"
+        path.write_text(text)
+        # Recorded, not raised: a warning raised as an error would be caught
+        # and read line by line, and would never reach a user's stderr.
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            got = loader(path)
+        assert caught == []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert len(loader(path)) == 0
+        assert len(got) == 0 and got.corners.shape == (0, 4) and got.category.dtype == np.int64
+        assert (got.confidence is None) == (loader is load_ground_truths)
