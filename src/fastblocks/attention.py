@@ -29,27 +29,29 @@ the limit. It reports the 8 MACs per element that `kinds` gives the gate.
 Its rounding differs from the composition above, within a relative 1e-14
 where |a ⊙ x + b| <= 10 (see the tests).
 
-The backward takes the gradients from two per-unit sums. With
-dg = (1 - s) * s * grad_out * x, inv = 1 / sqrt(var + eps), m the elements
-per unit, S0 = sum(dg) and S1 = sum(dg * (x - mean)):
+The backward is batch norm's, run on dg = (1 - s) * s * grad_out * x with
+the BN scale gamma * w, plus grad_out * s. With xhat = (x - mean) /
+sqrt(var + eps), the two per-unit sums `tensor_ops.batchnorm_grad` returns
+as its scale and shift gradients, S1 = sum(dg * xhat) and S0 = sum(dg), give
 
-    dw = gamma * inv * S1 + beta * S0      (dw = sum(dg * BN(x)))
-    dgamma_bn = w * inv * S1,  dbeta = w * S0
-    grad_x = grad_out * s + gamma * inv * w * (dg - S0/m - (x - mean) * inv^2 * S1/m)
+    dw = gamma * S1 + beta * S0      (dw = sum(dg * BN(x)))
+    dgamma_bn = w * S1,  dbeta = w * S0
 
-It centres x once and assembles grad_x in place: dg in one new buffer,
-grad_out * s in s, and x - mean, which becomes grad_x, in the cached x when
-`build_model` has marked the gate `in_place` (nothing else holds its input)
-and x has grad_x's dtype, else in a second new buffer. It consumes the
-gate's cache, so a second backward needs a new training forward, checks
-that grad_out has the forward input's shape, and sets the gate's grads
-under its params() keys. The forward never writes x.
+It builds dg in one new buffer and grad_out * s in s, and centres x once,
+into the cached x when `build_model` has marked the gate `in_place`
+(nothing else holds its input) and x has grad_x's dtype, else into a
+second new buffer; `batchnorm_grad` turns that centred map into grad_x. It
+consumes the gate's cache, so a second backward needs a new training
+forward, checks that grad_out has the forward input's shape, and sets the
+gate's grads under its params() keys. The forward never writes x.
 
 The gamma gradient flows through both the normalization and the weight
 vector, so the whole module is exactly differentiable.
 """
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 import numpy as np
 
@@ -58,6 +60,7 @@ from .tensor_ops import (
     Tensor4,
     as_tensor4,
     batchnorm,
+    batchnorm_grad,
     elementwise_mul,
     exact_out,
     record_macs,
@@ -117,29 +120,21 @@ def _gate_backward(gate, grad_out: Tensor4) -> Tensor4:
     x, grad_out = x.reshape(s.shape), grad_out.reshape(s.shape)
     bn = gate.bn
     w = nam_weights(bn.gamma)  # the forward's weights: gamma has not changed since
-    inv = 1.0 / np.sqrt(var + bn.eps)
-    m = x.size // x.shape[1]
-    # The module docstring's closed form, left to right, in owned buffers.
-    dtype = np.result_type(grad_out, x, s)
-    dg = np.subtract(1.0, s, out=np.empty(x.shape, dtype))
+    dg = np.subtract(1.0, s, out=np.empty(x.shape, np.result_type(grad_out, x, s)))
     dg *= s
     dg *= grad_out
     dg *= x
     direct = np.multiply(grad_out, s, out=exact_out(s, grad_out, s))
-    into_x = exact_out(x, x, dg, bn.gamma) if gate.in_place else None
-    xc = np.subtract(x, mean[None, :, None, None], out=into_x, dtype=dtype)
-    s0 = np.einsum("nchw->c", dg)
-    s1 = np.einsum("nchw,nchw->c", dg, xc)
-    dw = bn.gamma * inv * s1 + bn.beta * s0
+    dtype = np.result_type(x, dg, bn.gamma)
+    xc = np.subtract(x, mean[None, :, None, None], out=exact_out(x, dtype) if gate.in_place else None, dtype=dtype)
+    # dg through BN with scale gamma * w; the two sums come back as its scale and shift gradients.
+    grad_x, sum_dg_xhat, sum_dg = batchnorm_grad(xc, replace(bn, gamma=bn.gamma * w), var, dg)
+    dw = bn.gamma * sum_dg_xhat + bn.beta * sum_dg
     # w_i = |gamma_i| / S differentiates to sign(gamma_j) * (delta_ij - w_i) / S.
     dgamma_w = np.sign(bn.gamma) * (dw - np.dot(w, dw)) / np.abs(bn.gamma).sum()
-    gate._grads = dict(zip(gate.params(), (w * inv * s1 + dgamma_w, w * s0)))
-    xc *= (-inv * inv * s1 / m)[None, :, None, None]
-    xc += dg
-    xc -= (s0 / m)[None, :, None, None]
-    xc *= (bn.gamma * inv * w)[None, :, None, None]
-    xc += direct
-    return xc.reshape(shape)
+    gate._grads = dict(zip(gate.params(), (w * sum_dg_xhat + dgamma_w, w * sum_dg)))
+    grad_x += direct
+    return grad_x.reshape(shape)
 
 
 def nam_channel_forward(gate, x: Tensor4, training: bool = True) -> Tensor4:

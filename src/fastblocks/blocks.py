@@ -26,12 +26,13 @@ its peak is pw1's or pw2's input and output, three maps of x's size.
 A training forward caches x (the caller's), pconv's c_p convolved channels
 of t0 = pconv(x) (the rest are x's own), t1 = pw1(t0) and bn1's batch
 statistics: one hidden-width map. The backward consumes that cache. It
-rebuilds t3 = relu(bn1(t1)) with `batchnorm_rebuild` and `np.maximum`, and
-t0 as pconv assembles it, both equal to the forward's maps bit for bit, and
-reads the relu mask from t3 before pw2's backward. pw2, bn1 and pw1 then
-write their input gradients into their inputs t3, t1 and t0, which nothing
-reads afterwards, unless that would round them (`exact_out`). The caller's
-x and grad_out are never written.
+centres t1 once, in place, rebuilds t3 = relu(bn1(t1)) from it by one
+scale, one shift and `np.maximum`, and t0 as pconv assembles it, both
+equal to the forward's maps bit for bit, and reads the relu mask from t3
+before pw2's backward. pw2, bn1 and pw1 then write their input gradients
+into t3, the centred t1 and t0, which nothing reads afterwards, unless that
+would round them (`exact_out`). The caller's x and grad_out are never
+written.
 
 Initialization draws weights from uniform [-sqrt(6/fan_in), +sqrt(6/fan_in)]
 with fan_in = c_in * k^2; biases start at zero.
@@ -51,7 +52,6 @@ from .tensor_ops import (
     as_tensor4,
     batchnorm,
     batchnorm_grad,
-    batchnorm_rebuild,
     conv2d,
     conv2d_grad,
     exact_out,
@@ -201,13 +201,17 @@ def fasternet_block_grad(block, grad_out: Tensor4) -> Tensor4:
     """
     x, convolved, t1, mean, var = block._take()
     c_p, bn = block.spec.c_p, block.bn1.bn
-    t3 = batchnorm_rebuild(t1, bn, mean, var)
+    # t1 is centred once, in place unless that would round bn1's input gradient.
+    dtype = np.result_type(t1, grad_out, block.pw2.weight, bn.gamma)
+    t1 = np.subtract(t1, mean[None, :, None, None], out=exact_out(t1, dtype), dtype=dtype)
+    t3 = t1 * (bn.gamma / np.sqrt(var + bn.eps))[None, :, None, None]
+    t3 += bn.beta[None, :, None, None]
     np.maximum(t3, 0.0, out=t3)  # relu(bn1(t1)), as the forward made it
     mask = t3 > 0  # relu's backward; relu(t2) > 0 exactly where t2 > 0
     grad, gw2, gb2 = pwconv_grad(t3, block.pw2.weight, grad_out, out=exact_out(t3, grad_out, block.pw2.weight))
     grad *= mask
     del t3, mask
-    grad, ggamma, gbeta = batchnorm_grad(t1, bn, mean, var, grad, out=exact_out(t1, t1, grad, bn.gamma))
+    grad, ggamma, gbeta = batchnorm_grad(t1, bn, var, grad)
     del t1
     t0 = _with_pass_through(x, block.pconv.weight, c_p)  # pconv(x), as the forward made it
     t0[:, :c_p] = convolved

@@ -139,7 +139,8 @@ class BatchNorm(Layer):
 
     def backward(self, grad_out):
         x, mean, var = self._cached()
-        gx, ggamma, gbeta = batchnorm_grad(x, self.bn, mean, var, grad_out)
+        xc = np.subtract(x, mean[None, :, None, None], dtype=np.result_type(x, grad_out, self.bn.gamma))
+        gx, ggamma, gbeta = batchnorm_grad(xc, self.bn, var, grad_out)
         self._grads = {"gamma": ggamma, "beta": gbeta}
         return gx
 

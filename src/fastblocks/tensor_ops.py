@@ -39,11 +39,12 @@ activation-sized arrays rather than to mirror the formula term by term. A
 training forward centres the input once into the output buffer, takes the
 variance from that buffer with one einsum, then scales and shifts it in
 place. The training backward needs two per-channel reductions, sum(g) and
-sum(g * xhat), and rewrites one centred copy of the input in place into the
-closed-form input gradient. Eval mode folds the running statistics into a
-per-channel scale and shift. Work buffers take the promoted dtype of the
-operands (float64 parameters make a float32 input's output float64) and
-never alias a caller's array, except one the caller passes as `out=`.
+sum(g * xhat), and rewrites the centred input x - mean, which its caller
+makes once in a buffer it owns, into the closed-form input gradient. Eval
+mode folds the running statistics into a per-channel scale and shift. Work
+buffers take the promoted dtype of the operands (float64 parameters make a
+float32 input's output float64) and never alias a caller's array, except
+one passed as `out=` or as `batchnorm_grad`'s centred input.
 
 Multiply-accumulate counting: within a `count_macs()` block every forward op
 reports the work it actually performed, derived from the operand shapes at
@@ -56,16 +57,17 @@ the measured side of the two-route cost check; the closed-form side lives
 in `complexity`.
 
 `conv2d`, `batchnorm`, `relu`, `sigmoid`, `elementwise_mul`,
-`residual_add`, `conv2d_grad`, `batchnorm_grad` and `batchnorm_rebuild`
-take numpy's `out=`: a caller that owns a buffer (for example a batch-norm
-output nothing else holds, or a backward's cached input) can have the
-result written there instead of allocating, with the values and MAC
-report of a new array. Every kernel but `conv2d` may write into `x` itself.
-`conv2d`, `conv2d_grad` and `batchnorm_grad` refuse an `out` of another
-shape or dtype than their result's, or one overlapping an operand they
-still read (see `exact_out`). `conv2d` also needs each channel map of its
-`out` contiguous, as pconv's first c_p channels are; `conv2d_grad` writes
-its input gradient there directly under that rule, and by a copy otherwise.
+`residual_add` and `conv2d_grad` take numpy's `out=`: a caller that owns a
+buffer (for example a batch-norm output nothing else holds, or a
+backward's cached input) can have the result written there instead of
+allocating, with the values and MAC report of a new array. Every kernel
+but `conv2d` may write into `x` itself. `conv2d` and `conv2d_grad` refuse
+an `out` of another shape or dtype than their result's, or one overlapping
+an operand they still read (see `exact_out`); `batchnorm_grad` refuses a
+centred input it cannot turn into the gradient in the same way. `conv2d`
+also needs each channel map of its `out` contiguous, as pconv's first c_p
+channels are; `conv2d_grad` writes its input gradient there directly under
+that rule, and by a copy otherwise.
 """
 
 from __future__ import annotations
@@ -227,14 +229,14 @@ def exact_out(buf: np.ndarray, *operands) -> np.ndarray | None:
     return buf if buf.dtype == np.result_type(*operands) else None
 
 
-def _check_out(fn: str, out: np.ndarray | None, shape: tuple, dtype, operand: np.ndarray, what: str) -> None:
-    """Refuse an `out=` of another shape or dtype than the result's, or overlapping `operand` (`what`)."""
+def _check_out(name: str, out: np.ndarray | None, shape: tuple, dtype, operand: np.ndarray, what: str) -> None:
+    """Refuse a result buffer `out` (`name`) of the wrong shape or dtype, or overlapping `operand` (`what`)."""
     if out is None:
         return
     if out.shape != shape or out.dtype != dtype:
-        raise ValidationError(f"{fn} out is {out.dtype}{out.shape}, expected {dtype}{shape}")
+        raise ValidationError(f"{name} is {out.dtype}{out.shape}, expected {dtype}{shape}")
     if np.may_share_memory(out, operand):
-        raise ValidationError(f"{fn} out must not overlap {what}")
+        raise ValidationError(f"{name} must not overlap {what}")
 
 
 def _check_conv_args(x: Tensor4, kernel: np.ndarray, bias, spec: ConvSpec):
@@ -329,7 +331,7 @@ def conv2d(
     n, _, h, w = x.shape
     h_out, w_out = spec.out_hw(h, w)
     shape = (n, spec.c_out, h_out, w_out)
-    _check_out("conv2d", out, shape, dtype, x, "its input")
+    _check_out("conv2d out", out, shape, dtype, x, "its input")
     if out is None:
         out = np.empty(shape, dtype)
     elif not out[0, 0].flags.c_contiguous:
@@ -367,7 +369,7 @@ def conv2d_grad(
             f"grad_out shape {grad_out.shape} != expected {(n, spec.c_out, h_out, w_out)}"
         )
     grad_out = grad_out.astype(np.result_type(grad_out, kernel), copy=False)
-    _check_out("conv2d_grad", out, x.shape, grad_out.dtype, grad_out, "grad_out")
+    _check_out("conv2d_grad out", out, x.shape, grad_out.dtype, grad_out, "grad_out")
     g = grad_out.reshape(n, spec.c_out, h_out * w_out)
     grad_bias = grad_out.sum(axis=(0, 2, 3))
     p, s, k = spec.padding, spec.stride, spec.k
@@ -448,7 +450,6 @@ def batchnorm(
         n, _, h, w = x.shape
         var = np.einsum("nchw,nchw->c", out, out) / (n * h * w)
         params.update_running(mean, var)
-        # `batchnorm_rebuild` repeats the centring and these two passes.
         out *= (params.gamma / np.sqrt(var + params.eps))[None, :, None, None]
         out += params.beta[None, :, None, None]
     else:
@@ -461,50 +462,29 @@ def batchnorm(
     return out, mean, var
 
 
-def batchnorm_rebuild(
-    x: Tensor4, params: BNParams, batch_mean: np.ndarray, batch_var: np.ndarray, out: Tensor4 | None = None
-) -> Tensor4:
-    """A training `batchnorm`'s output, rebuilt from its input and the batch
-    statistics it returned, by the forward's own operations in their order:
-    equal to it bit for bit. Written into `out` when given, else into a new
-    array. Reports no MACs: a backward pass calls it to recompute an output
-    it did not keep.
-    """
-    out = np.subtract(x, batch_mean[None, :, None, None], out=out, dtype=np.result_type(x, params.gamma))
-    out *= (params.gamma / np.sqrt(batch_var + params.eps))[None, :, None, None]
-    out += params.beta[None, :, None, None]
-    return out
-
-
 def batchnorm_grad(
-    x: Tensor4,
-    params: BNParams,
-    batch_mean: np.ndarray,
-    batch_var: np.ndarray,
-    grad_out: Tensor4,
-    out: Tensor4 | None = None,
+    xc: Tensor4, params: BNParams, batch_var: np.ndarray, grad_out: Tensor4
 ) -> tuple[Tensor4, np.ndarray, np.ndarray]:
     """Training-mode batch norm backward, differentiating through the batch stats.
 
-    batch_mean/batch_var must be the values returned by the forward pass.
-    With xhat = (x - mu) * inv, inv = 1/sqrt(var + eps) and m = n*h*w, the
-    closed form is grad_x = gamma * inv * (g - sum(g)/m - xhat * sum(g*xhat)/m);
+    xc is the input centred by the forward's batch mean, x - mu, and
+    batch_var the variance the forward returned. With inv = 1/sqrt(var + eps),
+    xhat = xc * inv and m = n*h*w, the closed form is
+    grad_x = gamma * inv * (g - sum(g)/m - xhat * sum(g*xhat)/m);
     sum(g) and sum(g*xhat) are also grad_beta and grad_gamma. It runs as those
-    two per-channel reductions plus in-place passes over one centred buffer
-    of dtype `np.result_type(x, grad_out, params.gamma)`: `out` when given
-    (x's shape and that dtype; `x` itself, but nothing overlapping `grad_out`),
-    else a new array. Returns (grad_x, grad_gamma, grad_beta).
+    two per-channel reductions plus in-place passes that turn xc into grad_x,
+    so xc must have grad_x's dtype, `np.result_type(xc, grad_out, params.gamma)`,
+    and must not overlap grad_out. Returns (grad_x, grad_gamma, grad_beta),
+    grad_x being xc.
     """
-    x = as_tensor4(x)
-    if grad_out.shape != x.shape:
-        raise ValidationError(f"grad_out shape {grad_out.shape} != input shape {x.shape}")
-    dtype = np.result_type(x, grad_out, params.gamma)
-    _check_out("batchnorm_grad", out, x.shape, dtype, grad_out, "grad_out")
-    n, _, h, w = x.shape
+    xc = as_tensor4(xc)
+    if grad_out.shape != xc.shape:
+        raise ValidationError(f"grad_out shape {grad_out.shape} != input shape {xc.shape}")
+    _check_out("batchnorm_grad xc", xc, xc.shape, np.result_type(xc, grad_out, params.gamma), grad_out, "grad_out")
+    n, _, h, w = xc.shape
     m = n * h * w
     inv = 1.0 / np.sqrt(batch_var + params.eps)
-    xc = np.subtract(x, batch_mean[None, :, None, None], out=out, dtype=dtype)
-    grad_beta = np.einsum("nchw->c", grad_out, dtype=dtype)
+    grad_beta = np.einsum("nchw->c", grad_out, dtype=xc.dtype)
     grad_gamma = np.einsum("nchw,nchw->c", grad_out, xc) * inv
     # xc * inv * grad_gamma / m is the xhat term; the buffer becomes grad_x.
     xc *= (-inv * grad_gamma / m)[None, :, None, None]

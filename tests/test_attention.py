@@ -410,23 +410,23 @@ def unit_cache(gate):
 
 def allocating_nam_backward(cache, bn, grad_out):
     """The gate's backward in closed form, one temporary per operation, in the
-    gate's order: dg = (1 - s) * s * grad_out * x, s0 = sum(dg),
-    s1 = sum(dg * (x - mean)), then
-    grad_x = grad_out * s + gamma * inv * w * (dg - s0/m - (x - mean) * inv^2 * s1/m)."""
+    gate's order: dg = (1 - s) * s * grad_out * x, then batch norm's backward
+    of dg with scale gamma * w, whose sums S0 = sum(dg) and
+    S1 = sum(dg * (x - mean)) * inv give dw = gamma * S1 + beta * S0, and
+    grad_x = gamma * w * inv * (dg - S0/m - (x - mean) * inv * S1/m) + grad_out * s."""
     x, s, mean, var = cache
+    col = (None, slice(None), None, None)
     w = nam_weights(bn.gamma)
     inv = 1.0 / np.sqrt(var + bn.eps)
     m = x.size // x.shape[1]
     dg = (1.0 - s) * s * grad_out * x
-    xc = x - mean[None, :, None, None]
+    xc = x - mean[col]
     s0 = np.einsum("nchw->c", dg)
-    s1 = np.einsum("nchw,nchw->c", dg, xc)
-    dw = bn.gamma * inv * s1 + bn.beta * s0
+    s1 = np.einsum("nchw,nchw->c", dg, xc) * inv
+    bn_x = (xc * (-inv * s1 / m)[col] + dg - (s0 / m)[col]) * (bn.gamma * w * inv)[col]
+    dw = bn.gamma * s1 + bn.beta * s0
     dgamma_w = np.sign(bn.gamma) * (dw - np.dot(w, dw)) / np.abs(bn.gamma).sum()
-    bn_x = (xc * (-inv * inv * s1 / m)[None, :, None, None] + dg - (s0 / m)[None, :, None, None]) * (
-        bn.gamma * inv * w
-    )[None, :, None, None]
-    return bn_x + grad_out * s, w * inv * s1 + dgamma_w, w * s0
+    return bn_x + grad_out * s, w * s1 + dgamma_w, w * s0
 
 
 def composed_nam_backward(cache, bn, grad_out):
@@ -434,11 +434,11 @@ def composed_nam_backward(cache, bn, grad_out):
     and `batchnorm_grad` of dg * w."""
     x, s, mean, var = cache
     w = nam_weights(bn.gamma)
-    scale = (bn.gamma / np.sqrt(var + bn.eps))[None, :, None, None]
-    y = (x - mean[None, :, None, None]) * scale + bn.beta[None, :, None, None]  # BN(x), as the forward made it
+    xc = x - mean[None, :, None, None]
+    y = xc * (bn.gamma / np.sqrt(var + bn.eps))[None, :, None, None] + bn.beta[None, :, None, None]  # BN(x)
     dg = grad_out * x * s * (1.0 - s)
     dw = (dg * y).sum(axis=(0, 2, 3))
-    dx_bn, dgamma, dbeta = batchnorm_grad(x, bn, mean, var, dg * w[None, :, None, None])
+    dx_bn, dgamma, dbeta = batchnorm_grad(xc, bn, var, dg * w[None, :, None, None])
     dgamma_w = np.sign(bn.gamma) * (dw - np.dot(w, dw)) / np.abs(bn.gamma).sum()
     return grad_out * s + dx_bn, dgamma + dgamma_w, dbeta
 
@@ -467,6 +467,46 @@ def test_training_backward_equals_the_allocating_formulas_and_leaves_grad_out_al
         assert np.array_equal(gate.param_grads()["beta"], want[2])
         for closed, chained in zip(want, composed_nam_backward(cache, gate.bn, units)):
             assert max_rel_err(closed, chained) < 1e-12, gate.kind
+
+
+def test_backward_with_some_zero_scale_factors_stays_finite_and_matches_the_chain():
+    # A zero gamma_i gives unit i the weight 0, so the scale gamma * w that
+    # the backward hands batch norm is 0 there: that unit's batch-norm term
+    # vanishes, and only grad_out * s reaches its input gradient.
+    rng = np.random.default_rng(27)
+    x = rng.standard_normal((3, 6, 4, 5))
+    for gate in gates(rng):
+        gate.bn.gamma[::3] = 0.0
+        gate.forward(x)
+        cache = unit_cache(gate)
+        grad_out = rng.standard_normal(x.shape)
+        got = gate.backward(grad_out)
+        grads = gate.param_grads()
+        assert all(np.all(np.isfinite(a)) for a in (got, grads["gamma"], grads["beta"])), gate.kind
+        want = composed_nam_backward(cache, gate.bn, grad_out.reshape(cache[0].shape))
+        for value, chained in zip((got.reshape(cache[0].shape), grads["gamma"], grads["beta"]), want):
+            assert max_rel_err(value, chained) < 1e-12, gate.kind
+
+
+def test_marked_gate_backward_holds_one_map_beyond_its_cache():
+    # A marked gate builds dg in one new map, grad_out * s in s and grad_x in
+    # the cached x; batch norm's backward allocates no map of its own. Beyond
+    # dg, the peak holds numpy's iteration buffer for a broadcast operand
+    # (np.getbufsize() float64s, 64 KiB) and a few per-unit vectors.
+    rng = np.random.default_rng(28)
+    for gate in (channel_gate(random_bn(rng, 8)), spatial_gate(random_bn(rng, 256), 16, 16)):
+        gate.in_place = True
+        x = rng.standard_normal((256, 8, 16, 16))  # 4 MiB
+        grad_out = rng.standard_normal(x.shape)
+        gate.forward(x)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            gate.backward(grad_out)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= x.nbytes + 8 * np.getbufsize() + 2**14, gate.kind
 
 
 @pytest.mark.parametrize("bad", [(3, 2, 4, 5), (3, 6, 5, 4), (3, 6, 4)])

@@ -379,7 +379,7 @@ class TestFasterNetBlock:
         assert not np.shares_memory(grad_x, grad_out)
 
         d3, gw2, gb2 = pwconv_grad(t3, block.pw2.weight, grad_out)
-        d1, ggamma, gbeta = batchnorm_grad(t1, block.bn1.bn, mean, var, relu_grad(t3, d3))
+        d1, ggamma, gbeta = batchnorm_grad(t1 - mean[None, :, None, None], block.bn1.bn, var, relu_grad(t3, d3))
         d0, gw1, gb1 = pwconv_grad(t0, block.pw1.weight, d1)
         dx_branch, gpc = pconv_grad(x, block.pconv.weight, spec.pconv_spec(), d0)
         assert np.array_equal(grad_x, grad_out + dx_branch)

@@ -1,6 +1,8 @@
 """Tests for the stateful layer wrappers: caching, parameter plumbing,
 running statistics, and the gap head."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -103,6 +105,27 @@ def test_batch_norm_without_units_is_rejected(build):
 def test_bn_params_reject_empty_vectors():
     with pytest.raises(ValidationError, match="nonempty"):
         BNParams(np.ones(0), np.zeros(0), np.zeros(0), np.ones(0))
+
+
+def test_batchnorm_layer_backward_holds_one_map():
+    # The layer centres its cached input into one new map, which batch norm's
+    # backward turns into the input gradient in place. Beyond it, the peak
+    # holds numpy's iteration buffer for a broadcast operand (np.getbufsize()
+    # float64s, 64 KiB) and a few per-channel vectors.
+    rng = np.random.default_rng(29)
+    layer = layers.BatchNorm(8)
+    x = rng.standard_normal((256, 8, 16, 16))  # 4 MiB
+    grad_out = rng.standard_normal(x.shape)
+    layer.forward(x)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        grad_x = layer.backward(grad_out)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert grad_x.nbytes == x.nbytes
+    assert peak <= x.nbytes + 8 * np.getbufsize() + 2**14
 
 
 def test_batchnorm_layer_eval_uses_running_stats():

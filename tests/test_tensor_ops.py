@@ -19,7 +19,6 @@ from fastblocks.tensor_ops import (
     batchnorm,
     batchnorm_grad,
     batchnorm_grad_eval,
-    batchnorm_rebuild,
     conv2d,
     conv2d_grad,
     count_macs,
@@ -728,7 +727,7 @@ class TestBatchNormGrad:
             return float(np.sum(v * out))
 
         _, mean, var = batchnorm(x, params, training=True)
-        gx, ggamma, gbeta = batchnorm_grad(x, params, mean, var, v)
+        gx, ggamma, gbeta = batchnorm_grad(x - mean[None, :, None, None], params, var, v)
         assert max_rel_err(gx, fd_grad(loss, x)) < 1e-5
         assert max_rel_err(ggamma, fd_grad(loss, params.gamma)) < 1e-5
         assert max_rel_err(gbeta, fd_grad(loss, params.beta)) < 1e-5
@@ -753,8 +752,7 @@ class TestBatchNormGrad:
         assert max_rel_err(ggamma, fd_grad(loss, params.gamma)) < 1e-6
         assert max_rel_err(gbeta, fd_grad(loss, params.beta)) < 1e-6
 
-    @pytest.mark.parametrize("into_x", [False, True])
-    def test_out_receives_the_allocating_results_bit_for_bit(self, into_x):
+    def test_grad_x_comes_back_in_the_centred_input_bit_for_bit(self):
         rng = np.random.default_rng(13)
         x = rng.standard_normal((3, 4, 5, 6))
         params = BNParams(
@@ -765,40 +763,32 @@ class TestBatchNormGrad:
         )
         v = rng.standard_normal(x.shape)
         _, mean, var = batchnorm(x, params, training=True)
-        want = batchnorm_grad(x, params, mean, var, v)
-        out = x.copy() if into_x else np.empty_like(x)
-        got = batchnorm_grad(out if into_x else x, params, mean, var, v, out=out)
-        assert got[0] is out
+        xc = x - mean[None, :, None, None]
+        want = batchnorm_grad(xc.copy(), params, var, v)
+        got = batchnorm_grad(xc, params, var, v)
+        assert got[0] is xc
         for g, wanted in zip(got, want):
             assert np.array_equal(g, wanted)
 
-    @pytest.mark.parametrize("bad", ["shape", "float32", "grad_out"])
-    def test_out_it_cannot_write_exactly_is_refused(self, bad):
-        # A float32 out would round the input gradient, and grad_out is read
-        # after the centred input is written there.
+    @pytest.mark.parametrize("bad", ["float32", "grad_out"])
+    def test_centred_input_it_cannot_write_exactly_is_refused(self, bad):
+        # A float32 xc would round the input gradient, and grad_out is read
+        # after xc is written.
         rng = np.random.default_rng(15)
         x = rng.standard_normal((3, 4, 5, 6))
         params = BNParams.identity(4)
         _, mean, var = batchnorm(x, params, training=True)
-        v = rng.standard_normal(x.shape)
-        out = {"shape": np.empty((3, 4, 5, 5)), "float32": np.empty(x.shape, np.float32), "grad_out": v}[bad]
+        xc = x - mean[None, :, None, None]
+        v = {"float32": rng.standard_normal(x.shape), "grad_out": xc}[bad]
         with pytest.raises(ValidationError, match="overlap" if bad == "grad_out" else "expected"):
-            batchnorm_grad(x, params, mean, var, v, out=out)
+            batchnorm_grad(xc.astype(np.float32) if bad == "float32" else xc, params, var, v)
 
-    def test_rebuilt_training_output_is_the_forwards_bit_for_bit(self):
-        rng = np.random.default_rng(14)
-        x = rng.standard_normal((3, 4, 5, 6))
-        params = BNParams(
-            gamma=rng.uniform(0.5, 1.5, 4),
-            beta=rng.uniform(-0.5, 0.5, 4),
-            running_mean=np.zeros(4),
-            running_var=np.ones(4),
-        )
-        out, mean, var = batchnorm(x, params, training=True)
-        assert np.array_equal(batchnorm_rebuild(x, params, mean, var), out)
-        buf = np.empty_like(x)
-        assert batchnorm_rebuild(x, params, mean, var, out=buf) is buf
-        assert np.array_equal(buf, out)
+    def test_grad_out_of_another_shape_is_refused(self):
+        x = np.random.default_rng(16).standard_normal((3, 4, 5, 6))
+        params = BNParams.identity(4)
+        _, mean, var = batchnorm(x, params, training=True)
+        with pytest.raises(ValidationError, match="grad_out shape"):
+            batchnorm_grad(x - mean[None, :, None, None], params, var, np.ones((3, 4, 5, 5)))
 
     def test_constant_batch_stays_finite(self):
         # zero variance exercises the eps floor
@@ -806,7 +796,7 @@ class TestBatchNormGrad:
         params = BNParams.identity(1)
         out, mean, var = batchnorm(x, params, training=True)
         assert np.all(np.isfinite(out))
-        gx, _, _ = batchnorm_grad(x, params, mean, var, np.ones_like(x))
+        gx, _, _ = batchnorm_grad(x - mean[None, :, None, None], params, var, np.ones_like(x))
         assert np.all(np.isfinite(gx))
 
 
@@ -866,7 +856,7 @@ class TestBatchNormOracle:
 
         want = bn_oracle(x, params.gamma, params.beta, params.eps, g)
         out, mean, var = batchnorm(x, params, training=True)
-        gx, ggamma, gbeta = batchnorm_grad(x, params, mean, var, g)
+        gx, ggamma, gbeta = batchnorm_grad(x - mean[col], params, var, g)
         for got, expect in zip((out, mean, var, gx, ggamma, gbeta), want):
             assert scaled_err(got, expect) < 1e-12
 
@@ -881,11 +871,15 @@ class TestBatchNormOracle:
         g = rng.standard_normal(x.shape)
         params = BNParams.identity(3)
         out, mean, var = batchnorm(x, params, training=True)
-        gx, _, _ = batchnorm_grad(x, params, mean, var, g)
+        gx, _, _ = batchnorm_grad(x - mean[None, :, None, None], params, var, g)
         assert out.dtype == np.result_type(x, params.gamma) == np.float64
         assert gx.dtype == np.result_type(x, g, params.gamma) == np.float64
-        # float32 batch statistics from another caller must not narrow it either
-        gx32, _, _ = batchnorm_grad(x, params, mean.astype(np.float32), var.astype(np.float32), g)
+        # float32 batch statistics from another caller must not narrow it either:
+        # a float32 centring is refused, and a float32 variance keeps the float64 buffer
+        mean32 = mean.astype(np.float32)[None, :, None, None]
+        with pytest.raises(ValidationError, match="expected float64"):
+            batchnorm_grad(x - mean32, params, var.astype(np.float32), g)
+        gx32, _, _ = batchnorm_grad(np.subtract(x, mean32, dtype=np.float64), params, var.astype(np.float32), g)
         assert gx32.dtype == np.float64
         out_eval, _, _ = batchnorm(x, params, training=False)
         assert out_eval.dtype == np.float64
