@@ -9,25 +9,19 @@ axis, making each pixel position a unit with statistics over batch x channel.
 Each function runs on its gate layer (`layers.NAMChannel`, `layers.NAMSpatial`)
 with the `BNParams` the layer holds as `gate.bn`, and gates the raw input:
 
-    out = x * sigmoid(w ⊙ BN(x))
+    out = x * sigmoid(w ⊙ BN(x)) = x / (1 + exp(z)),    z = -w ⊙ BN(x)
 
-A training forward computes this in the BN output's buffer, which it owns:
-it scales BN(x) by w and squashes it there, caches (x, s, mean, var) on the
-gate, s being the squashed gate and x the caller's, in its shape, and
-writes its output to one more buffer. BN(x) is not kept, and the backward
-does not rebuild it (see below); w is recomputed from gamma.
-
-An eval forward normalizes with the running statistics, so its gate is a
-fixed per-unit affine map of x followed by the squash. With
-scale = gamma / sqrt(var + eps), a = w * scale and b = w * (beta - mean * scale):
-
-    out = x * sigmoid(a ⊙ x + b) = x / (1 + exp(-(a ⊙ x + b)))
-
-It runs in one buffer of dtype `np.result_type(x, gamma)`, in five passes:
-multiply, add, exp, add one, divide. Where exp overflows, x / inf = ±0 is
-the limit. It reports the 8 MACs per element that `kinds` gives the gate.
-Its rounding differs from the composition above, within a relative 1e-14
-where |a ⊙ x + b| <= 10 (see the tests).
+z is the batch norm of x with gamma and beta scaled by -w: one `batchnorm`
+call in both modes, on the batch statistics in training (folding them into
+gate.bn's running ones) and on the running ones in eval. exp and add one
+follow in z's buffer, of dtype `np.result_type(x, gamma)`. Eval then divides
+x by it there, five passes in all; training turns it into the squashed gate
+s = 1 / (1 + exp(z)), caches (x, s, mean, var) on the gate, x being the
+caller's, and writes x * s to one more buffer. BN(x) is neither kept nor
+rebuilt by the backward; w is recomputed from gamma. Where exp overflows,
+x / inf = ±0 is the limit. The gate reports the 8 MACs per element of
+`kinds`, batch norm's 2 and its own 6, and is within a relative 1e-14 of
+the composition above where |w ⊙ BN(x)| <= 10 (see the tests).
 
 The backward is batch norm's, run on dg = (1 - s) * s * grad_out * x with
 the BN scale gamma * w, plus grad_out * s. With xhat = (x - mean) /
@@ -56,16 +50,7 @@ from dataclasses import replace
 import numpy as np
 
 from .errors import DegenerateInputError, ValidationError
-from .tensor_ops import (
-    Tensor4,
-    as_tensor4,
-    batchnorm,
-    batchnorm_grad,
-    elementwise_mul,
-    exact_out,
-    record_macs,
-    sigmoid,
-)
+from .tensor_ops import Tensor4, as_tensor4, batchnorm, batchnorm_grad, exact_out, record_macs
 
 
 def nam_weights(scales: np.ndarray) -> np.ndarray:
@@ -84,30 +69,22 @@ def nam_weights(scales: np.ndarray) -> np.ndarray:
 
 
 def _gate_forward(gate, x: Tensor4, units: tuple, training: bool) -> Tensor4:
-    """The gate on x, read in `units`, its (n, units, h, w) BN layout: cached
-    in training, folded in eval."""
+    """The gate on x, read in `units`, its (n, units, h, w) BN layout: cached in training."""
     bn = gate.bn
     w = nam_weights(bn.gamma)  # first: an all-zero gamma raises before batchnorm moves the running statistics
     u = x.reshape(units)
-    if training:
-        y, mean, var = batchnorm(u, bn, training)
-        g = elementwise_mul(y, w[None, :, None, None], out=y)
-        s = sigmoid(g, out=g)
-        gate._cache = (x, s, mean, var)
-        return elementwise_mul(u, s).reshape(x.shape)
-    gate._cache = None
-    scale = bn.gamma / np.sqrt(bn.running_var + bn.eps)
-    a = w * scale
-    b = w * (bn.beta - bn.running_mean * scale)
-    # -(a ⊙ x + b) as (-a) ⊙ x - b: negation is exact, so these are the same values.
-    out = np.multiply(u, -a[None, :, None, None], dtype=np.result_type(u, bn.gamma))
-    out -= b[None, :, None, None]
+    # z = -w ⊙ BN(x); the replaced params share bn's running statistics, which a training call updates.
+    z, mean, var = batchnorm(u, replace(bn, gamma=-w * bn.gamma, beta=-w * bn.beta), training)
     with np.errstate(over="ignore"):  # exp(+big) = inf, and x / inf = ±0 is the gate's limit
-        np.exp(out, out=out)
-    out += 1.0
-    np.divide(u, out, out=out)
-    record_macs(8 * u.size)
-    return out.reshape(x.shape)
+        np.exp(z, out=z)
+    z += 1.0
+    record_macs(6 * u.size)
+    if not training:
+        gate._cache = None
+        return np.divide(u, z, out=z).reshape(x.shape)
+    s = np.divide(1.0, z, out=z)
+    gate._cache = (x, s, mean, var)
+    return np.multiply(u, s).reshape(x.shape)
 
 
 def _gate_backward(gate, grad_out: Tensor4) -> Tensor4:

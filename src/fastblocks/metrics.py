@@ -80,6 +80,16 @@ class Detection:
             raise ValidationError(f"confidence must be in [0, 1], got {self.confidence}")
 
 
+def _first_invalid(corners: np.ndarray, confidence: np.ndarray | None) -> int | None:
+    """The first row breaking the rule of BBox or Detection, found by vectorized masks; None if none does."""
+    x1, y1, x2, y2 = corners.T
+    # NaN fails every comparison, so these masks reject it as BBox does.
+    valid = (-np.inf < x1) & (x1 < x2) & (x2 < np.inf) & (-np.inf < y1) & (y1 < y2) & (y2 < np.inf)
+    if confidence is not None:
+        valid &= (0.0 <= confidence) & (confidence <= 1.0)
+    return None if valid.all() else int(np.argmin(valid))
+
+
 @dataclass(frozen=True, eq=False)
 class Annotations(Sequence):
     """Boxes as columns: row i holds image_id[i], category[i] (int64),
@@ -97,14 +107,9 @@ class Annotations(Sequence):
     confidence: np.ndarray | None = None
 
     def __post_init__(self):
-        x1, y1, x2, y2 = self.corners.T
-        # NaN fails every comparison, so these masks reject it as BBox does.
-        valid = (-np.inf < x1) & (x1 < x2) & (x2 < np.inf) & (-np.inf < y1) & (y1 < y2) & (y2 < np.inf)
-        if self.confidence is not None:
-            valid &= (0.0 <= self.confidence) & (self.confidence <= 1.0)
-        if not valid.all():
-            # Building the first invalid row's record raises its rule's message.
-            self[int(np.argmin(valid))]
+        bad = _first_invalid(self.corners, self.confidence)
+        if bad is not None:
+            self[bad]  # building the first invalid row's record raises its rule's message
 
     def __len__(self) -> int:
         return len(self.image_id)
@@ -368,27 +373,39 @@ def _parse(text: str, record, layout: str) -> Annotations:
 
 
 def _parse_lines(text: str, record, layout: str) -> list[tuple[str, int, list[float]]]:
-    """`_parse`'s rows as (image id, category, numbers), read line by line over `tokenize`:
-    the parser of record. The first line to break a rule raises the message of its first broken rule."""
-    names, rows = layout.split(), []
-    for lineno, tokens in tokenize(text):
-        if len(tokens) != len(names):
-            raise ParseError(f"expected {len(names)} fields ({layout}), got {len(tokens)}", lineno)
-        image_id, category, *values = tokens
+    """`_parse`'s rows as (image id, category, numbers), read line by line over `tokenize`: the parser
+    of record. Field counts, integers and numbers are checked per line, the box and confidence rules
+    once, over the rows read; the first line to break a rule raises the message of its first broken rule."""
+    names, rows, lines, error = layout.split(), [], [], None
+    try:
+        for lineno, tokens in tokenize(text):
+            if len(tokens) != len(names):
+                raise ParseError(f"expected {len(names)} fields ({layout}), got {len(tokens)}", lineno)
+            image_id, category, *values = tokens
+            try:
+                category = int(category)
+            except ValueError:
+                raise ParseError(f"category must be an integer, got '{category}'", lineno) from None
+            if not -(2**63) <= category < 2**63:
+                raise ParseError(f"category must fit in 64 bits, got '{tokens[1]}'", lineno)
+            try:
+                numbers = [float(v) for v in values]
+            except ValueError:
+                raise ParseError(f"{' '.join(names[2:])} must be numbers, got {' '.join(values)}", lineno) from None
+            rows.append((image_id, category, numbers))
+            lines.append(lineno)
+    except ParseError as exc:
+        error = exc  # raised unless an earlier line breaks a box or confidence rule
+    table = np.array([row[2] for row in rows], dtype=np.float64).reshape(-1, len(names) - 2)
+    bad = _first_invalid(table[:, :4], table[:, 4] if record is Detection else None)
+    if bad is not None:
+        image_id, category, values = rows[bad]
         try:
-            category = int(category)
-        except ValueError:
-            raise ParseError(f"category must be an integer, got '{category}'", lineno) from None
-        if not -(2**63) <= category < 2**63:
-            raise ParseError(f"category must fit in 64 bits, got '{tokens[1]}'", lineno)
-        try:
-            numbers = [float(v) for v in values]
-            record(image_id, category, BBox(*numbers[:4]), *numbers[4:])
+            record(image_id, category, BBox(*values[:4]), *values[4:])
         except ValidationError as exc:
-            raise ParseError(str(exc), lineno) from None
-        except ValueError:
-            raise ParseError(f"{' '.join(names[2:])} must be numbers, got {' '.join(values)}", lineno) from None
-        rows.append((image_id, category, numbers))
+            raise ParseError(str(exc), lines[bad]) from None
+    if error is not None:
+        raise error
     return rows
 
 

@@ -51,10 +51,10 @@ reports the work it actually performed, derived from the operand shapes at
 the call site (one MAC = one FLOP, bias adds excluded for conv, 2/element for
 batch norm, 1/element for relu and elementwise multiply/add, 4/element for
 sigmoid). A count is that of the formula, not of the passes that run it:
-sigmoid takes 7, and the folded eval NAM gate (`attention`) reports the
-8/element that `kinds` gives BN -> * w -> sigmoid -> * x for its 5. This is
-the measured side of the two-route cost check; the closed-form side lives
-in `complexity`.
+sigmoid takes 7, and a NAM gate (`attention`) reports in both modes the
+8/element that `kinds` gives BN -> * w -> sigmoid -> * x, 2 through its one
+batch norm and 6 for its own three or four passes. This is the measured side
+of the two-route cost check; the closed-form side lives in `complexity`.
 
 `conv2d`, `batchnorm`, `relu`, `sigmoid`, `elementwise_mul`,
 `residual_add` and `conv2d_grad` take numpy's `out=`: a caller that owns a
@@ -497,7 +497,7 @@ def batchnorm_grad(
 def batchnorm_grad_eval(
     x: Tensor4, params: BNParams, grad_out: Tensor4
 ) -> tuple[Tensor4, np.ndarray, np.ndarray]:
-    """Eval-mode backward: running stats are constants, so BN is a plain affine map."""
+    """Eval-mode backward, BN being affine in x; no caller in the package: kept as perfbench/spans.py names it."""
     inv = 1.0 / np.sqrt(params.running_var + params.eps)
     xhat = (x - params.running_mean[None, :, None, None]) * inv[None, :, None, None]
     grad_gamma = (grad_out * xhat).sum(axis=(0, 2, 3))
@@ -535,7 +535,7 @@ def sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 
 
 def elementwise_mul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Hadamard product, counted as 1 MAC per output element."""
+    """Hadamard product, 1 MAC per output element; no caller in the package: kept as perfbench/spans.py names it."""
     out = np.multiply(a, b, out=out)
     record_macs(out.size)
     return out

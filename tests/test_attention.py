@@ -290,7 +290,7 @@ def test_training_forward_keeps_the_gate_but_not_bn_of_x():
 
 def eval_gates(rng, h=4, w=5, c=6):
     """A channel and a spatial gate with random running statistics, so that
-    the eval fold a = w * scale, b = w * (beta - mean * scale) is not trivial."""
+    an eval forward's batch norm is not the identity map."""
     made = []
     for gate, units in ((NAMChannel(c), c), (NAMSpatial(h, w), h * w)):
         gate.bn = BNParams(
@@ -308,97 +308,128 @@ def unit_view(gate, x):
     return x if gate.kind == "nam_channel" else x.reshape(-1, gate.h * gate.w, 1, 1)
 
 
-def eval_fold(bn):
-    """(a, b) of the eval gate x * sigmoid(a ⊙ x + b), as (1, units, 1, 1) arrays."""
-    scale = bn.gamma / np.sqrt(bn.running_var + bn.eps)
-    w = nam_weights(bn.gamma)
-    return (w * scale)[None, :, None, None], (w * (bn.beta - bn.running_mean * scale))[None, :, None, None]
+def bn_copy(bn):
+    """A BNParams equal to `bn` that shares none of its arrays."""
+    return BNParams(bn.gamma.copy(), bn.beta.copy(), bn.running_mean.copy(), bn.running_var.copy(), bn.eps)
 
 
-# The eval gate's documented tolerance against the allocating composition,
-# element by element where |a ⊙ x + b| <= 10: a few ulps (at most 9.9e-16
-# measured over 200 seeds of the inputs below).
-EVAL_GATE_RTOL = 1e-14
+# The gate's documented tolerance against the allocating composition, in
+# both modes, element by element where |w ⊙ BN(x)| <= 10: a few ulps (at most
+# 1.1e-15 in eval and 4.5e-16 in training over 200 seeds of the inputs below).
+GATE_RTOL = 1e-14
 
 
-def test_eval_gate_matches_the_allocating_composition():
-    # The eval gate folds BN -> * w -> sigmoid -> * x into x / (1 + exp(-(a ⊙ x + b))):
-    # the same function, rounded differently, so it is held to EVAL_GATE_RTOL.
+@pytest.mark.parametrize("training", [True, False])
+def test_gate_matches_the_allocating_composition(training):
+    # The gate folds BN -> * w -> sigmoid -> * x into x / (1 + exp(z)), z being
+    # the batch norm whose affine is scaled by -w: the same function, rounded
+    # differently, so it is held to GATE_RTOL.
     rng = np.random.default_rng(13)
     for gate in eval_gates(rng):
         x = rng.standard_normal((5, 6, 4, 5)) * 3.0
         units = unit_view(gate, x)
-        a, b = eval_fold(gate.bn)
-        assert np.abs(a * units + b).max() <= 10.0
-        y, _, _ = batchnorm(units, gate.bn, training=False)
-        want = (units * sigmoid(y * nam_weights(gate.bn.gamma)[None, :, None, None])).reshape(x.shape)
-        got = gate.forward(x, training=False)
-        assert np.all(np.abs(got - want) <= EVAL_GATE_RTOL * np.abs(want)), gate.kind
+        g = batchnorm(units, bn_copy(gate.bn), training)[0] * nam_weights(gate.bn.gamma)[None, :, None, None]
+        assert np.abs(g).max() <= 10.0
+        want = (units * sigmoid(g)).reshape(x.shape)
+        got = gate.forward(x, training=training)
+        assert np.all(np.abs(got - want) <= GATE_RTOL * np.abs(want)), gate.kind
 
 
-def test_eval_gate_saturates_without_warnings():
-    # Far out, the gate passes x or shuts to a zero of x's sign. exp(-(a ⊙ x + b))
+@pytest.mark.parametrize("training", [True, False])
+def test_gate_saturates_without_warnings(training):
+    # Far out, the gate passes x or shuts to a zero of x's sign. exp(-w ⊙ BN(x))
     # overflows there, and x / inf = ±0 is the limit, not a RuntimeWarning.
+    # Batch statistics normalize x in training, so only a large gamma takes
+    # the gate that far; w is invariant to its scale.
     rng = np.random.default_rng(20)
     for gate in eval_gates(rng):
-        gate.bn.running_var[:] = 1e-4  # a large enough that |a ⊙ x| > 710 at |x| = 1000
-        x = np.where(rng.random((2, 6, 4, 5)) < 0.5, -1000.0, 1000.0)
-        a, _ = eval_fold(gate.bn)
+        gate.bn.gamma *= 1e8
+        x = np.where(rng.random((4, 6, 4, 5)) < 0.5, -1000.0, 1000.0)
+        x[0], x[1] = -1000.0, 1000.0  # every unit's batch holds both signs: x - mean has x's sign
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            out = gate.forward(x, training=False)
-        open_ = unit_view(gate, x) * a > 0
+            out = gate.forward(x, training=training)
+        open_ = unit_view(gate, x) * gate.bn.gamma[None, :, None, None] > 0
         assert np.array_equal(unit_view(gate, out), np.where(open_, unit_view(gate, x), 0.0)), gate.kind
         assert np.array_equal(np.signbit(out), np.signbit(x)), gate.kind
 
 
-def test_eval_gate_propagates_nan():
+@pytest.mark.parametrize("training", [True, False])
+def test_gate_propagates_nan(training):
+    # In eval the NaN stays where it is; in training it also makes its unit's
+    # batch statistics NaN, and so the whole unit.
     rng = np.random.default_rng(21)
     for gate in eval_gates(rng):
         x = rng.standard_normal((2, 6, 4, 5))
         x[1, 2, 3, 4] = np.nan
-        out = gate.forward(x, training=False)
-        assert np.isnan(out[1, 2, 3, 4]), gate.kind
-        assert np.isnan(out).sum() == 1, gate.kind
+        out = gate.forward(x, training=training)
+        want = np.isnan(x)
+        if training:
+            units = unit_view(gate, want)
+            want = np.broadcast_to(units.any(axis=(0, 2, 3), keepdims=True), units.shape).reshape(x.shape)
+        assert np.array_equal(np.isnan(out), want), gate.kind
 
 
-def test_eval_gate_of_a_float32_input_is_float64():
+@pytest.mark.parametrize("training", [True, False])
+def test_gate_of_a_float32_input_is_float64(training):
     # Like batch norm, the gate computes in the promoted dtype: a float32 input
     # gives the output of its exact float64 cast.
     rng = np.random.default_rng(22)
     for gate in eval_gates(rng):
         x = rng.standard_normal((2, 6, 4, 5)).astype(np.float32)
-        out = gate.forward(x, training=False)
+        out = gate.forward(x, training=training)
         assert out.dtype == np.float64, gate.kind
-        assert np.array_equal(out, gate.forward(x.astype(np.float64), training=False)), gate.kind
+        assert np.array_equal(out, gate.forward(x.astype(np.float64), training=training)), gate.kind
 
 
-def test_eval_gate_reports_the_kinds_mac_count():
+@pytest.mark.parametrize("training", [True, False])
+def test_gate_reports_the_kinds_mac_count(training):
     rng = np.random.default_rng(23)
     for gate in eval_gates(rng):
         x = rng.standard_normal((2, 6, 4, 5))
         with count_macs() as counter:
-            gate.forward(x, training=False)
+            gate.forward(x, training=training)
         assert counter.macs == 8 * x.size, gate.kind
 
 
-def test_eval_gate_holds_one_map():
-    # The eval gate works in its output buffer alone. Beyond it, the peak holds
-    # numpy's iteration buffer for a broadcast operand (np.getbufsize() float64s,
-    # 64 KiB) and a few per-unit vectors. An allocating gate's BN output, sigmoid
-    # numerator and sign mask add two maps and more.
+def test_training_forward_moves_the_running_statistics_as_batchnorm_does():
+    # The gate's batch norm runs on params whose gamma and beta are replaced
+    # and which share gate.bn's running-statistic arrays: a training forward
+    # moves them bit for bit as batchnorm on a copy of gate.bn does, and an
+    # eval forward leaves them alone.
+    rng = np.random.default_rng(29)
+    for gate in eval_gates(rng):
+        x = rng.standard_normal((3, 6, 4, 5))
+        copy, before = bn_copy(gate.bn), bn_copy(gate.bn)
+        batchnorm(unit_view(gate, x), copy, True)
+        gate.forward(x, training=True)
+        for stat in ("running_mean", "running_var"):
+            assert np.array_equal(getattr(gate.bn, stat), getattr(copy, stat)), (gate.kind, stat)
+            assert not np.array_equal(getattr(gate.bn, stat), getattr(before, stat)), (gate.kind, stat)
+        gate.forward(x, training=False)
+        for stat in ("running_mean", "running_var"):
+            assert np.array_equal(getattr(gate.bn, stat), getattr(copy, stat)), (gate.kind, stat)
+
+
+@pytest.mark.parametrize("training, maps", [(True, 2), (False, 1)])
+def test_gate_forward_peak_holds_its_maps(training, maps):
+    # An eval gate works in its output buffer alone; a training gate in s,
+    # which it caches, and its output. Beyond them, the peak holds numpy's
+    # iteration buffer for a broadcast operand (np.getbufsize() float64s,
+    # 64 KiB) and a few per-unit vectors. An allocating gate's BN output,
+    # sigmoid numerator and sign mask add a map and more.
     rng = np.random.default_rng(24)
     for gate in eval_gates(rng, h=8, w=8, c=32):
         x = rng.standard_normal((64, 32, 8, 8))  # 1 MiB
-        gate.forward(x, training=False)  # first calls allocate numpy's own caches
+        gate.forward(x, training=training)  # first calls allocate numpy's own caches
         tracemalloc.start()
         try:
-            out = gate.forward(x, training=False)
+            out = gate.forward(x, training=training)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert out.nbytes == x.nbytes
-        assert peak <= x.nbytes + 8 * np.getbufsize() + 2**13, gate.kind
+        assert peak <= maps * x.nbytes + 8 * np.getbufsize() + 2**13, gate.kind
 
 
 def unit_cache(gate):

@@ -866,6 +866,20 @@ class TestFastReader:
         assert got.corners.tolist() == [[1.0, 2.0, 3.0, 4.0], list(box)]
 
     @pytest.mark.parametrize("loader", [load_ground_truths, load_detections])
+    def test_line_by_line_pass_builds_no_box_objects(self, tmp_path, monkeypatch, loader):
+        """A valid file numpy refuses (a bare `\r` in its first line) is read line by
+        line, and its box and confidence rules are checked over the rows: no BBox is built."""
+        built, calls = [], []
+        check, per_line = BBox.__post_init__, metrics._parse_lines
+        monkeypatch.setattr(BBox, "__post_init__", lambda box: built.append(box) or check(box))
+        monkeypatch.setattr(metrics, "_parse_lines", lambda *args: calls.append(args) or per_line(*args))
+        text = DET_TEXT if loader is load_detections else GT_TEXT
+        path = tmp_path / "annotations.txt"
+        path.write_bytes(text.replace(" 0 ", "\r0 ", 1).encode())
+        assert len(loader(path)) == 3
+        assert len(calls) == 1 and built == []
+
+    @pytest.mark.parametrize("loader", [load_ground_truths, load_detections])
     def test_crlf_and_commented_files_take_the_fast_reader(self, tmp_path, monkeypatch, loader):
         """A numpy whose reader refused every file would keep the results and
         lose the speed; only a counter on the per-line pass shows it."""
