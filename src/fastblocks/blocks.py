@@ -16,23 +16,23 @@ run the kernels on them over maps the block owns, and alone decide which
 maps are kept, rebuilt or overwritten. ReLU runs in place on bn1's output;
 the skip is added into pw2's output, and its gradient into the pconv branch's.
 
-pconv allocates its output once: it copies only the c - c_p pass-through
-channels of x, and `conv2d(..., out=)` writes the convolved channels
-straight into the first c_p, with the values of a separate conv; its
-backward fills its input gradient the same way. An eval forward keeps
-nothing, and bn1 writes its output into pw1's unless that would round it:
-its peak is pw1's or pw2's input and output, three maps of x's size.
+pconv convolves x's first c_p channels and concatenates the other c - c_p
+after them, unchanged; its backward concatenates the convolved channels'
+input gradient with grad_out's other channels. A map is written in place
+only where that lowers a workload's peak memory. An eval forward keeps
+nothing; its peak is pw1's output and bn1's, four maps of x's size at the
+default expansion e = 2.
 
 A training forward caches x (the caller's), pconv's c_p convolved channels
 of t0 = pconv(x) (the rest are x's own), t1 = pw1(t0) and bn1's batch
 statistics: one hidden-width map. The backward consumes that cache. It
 centres t1 once, in place, rebuilds t3 = relu(bn1(t1)) from it by one
-scale, one shift and `np.maximum`, and t0 as pconv assembles it, both
-equal to the forward's maps bit for bit, and reads the relu mask from t3
-before pw2's backward. pw2, bn1 and pw1 then write their input gradients
-into t3, the centred t1 and t0, which nothing reads afterwards, unless that
-would round them (`exact_out`). The caller's x and grad_out are never
-written.
+scale, one shift and `np.maximum`, and t0 by concatenating the convolved
+channels with x's others, both equal to the forward's maps bit for bit,
+and reads the relu mask from t3 before pw2's backward. pw2 and bn1 write
+their input gradients into t3 and the centred t1, which nothing reads
+afterwards, unless that would round them (`exact_out`). The caller's x
+and grad_out are never written.
 
 Initialization draws weights from uniform [-sqrt(6/fan_in), +sqrt(6/fan_in)]
 with fan_in = c_in * k^2; biases start at zero.
@@ -104,36 +104,25 @@ class PWConvSpec:
             raise ValidationError("PWConvSpec channel counts must be >= 1")
 
 
-def _with_pass_through(x: Tensor4, weights: np.ndarray, c_p: int) -> Tensor4:
-    """A new array shaped like x, of pconv's dtype, holding x's channels
-    [c_p, c); channels [0, c_p) are left for the caller to fill."""
-    out = np.empty(x.shape, np.result_type(x, weights))  # conv2d's dtype for this input
-    out[:, c_p:] = x[:, c_p:]
-    return out
-
-
 def pconv(x: Tensor4, weights: np.ndarray, spec: PConvSpec) -> Tensor4:
-    """Convolve channels [0, c_p) straight into the output; copy channels [c_p, c) bit-identically."""
+    """Convolve channels [0, c_p); concatenate channels [c_p, c) after them bit-identically."""
     x = as_tensor4(x)
     if x.shape[1] != spec.c:
         raise ValidationError(f"input channel dim {x.shape[1]} does not match PConvSpec.c {spec.c}")
-    out = _with_pass_through(x, weights, spec.c_p)
-    conv2d(x[:, : spec.c_p], weights, None, spec.conv_spec(), out=out[:, : spec.c_p])
-    return out
+    return np.concatenate([conv2d(x[:, : spec.c_p], weights, None, spec.conv_spec()), x[:, spec.c_p :]], axis=1)
 
 
 def pconv_grad(
     x: Tensor4, weights: np.ndarray, spec: PConvSpec, grad_out: Tensor4
 ) -> tuple[Tensor4, np.ndarray]:
-    """Backward of pconv: pass-through channels carry grad_out unchanged;
-    the convolved channels' gradient is written straight into the first c_p."""
+    """Backward of pconv: the convolved channels' gradient, then grad_out's
+    pass-through channels unchanged."""
     x = as_tensor4(x)
     if grad_out.shape != x.shape:
         raise ValidationError(f"grad_out shape {grad_out.shape} != input shape {x.shape}")
     c_p = spec.c_p
-    grad_x = _with_pass_through(grad_out, weights, c_p)
-    _, gw, _ = conv2d_grad(x[:, :c_p], weights, spec.conv_spec(), grad_out[:, :c_p], out=grad_x[:, :c_p])
-    return grad_x, gw
+    grad_x, gw, _ = conv2d_grad(x[:, :c_p], weights, spec.conv_spec(), grad_out[:, :c_p])
+    return np.concatenate([grad_x, grad_out[:, c_p:]], axis=1), gw
 
 
 def _as_1x1(weights: np.ndarray) -> tuple[np.ndarray, ConvSpec]:
@@ -187,7 +176,7 @@ def fasternet_block_forward(block, x: Tensor4, training: bool = True) -> Tensor4
     t1 = pwconv(t0, block.pw1.weight, block.pw1.bias)
     convolved = t0[:, :c_p].copy() if training else None  # the rest of t0 is x's own
     del t0  # freed before bn1 allocates its output
-    t2, mean, var = batchnorm(t1, bn, training, out=None if training else exact_out(t1, t1, bn.gamma))
+    t2, mean, var = batchnorm(t1, bn, training)
     block._cache = (x, convolved, t1, mean, var) if training else None
     del t1
     t4 = pwconv(relu(t2, out=t2), block.pw2.weight, block.pw2.bias)
@@ -197,7 +186,7 @@ def fasternet_block_forward(block, x: Tensor4, training: bool = True) -> Tensor4
 def fasternet_block_grad(block, grad_out: Tensor4) -> Tensor4:
     """Backward of the block: consumes its cache, sets its grads under its
     params() keys and returns grad_x. pw2's input is rebuilt from t1 and
-    pw1's from x; pw2, bn1 and pw1 write their input gradients into their inputs.
+    pw1's from x; pw2 and bn1 write their input gradients into their inputs.
     """
     x, convolved, t1, mean, var = block._take()
     c_p, bn = block.spec.c_p, block.bn1.bn
@@ -213,10 +202,9 @@ def fasternet_block_grad(block, grad_out: Tensor4) -> Tensor4:
     del t3, mask
     grad, ggamma, gbeta = batchnorm_grad(t1, bn, var, grad)
     del t1
-    t0 = _with_pass_through(x, block.pconv.weight, c_p)  # pconv(x), as the forward made it
-    t0[:, :c_p] = convolved
+    t0 = np.concatenate([convolved, x[:, c_p:]], axis=1)  # pconv(x), as the forward made it
     del convolved
-    grad, gw1, gb1 = pwconv_grad(t0, block.pw1.weight, grad, out=exact_out(t0, grad, block.pw1.weight))
+    grad, gw1, gb1 = pwconv_grad(t0, block.pw1.weight, grad)
     del t0
     grad, gpc = pconv_grad(x, block.pconv.weight, block.pconv.spec, grad)
     grad += grad_out  # the skip's gradient

@@ -44,7 +44,7 @@ makes once in a buffer it owns, into the closed-form input gradient. Eval
 mode folds the running statistics into a per-channel scale and shift. Work
 buffers take the promoted dtype of the operands (float64 parameters make a
 float32 input's output float64) and never alias a caller's array, except
-one passed as `out=` or as `batchnorm_grad`'s centred input.
+`batchnorm_grad`'s centred input.
 
 Multiply-accumulate counting: within a `count_macs()` block every forward op
 reports the work it actually performed, derived from the operand shapes at
@@ -56,18 +56,15 @@ sigmoid takes 7, and a NAM gate (`attention`) reports in both modes the
 batch norm and 6 for its own three or four passes. This is the measured side
 of the two-route cost check; the closed-form side lives in `complexity`.
 
-`conv2d`, `batchnorm`, `relu`, `sigmoid`, `elementwise_mul`,
-`residual_add` and `conv2d_grad` take numpy's `out=`: a caller that owns a
-buffer (for example a batch-norm output nothing else holds, or a
-backward's cached input) can have the result written there instead of
-allocating, with the values and MAC report of a new array. Every kernel
-but `conv2d` may write into `x` itself. `conv2d` and `conv2d_grad` refuse
-an `out` of another shape or dtype than their result's, or one overlapping
-an operand they still read (see `exact_out`); `batchnorm_grad` refuses a
-centred input it cannot turn into the gradient in the same way. `conv2d`
-also needs each channel map of its `out` contiguous, as pconv's first c_p
-channels are; `conv2d_grad` writes its input gradient there directly under
-that rule, and by a copy otherwise.
+`relu`, `residual_add` and `conv2d_grad` take numpy's `out=`: a caller
+that owns a buffer (a map nothing else holds, or a backward's dead input)
+can have the result written there instead of allocating, with the values
+and MAC report of a new array. Each refuses an `out` of another shape or
+dtype than its result's, so that a write never rounds. `relu` and
+`residual_add` may write into an operand; `conv2d_grad` may write into `x`
+but not into anything overlapping grad_out (see `exact_out`), and
+`batchnorm_grad` refuses a centred input it cannot turn into the gradient
+in the same way. The other kernels allocate their results.
 """
 
 from __future__ import annotations
@@ -229,13 +226,13 @@ def exact_out(buf: np.ndarray, *operands) -> np.ndarray | None:
     return buf if buf.dtype == np.result_type(*operands) else None
 
 
-def _check_out(name: str, out: np.ndarray | None, shape: tuple, dtype, operand: np.ndarray, what: str) -> None:
-    """Refuse a result buffer `out` (`name`) of the wrong shape or dtype, or overlapping `operand` (`what`)."""
+def _check_out(name: str, out: np.ndarray | None, shape: tuple, dtype, operand=None, what: str = "") -> None:
+    """Refuse a result buffer `out` (`name`) of the wrong shape or dtype, or overlapping `operand` (`what`) if given."""
     if out is None:
         return
     if out.shape != shape or out.dtype != dtype:
         raise ValidationError(f"{name} is {out.dtype}{out.shape}, expected {dtype}{shape}")
-    if np.may_share_memory(out, operand):
+    if operand is not None and np.may_share_memory(out, operand):
         raise ValidationError(f"{name} must not overlap {what}")
 
 
@@ -314,30 +311,20 @@ def _column_tiles(x: Tensor4, spec: ConvSpec, weight_bytes: int):
         yield s0, s1, r0 * w_out, r1 * w_out, cols.reshape(s1 - s0, depth, (r1 - r0) * w_out)
 
 
-def conv2d(
-    x: Tensor4, kernel: np.ndarray, bias: np.ndarray | None, spec: ConvSpec, out: Tensor4 | None = None
-) -> Tensor4:
+def conv2d(x: Tensor4, kernel: np.ndarray, bias: np.ndarray | None, spec: ConvSpec) -> Tensor4:
     """2-D cross-correlation with zero padding and integer stride.
 
     x: (n, c_in, h, w); kernel: (c_out, c_in, k, k); bias: (c_out,) or None.
-    Returns (n, c_out, h_out, w_out) of dtype `np.result_type(x, kernel, bias)`,
-    written into `out` when given: an array of that shape and dtype whose
-    every channel map is contiguous, such as a channel slice of a larger
-    map, that does not overlap x. The values are those of a new array.
+    Returns a new (n, c_out, h_out, w_out) array of dtype
+    `np.result_type(x, kernel, bias)`.
     """
     x = _check_conv_args(x, kernel, bias, spec)
     operands = (x, kernel) if bias is None else (x, kernel, bias)
     dtype = np.result_type(*operands)
     n, _, h, w = x.shape
     h_out, w_out = spec.out_hw(h, w)
-    shape = (n, spec.c_out, h_out, w_out)
-    _check_out("conv2d out", out, shape, dtype, x, "its input")
-    if out is None:
-        out = np.empty(shape, dtype)
-    elif not out[0, 0].flags.c_contiguous:
-        raise ValidationError("conv2d out must hold each channel's map contiguously")
-    # Each tile's GEMM writes straight into the output; the reshape is a view,
-    # as each channel's map is contiguous.
+    out = np.empty((n, spec.c_out, h_out, w_out), dtype)
+    # Each tile's GEMM writes straight into the output, through a view.
     flat, weights = out.reshape(n, spec.c_out, h_out * w_out), kernel.reshape(spec.c_out, -1)
     for s0, s1, c0, c1, cols in _column_tiles(x, spec, weights.nbytes):
         np.matmul(weights, cols, out=flat[s0:s1, :, c0:c1])
@@ -357,9 +344,8 @@ def conv2d_grad(
     gradient is written into `out` when given, of x's shape and that dtype:
     `x` itself (each tile of x is read before it is written), but nothing
     overlapping `grad_out`. The flipped-kernel path writes there directly
-    when each channel map is contiguous (`conv2d`'s rule) and copies
-    otherwise; the disjoint-window path always writes there directly, and
-    the col2im copies.
+    when each of its channel maps is contiguous and copies otherwise; the
+    disjoint-window path always writes there directly, and the col2im copies.
     """
     x = _check_conv_args(x, kernel, None, spec)
     n, c_in, h, w = x.shape
@@ -425,18 +411,14 @@ def conv2d_grad(
     return grad_x, np.ascontiguousarray(grad_kernel, g.dtype), grad_bias
 
 
-def batchnorm(
-    x: Tensor4, params: BNParams, training: bool, out: Tensor4 | None = None
-) -> tuple[Tensor4, np.ndarray, np.ndarray]:
+def batchnorm(x: Tensor4, params: BNParams, training: bool) -> tuple[Tensor4, np.ndarray, np.ndarray]:
     """Per-channel batch normalization: gamma * (x - mu) / sqrt(var + eps) + beta.
 
     Training mode computes mu/var over (n, h, w) per channel with the
     population divisor n*h*w; eval mode consumes the running statistics.
     Returns (out, mean, var) where mean/var are the statistics actually used.
     A training call also folds mean/var into params' running statistics.
-    `out` has dtype `np.result_type(x, params.gamma)`. It is written into the
-    `out` given, which may be `x` itself, with the values of a new array;
-    otherwise it is a new array and never aliases `x`.
+    `out` is a new array of dtype `np.result_type(x, params.gamma)`.
     """
     x = as_tensor4(x)
     if x.shape[1] != params.channels:
@@ -446,7 +428,7 @@ def batchnorm(
     dtype = np.result_type(x, params.gamma)
     if training:
         mean = x.mean(axis=(0, 2, 3), dtype=dtype)
-        out = np.subtract(x, mean[None, :, None, None], out=out, dtype=dtype)
+        out = np.subtract(x, mean[None, :, None, None], dtype=dtype)
         n, _, h, w = x.shape
         var = np.einsum("nchw,nchw->c", out, out) / (n * h * w)
         params.update_running(mean, var)
@@ -456,7 +438,7 @@ def batchnorm(
         mean = params.running_mean.copy()
         var = params.running_var.copy()
         scale = params.gamma / np.sqrt(var + params.eps)
-        out = np.multiply(x, scale[None, :, None, None], out=out, dtype=dtype)
+        out = np.multiply(x, scale[None, :, None, None], dtype=dtype)
         out += (params.beta - mean * scale)[None, :, None, None]
     record_macs(2 * x.size)
     return out, mean, var
@@ -507,7 +489,8 @@ def batchnorm_grad_eval(
 
 
 def relu(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """max(x, 0)."""
+    """max(x, 0), written into `out` when given: an array of x's shape and of the result's dtype, x itself for one."""
+    _check_out("relu out", out, x.shape, np.result_type(x, 0.0))
     record_macs(x.size)
     return np.maximum(x, 0.0, out=out)
 
@@ -517,16 +500,16 @@ def relu_grad(x: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
     return grad_out * (x > 0)
 
 
-def sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def sigmoid(x: np.ndarray) -> np.ndarray:
     """Stable logistic from one e = exp(-|x|): 1/(1+e) for x >= 0, e/(1+e) below; 4 FLOPs per element.
 
-    e is built in `out`, which may be `x` itself; the only temporaries are
-    the sign mask and the numerator max(e, x >= 0): 1 where x >= 0 (there
-    e <= 1), e below, and NaN where x is NaN.
+    e is built in the new output array; the only temporaries are the sign
+    mask and the numerator max(e, x >= 0): 1 where x >= 0 (there e <= 1),
+    e below, and NaN where x is NaN.
     """
     record_macs(4 * x.size)
     nonneg = x >= 0
-    e = np.abs(x, out=out, dtype=np.result_type(x, 1.0))
+    e = np.abs(x, dtype=np.result_type(x, 1.0))
     np.negative(e, out=e)
     np.exp(e, out=e)
     num = np.maximum(e, nonneg)
@@ -534,16 +517,17 @@ def sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return np.divide(num, e, out=e)
 
 
-def elementwise_mul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def elementwise_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Hadamard product, 1 MAC per output element; no caller in the package: kept as perfbench/spans.py names it."""
-    out = np.multiply(a, b, out=out)
+    out = np.multiply(a, b)
     record_macs(out.size)
     return out
 
 
 def residual_add(a: Tensor4, b: Tensor4, out: Tensor4 | None = None) -> Tensor4:
-    """Shape-checked skip-connection add, counted as 1 FLOP per element."""
+    """Shape-checked skip-connection add, counted as 1 FLOP per element; `out` as in `relu`, a or b itself for one."""
     if a.shape != b.shape:
         raise ValidationError(f"residual add shape mismatch: {a.shape} vs {b.shape}")
+    _check_out("residual_add out", out, a.shape, np.result_type(a, b))
     record_macs(a.size)
     return np.add(a, b, out=out)

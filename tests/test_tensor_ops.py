@@ -111,44 +111,6 @@ class TestConv2d:
         with pytest.raises(ValidationError):
             conv2d(np.zeros((1, 2, 4, 4)), np.zeros((1, 2, 3, 3)), None, ConvSpec(2, 1, 1))
 
-    @pytest.mark.parametrize("n", [1, 3])
-    @pytest.mark.parametrize("k, s, p, with_bias", [(3, 1, 1, False), (3, 2, 1, True), (1, 1, 0, True)])
-    def test_out_into_a_channel_slice_is_bit_identical(self, n, k, s, p, with_bias, monkeypatch):
-        # pconv writes its convolved channels into a slice of its output; each
-        # tile's GEMM must write there what it writes into a new array.
-        monkeypatch.setattr(tensor_ops, "TILE_BYTES", 2048)  # several tiles, of rows and of samples
-        rng = np.random.default_rng(n + k + s)
-        x = rng.standard_normal((n, 5, 9, 9))
-        kernel = rng.standard_normal((4, 5, k, k))
-        bias = rng.standard_normal(4) if with_bias else None
-        spec = ConvSpec(5, 4, k, s, p)
-        with count_macs() as allocating:
-            want = conv2d(x, kernel, bias, spec)
-        host = np.full((n, 7, *want.shape[2:]), np.nan)
-        with count_macs() as into:
-            got = conv2d(x, kernel, bias, spec, out=host[:, 2:6])
-        assert np.shares_memory(got, host) and got.base is host
-        assert np.array_equal(got, want)
-        assert np.array_equal(host[:, 2:6], want)
-        assert np.isnan(host[:, :2]).all() and np.isnan(host[:, 6:]).all()
-        assert into.macs == allocating.macs
-
-    def test_out_is_validated(self):
-        x = np.zeros((2, 3, 4, 4))
-        kernel = np.zeros((2, 3, 3, 3))
-        spec = ConvSpec(3, 2, 3, padding=1)
-        for bad, match in [
-            (np.empty((2, 2, 4, 3)), "expected"),
-            (np.empty((2, 2, 4, 4), np.float32), "expected"),
-            (np.empty((2, 2, 4, 8))[..., ::2], "contiguously"),
-            (np.empty((2, 2, 4, 4)).transpose(0, 1, 3, 2), "contiguously"),
-        ]:
-            with pytest.raises(ValidationError, match=match):
-                conv2d(x, kernel, None, spec, out=bad)
-        both = np.zeros((2, 5, 4, 4))
-        with pytest.raises(ValidationError, match="overlap"):
-            conv2d(both[:, :3], kernel, None, spec, out=both[:, 3:])
-
 
 class TestConv2dGrad:
     def test_matches_finite_differences(self):
@@ -677,30 +639,6 @@ class TestBatchNorm:
         with pytest.raises(ValidationError):
             batchnorm(np.zeros((1, 3, 2, 2)), BNParams.identity(2), training=True)
 
-    @pytest.mark.parametrize("training", [True, False])
-    @pytest.mark.parametrize("into_x", [False, True])
-    def test_out_receives_the_allocating_results_bit_for_bit(self, training, into_x):
-        rng = np.random.default_rng(12)
-        x = rng.standard_normal((3, 4, 5, 6))
-
-        def make():  # one copy per call, as a training call updates its running statistics
-            return BNParams(
-                gamma=np.array([0.5, 1.5, -1.0, 2.0]),
-                beta=np.array([0.1, -0.2, 0.3, 0.0]),
-                running_mean=np.array([0.2, -0.1, 0.0, 0.4]),
-                running_var=np.array([0.5, 2.0, 1.0, 1.5]),
-            )
-
-        want_params, got_params = make(), make()
-        want = batchnorm(x, want_params, training)
-        out = x.copy() if into_x else np.empty_like(x)
-        got = batchnorm(out if into_x else x, got_params, training, out=out)
-        assert got[0] is out
-        for g, wanted in zip(got, want):
-            assert np.array_equal(g, wanted)
-        assert np.array_equal(got_params.running_mean, want_params.running_mean)
-        assert np.array_equal(got_params.running_var, want_params.running_var)
-
     def test_params_shape_validation(self):
         with pytest.raises(ValidationError):
             BNParams(gamma=np.ones(3), beta=np.ones(2), running_mean=np.zeros(3), running_var=np.ones(3))
@@ -895,6 +833,32 @@ class TestBatchNormOracle:
 def test_relu_examples():
     x = np.array([-1.0, 0.0, 2.0]).reshape(1, 1, 1, 3)
     assert np.array_equal(relu(x).ravel(), [0.0, 0.0, 2.0])
+
+
+def _relu_or_add(op, x, out=None):
+    return relu(x, out=out) if op == "relu" else residual_add(x, x[::-1], out=out)
+
+
+@pytest.mark.parametrize("op", ["relu", "residual_add"])
+def test_out_may_be_an_operand_and_receives_the_allocating_result(op):
+    for dtype in (np.float64, np.float32):
+        x = np.random.default_rng(3).standard_normal((2, 3, 4, 5)).astype(dtype)
+        want, other = _relu_or_add(op, x), np.empty_like(x)
+        assert _relu_or_add(op, x, out=other) is other and np.array_equal(other, want)
+        assert _relu_or_add(op, x, out=x) is x and np.array_equal(x, want)
+
+
+@pytest.mark.parametrize("op", ["relu", "residual_add"])
+def test_out_of_another_dtype_or_shape_than_the_result_is_refused(op):
+    # A float32 out would round the float64 result, and one with a leading
+    # axis more would take a broadcast copy of it: both are refused rather
+    # than written, as is one numpy cannot broadcast into.
+    x = np.random.default_rng(4).standard_normal((2, 3, 4, 5))
+    for bad in (np.empty(x.shape, np.float32), np.empty((3, *x.shape)), np.empty((2, 3, 4, 1))):
+        with pytest.raises(ValidationError, match="expected float64"):
+            _relu_or_add(op, x, out=bad)
+    with pytest.raises(ValidationError, match="expected float64"):
+        residual_add(x.astype(np.float32), x, out=np.empty(x.shape, np.float32))
 
 
 def test_relu_grad_zero_at_and_below_zero():
