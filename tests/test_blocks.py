@@ -156,6 +156,30 @@ class TestPConv:
         assert np.array_equal(got, want) and np.array_equal(got_w, want_w)
         assert np.array_equal(grad_out, before)
 
+    @pytest.mark.parametrize("w_dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("x_dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("backward", [False, True])
+    def test_mixed_dtypes_give_the_promoted_copy_then_assign(self, backward, x_dtype, w_dtype):
+        # The concatenation promotes the pass-through channels to the conv's
+        # dtype, np.result_type(x, weights) forward and
+        # np.result_type(grad_out, weights) backward: the result is that of
+        # casting x (or grad_out) to it and assigning the conv over it.
+        spec = PConvSpec(c=5, c_p=2)
+        rng = np.random.default_rng(19)
+        x = rng.standard_normal((2, 5, 6, 4)).astype(x_dtype)
+        w = rng.standard_normal((2, 2, 3, 3)).astype(w_dtype)
+        grad_out = rng.standard_normal(x.shape).astype(x_dtype)
+        data = grad_out if backward else x
+        want = data.astype(np.result_type(data, w))
+        if backward:
+            want[:, :2], want_w, _ = conv2d_grad(x[:, :2], w, spec.conv_spec(), np.ascontiguousarray(grad_out[:, :2]))
+            got, got_w = pconv_grad(x, w, spec, grad_out)
+            assert got_w.dtype == want_w.dtype and np.array_equal(got_w, want_w)
+        else:
+            want[:, :2] = conv2d(x[:, :2], w, None, spec.conv_spec())
+            got = pconv(x, w, spec)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
     @pytest.mark.parametrize("backward", [False, True])
     def test_peak_holds_its_result_and_the_convolved_channels(self, backward):
         # The peak is the conv's c_p channels (or their gradient) beside
